@@ -256,19 +256,12 @@ def _walk(model: SurfaceModel, direction: int):
             )
             return events, states
         if any(e.kind == "moving" for e in zero):
-            note = ""
-            if m.id == "D16" and direction == -1:
-                note = (
-                    "restriction to V1 is the nonzero square-zero class 2f', "
-                    "so V1 maps to a curve here"
-                )
             events.append(
                 WallEvent(
                     ray,
                     "boundary_moving_class",
                     tuple(e.name for e in zero),
                     stable_model_at(m, ray),
-                    note=note,
                 )
             )
             return events, states

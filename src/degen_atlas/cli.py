@@ -145,10 +145,9 @@ def _emit(report: dict, as_json: bool, text: str | None = None) -> None:
 
 
 def _row_for(model_id: str):
-    preferred = {"E8E8": "E8E8-d1", "A11E6": "A11E6-d3"}
-    key = preferred.get(model_id, model_id)
+    """The model's relation row in its catalogue state: no flops, no swap."""
     for row in relation_rows():
-        if row.key == key:
+        if row.model_id == model_id and not row.flops and not row.swap:
             return row
     raise KeyError(model_id)
 

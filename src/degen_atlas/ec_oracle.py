@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from importlib import resources
 from math import gcd, isqrt
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .exact_lattice import mat, matvec, snf
 from .period_relations import Divisor, RelationSystem
@@ -342,24 +342,3 @@ def randomized_membership_test(
             return MembershipVerdict("REFUTED", trial + 1, assignment)
     return MembershipVerdict("SUPPORTED", trials)
 
-
-def scan_distinct_curves(
-    start: int = 10007, count: int = 3, b_range: Iterable[int] = range(1, 40)
-) -> list[Curve]:
-    """Find `count` curves over primes >= start with pairwise distinct
-    subgroup orders; used once to produce the pinned fixture."""
-    found: list[Curve] = []
-    p = start
-    while len(found) < count:
-        while not _is_prime(p):
-            p += 1
-        for b in b_range:
-            try:
-                c = curve_setup(p, 1, b)
-            except ValueError:
-                continue
-            if all(c.exponent != other.exponent for other in found):
-                found.append(c)
-                break
-        p += 1
-    return found

@@ -410,27 +410,14 @@ class QuotientLattice:
     xi: Vector
     reps: Matrix
     gram: GramForm
-    _project_mat: Matrix  # S-coordinates -> (xi-coordinate, quotient coords)
-    _sub_rows: Matrix
 
     @property
     def rank(self) -> int:
         return len(self.reps)
 
-    def project(self, v: Vector) -> Vector:
-        """Quotient coordinates of an ambient vector lying in S."""
-        c = solve_integer(list(self._sub_rows), v)
-        if c is None:
-            raise ValueError("vector does not lie in the sublattice")
-        full = vecmat(c, self._project_mat)
-        return full[1:]
-
     def lift(self, coords: Vector) -> Vector:
         """A coset representative in ambient coordinates."""
-        acc = (0,) * len(self.reps[0])
-        for c, r in zip(coords, self.reps):
-            acc = add_vec(acc, scale_vec(c, r))
-        return acc
+        return vecmat(coords, self.reps)
 
 
 def quotient_by_isotropic(sub: Sublattice, xi: Vector) -> QuotientLattice:
@@ -466,17 +453,7 @@ def quotient_by_isotropic(sub: Sublattice, xi: Vector) -> QuotientLattice:
     gram = GramForm(
         tuple(tuple(sub.ambient.pairing(a, b) for b in reps) for a in reps)
     )
-    # v = c @ sub.rows = n @ (basis_rows @ sub.rows) forces n = c @ basis_rows^-1.
-    _, inv = hnf(basis_rows)  # hnf of a unimodular matrix is I, so U = inverse
-    project_mat = inv
-    return QuotientLattice(
-        ambient=sub.ambient,
-        xi=xi,
-        reps=reps,
-        gram=gram,
-        _project_mat=project_mat,
-        _sub_rows=sub.rows,
-    )
+    return QuotientLattice(ambient=sub.ambient, xi=xi, reps=reps, gram=gram)
 
 
 def orthogonal_complement(g: GramForm, vectors: Sequence[Vector]) -> tuple[Vector, ...]:

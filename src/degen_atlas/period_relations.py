@@ -8,10 +8,13 @@ numerically Cartier class (c0, c1) is the degree-zero divisor
 
     psi(c) = c0|E - c1|E,
 
-computed here as a formal integer combination of point symbols.  Applying
-psi to the polarization h and to the double-curve class xi yields the two
+computed here as a formal integer combination of point symbols.  The
+images of the basis classes, and any auxiliary relations, are data carried
+by the model (SurfaceModel.restrictions and .aux_relations); the only
+non-default entries are those of D16 in the catalogue table.  Applying psi
+to the polarization h and to the double-curve class xi yields the two
 imposed relations; the catalogued extra relation of each model is then an
-integer combination of those (plus, for one model, a declared 4-torsion
+integer combination of those (plus, for D16, its declared 4-torsion
 auxiliary), certified by exact span membership.
 """
 
@@ -26,9 +29,9 @@ from .surface_pair import (
     SurfaceModel,
     catalogue_model,
     flop_all,
-    home_component,
     intersect,
     is_exceptional,
+    point_symbol,
     surface_name,
     swap_components,
 )
@@ -102,51 +105,22 @@ class Divisor:
 ZERO = Divisor.of({})
 
 
-def point_symbol(basis_name: str) -> str:
-    """Symbol of the blown-up point under an exceptional class, e'3 -> p'3."""
-    assert is_exceptional(basis_name)
-    return "p" + basis_name[1:]
-
-
 def restriction_dictionary(m: SurfaceModel) -> dict[str, Divisor]:
     """Divisor image of every basis class on the double curve.
 
-    Exceptional classes keep their point symbol when flopped.  The one
-    non-obvious choice is the quadric component of the D16 model: its two
-    ruling images are pinned jointly by the forms of psi(h) and psi(xi) and
-    involve a distinguished 4-torsion point pf (see model_aux_relations).
+    The images are the model's own data, m.restrictions.  Exceptional
+    classes keep their point symbol when flopped.  The one non-default
+    entry is the quadric of D16, in the catalogue table: its two ruling
+    images are pinned jointly by the forms of psi(h) and psi(xi) and
+    involve a distinguished 4-torsion point pf, whose relation is in
+    m.aux_relations.
     """
-    if m.id == "CUSTOM":
-        if m.custom_dictionary is None:
-            raise ValueError(
-                "CUSTOM models need an explicit restriction dictionary; "
-                "pass dictionary={basis name: {symbol: coeff}} to build_model"
-            )
-        return {
-            name: Divisor.of(terms) for name, terms in m.custom_dictionary.items()
-        }
-    out: dict[str, Divisor] = {}
-    for name in m.lattice.names:
-        home = home_component(name)
-        tick = "'" if home == 1 else ""
-        if is_exceptional(name):
-            out[name] = Divisor.of({point_symbol(name): 1})
-        elif name.startswith("l"):
-            out[name] = Divisor.of({f"q{tick}": 3})
-        elif m.id == "D16" and name == "s'":
-            out[name] = Divisor.of({"q'": 3, "pf": -1})
-        elif m.id == "D16" and name == "f'":
-            out[name] = Divisor.of({"q'": 1, "pf": 1})
-        else:  # generic ruling of a quadric
-            out[name] = Divisor.of({f"q{tick}": 2})
-    return out
-
-
-def model_aux_relations(m: SurfaceModel) -> tuple[Divisor, ...]:
-    """Declared auxiliary degree-0 relations beyond psi(h) and psi(xi)."""
-    if m.id == "D16":
-        return (Divisor.of({"pf": 4, "q'": -4}),)  # pf - q' is 4-torsion
-    return ()
+    if m.restrictions is None:
+        raise ValueError(
+            "CUSTOM models need an explicit restriction dictionary; "
+            "pass dictionary={basis name: {symbol: coeff}} to build_model"
+        )
+    return {name: Divisor.of(terms) for name, terms in m.restrictions.items()}
 
 
 def psi(m: SurfaceModel, c: Vector) -> Divisor:
@@ -199,7 +173,8 @@ def imposed_relations(m: SurfaceModel) -> RelationSystem:
     """
     r_h = _sign_normalized(psi(m, m.h))
     r_xi = _sign_normalized(-1 * psi(m, m.xi))
-    return RelationSystem(r_h=r_h, r_xi=r_xi, aux=model_aux_relations(m))
+    aux = tuple(Divisor.of(terms) for terms in m.aux_relations)
+    return RelationSystem(r_h=r_h, r_xi=r_xi, aux=aux)
 
 
 def d_semistability_relation(m: SurfaceModel) -> Divisor:

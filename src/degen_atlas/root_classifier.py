@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 from .exact_lattice import (
     GramForm,
+    QuotientLattice,
     Sublattice,
     Vector,
     content,
@@ -55,11 +56,7 @@ class ScriptL:
     def rank(self) -> int:
         return self.gram.dim
 
-    def lift(self, v: Vector) -> Vector:
-        acc = tuple(0 for _ in self.reps[0])
-        for c, r in zip(v, self.reps):
-            acc = tuple(a + c * x for a, x in zip(acc, r))
-        return acc
+    lift = QuotientLattice.lift  # reads only `reps`
 
 
 def script_L(m: SurfaceModel) -> ScriptL:
@@ -292,20 +289,19 @@ def classify(roots: GeneralizedRootSet, seed: int = 0) -> LatticeType:
             for v in roots.roots4
             if all(gram.pairing(v, s) == 0 for s in simples)
         ]
-        basis = row_span_basis(perp4)
-        if len(basis) != deficit:
+        # The roots themselves are the generators; a reduced basis of their
+        # span can mix two orthogonal <-4> roots into a vector of norm -8.
+        if len(perp4) != deficit:
             raise UnclassifiableError(
                 "the <-4> part does not split off orthogonally"
             )
-        for gen in basis:
-            if gram.norm(gen) != -4:
-                raise UnclassifiableError("orthogonal complement is not <-4>")
-            for other_gen in basis:
+        for gen in perp4:
+            for other_gen in perp4:
                 if other_gen != gen and gram.pairing(gen, other_gen) != 0:
                     raise UnclassifiableError("<-4> generators are not orthogonal")
-        minus4_gens = basis
+        minus4_gens = tuple(perp4)
         # orthogonal decomposition: every root lies in the direct sum
-        gens = list(simples) + list(basis)
+        gens = list(simples) + perp4
         for v in roots.all_roots():
             if in_span(v, gens) is None:
                 raise UnclassifiableError(

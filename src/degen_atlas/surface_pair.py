@@ -8,13 +8,15 @@ acts on tracked classes by the reflection in that (-1)-class.
 
 The nine catalogue entries carry the polarization h (h^2 = 4) and have
 xi = (-E0, E1) recomputed from the tags, where Ei is the class of the
-double curve on component i.
+double curve on component i.  Each also carries the divisor image of every
+basis class on the double curve and any auxiliary point relations; both are
+data of the catalogue table, renamed with the basis by swap_components.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .exact_lattice import GramForm, Vector, add_vec, mat, scale_vec
@@ -24,6 +26,8 @@ P1XP1 = "P1xP1"
 
 # (-K)^2 of the unblown base; a model's invariant is d = n0 - k0.
 BASE_DEGREE = {P2: 9, P1XP1: 8}
+
+Terms = Mapping[str, int]  # name -> coefficient
 
 
 def _base_names(base: str, primed: bool) -> list[str]:
@@ -38,6 +42,33 @@ def _base_names(base: str, primed: bool) -> list[str]:
 def _exc_names(count: int, primed: bool) -> list[str]:
     tick = "'" if primed else ""
     return [f"e{tick}{i}" for i in range(1, count + 1)]
+
+
+_COMPONENT_NAME = re.compile(r"([a-z])(')?(\d*)")
+
+
+def _toggle_tick(name: str) -> str:
+    """The same class or point named from the other component.
+
+    e1 <-> e'1, l <-> l', s <-> s', q <-> q', p3 <-> p'3.  A name of more
+    than one letter, like the 4-torsion point pf, belongs to no component
+    and is returned unchanged.
+    """
+    match = _COMPONENT_NAME.fullmatch(name)
+    if match is None:
+        return name
+    letter, tick, index = match.groups()
+    return letter + ("" if tick else "'") + index
+
+
+def _toggle_terms(terms: Terms) -> dict[str, int]:
+    return {_toggle_tick(s): c for s, c in terms.items()}
+
+
+def point_symbol(basis_name: str) -> str:
+    """Symbol of the blown-up point under an exceptional class, e'3 -> p'3."""
+    assert is_exceptional(basis_name)
+    return "p" + basis_name[1:]
 
 
 def is_exceptional(name: str) -> bool:
@@ -94,6 +125,17 @@ class CurveEntry:
 
 @dataclass(frozen=True)
 class SurfaceModel:
+    """A tagged pair lattice with its polarization and restriction data.
+
+    `restrictions` maps every basis name to its divisor image on the double
+    curve, as {point symbol: coefficient}; it is None for a CUSTOM model
+    built without a dictionary.  `aux_relations` are declared degree-0 point
+    relations beyond those psi imposes.  Catalogue models get the default
+    images (l -> 3q, e_i -> p_i, ruling -> 2q) with the table's overrides
+    applied; only D16 has overrides, which put its 4-torsion point pf on
+    the quadric's rulings.
+    """
+
     id: str
     lattice: PairLattice
     tags: tuple[int, ...]
@@ -101,7 +143,9 @@ class SurfaceModel:
     fiber_classes: tuple[tuple[str, Vector], ...] = ()
     flop_history: tuple[str, ...] = ()
     annotation: Optional[str] = None
-    custom_dictionary: Optional[Mapping[str, Mapping[str, int]]] = None
+    # mappings are not hashable, so hashing a model skips these two fields
+    restrictions: Optional[Mapping[str, Terms]] = field(default=None, hash=False)
+    aux_relations: tuple[Terms, ...] = field(default=(), hash=False)
 
     def __post_init__(self) -> None:
         assert len(self.tags) == self.lattice.rank
@@ -151,10 +195,6 @@ def class_vector(lattice: PairLattice, terms: Mapping[str, int]) -> Vector:
     return tuple(v)
 
 
-def class_terms(lattice: PairLattice, v: Vector) -> dict[str, int]:
-    return {n: c for n, c in zip(lattice.names, v) if c}
-
-
 def intersect(m: SurfaceModel, a: Vector, b: Vector) -> int:
     return m.lattice.gram_form.pairing(a, b)
 
@@ -163,24 +203,40 @@ def _sum_terms(names: Iterable[str], coeff: int) -> dict[str, int]:
     return {n: coeff for n in names}
 
 
+def _default_restrictions(lattice: PairLattice) -> dict[str, Terms]:
+    """l -> 3q, e_i -> p_i and each ruling -> 2q, ticked by home component."""
+    out: dict[str, Terms] = {}
+    for name in lattice.names:
+        q = "q'" if home_component(name) else "q"
+        if is_exceptional(name):
+            out[name] = {point_symbol(name): 1}
+        else:
+            out[name] = {q: 3 if name.startswith("l") else 2}
+    return out
+
+
 _CATALOGUE_TABLE = {
-    # id: (base0, n0, base1, n1, h terms, fiber class names, annotation)
+    # id: (base0, n0, base1, n1, h terms, fiber class names, annotation,
+    #      overrides: None or (restriction images, auxiliary relations))
     "A15": (
         P1XP1, 16, P1XP1, 0,
         {"s": 1, "f": 1, "s'": 1, "f'": 1},
         (),
         "two quadrics intersecting transversally",
+        None,
     ),
     "A11E6": (
         P2, 12, P2, 6,
         {"l": 1, "l'": 3, **_sum_terms(_exc_names(6, True), -1)},
         (),
         "a plane intersecting a cubic surface",
+        None,
     ),
     "D12D5": (
         P2, 13, P2, 5,
         {"l": 2, "e1": -2, "l'": 3, **_sum_terms(_exc_names(5, True), -1)},
         ({"l": 1, "e1": -1},),
+        None,
         None,
     ),
     "D8D8": (
@@ -189,23 +245,33 @@ _CATALOGUE_TABLE = {
          **_sum_terms([f"e'{i}" for i in range(2, 10)], -1)},
         ({"l": 1, "e1": -1}, {"l'": 1, "e'1": -1}),
         None,
+        None,
     ),
     "D16": (
         P2, 17, P1XP1, 0,
         {"l": 3, "e1": -3, "s'": 1, "f'": 2},
         ({"l": 1, "e1": -1},),
         None,
+        # The quadric's rulings restrict through a distinguished point pf,
+        # with pf - q' 4-torsion: the images are pinned jointly by the forms
+        # of psi(h) and psi(xi).
+        (
+            {"s'": {"q'": 3, "pf": -1}, "f'": {"q'": 1, "pf": 1}},
+            ({"pf": 4, "q'": -4},),
+        ),
     ),
     "D17": (
         P2, 18, P2, 0,
         {"l": 3, "e1": -3, "l'": 2},
         ({"l": 1, "e1": -1},),
         None,
+        None,
     ),
     "E8D9": (
         P2, 8, P2, 10,
         {"l'": 7, "e'1": -3, **_sum_terms([f"e'{i}" for i in range(2, 11)], -2)},
         ({"l'": 1, "e'1": -1},),
+        None,
         None,
     ),
     "E7E7A3": (
@@ -214,12 +280,14 @@ _CATALOGUE_TABLE = {
          **_sum_terms([f"e'{i}" for i in range(8, 12)], -1)},
         (),
         None,
+        None,
     ),
     "E8E8": (
         P2, 8, P2, 10,
         {"l'": 9, **_sum_terms([f"e'{i}" for i in range(1, 9)], -3),
          "e'9": -2, "e'10": -1},
         (),
+        None,
         None,
     ),
 }
@@ -232,7 +300,9 @@ def catalogue_ids() -> tuple[str, ...]:
 
 
 def _make_model(model_id: str) -> SurfaceModel:
-    base0, n0, base1, n1, h_terms, fiber_terms, annotation = _CATALOGUE_TABLE[model_id]
+    (base0, n0, base1, n1, h_terms, fiber_terms, annotation,
+     overrides) = _CATALOGUE_TABLE[model_id]
+    image_overrides, aux_relations = overrides or ({}, ())
     lat = make_pair_lattice(base0, n0, base1, n1)
     tags = tuple(home_component(n) for n in lat.names)
     h = class_vector(lat, h_terms)
@@ -243,6 +313,8 @@ def _make_model(model_id: str) -> SurfaceModel:
     model = SurfaceModel(
         id=model_id, lattice=lat, tags=tags, h=h,
         fiber_classes=fibers, annotation=annotation,
+        restrictions={**_default_restrictions(lat), **image_overrides},
+        aux_relations=aux_relations,
     )
     check_model_invariants(model)
     return model
@@ -277,13 +349,14 @@ def build_model(
     n: int,
     h: Optional[Vector] = None,
     h_terms: Optional[Mapping[str, int]] = None,
-    dictionary: Optional[Mapping[str, Mapping[str, int]]] = None,
+    dictionary: Optional[Mapping[str, Terms]] = None,
 ) -> SurfaceModel:
     """Blow up n double-curve points on V0 and k - n on V1.
 
     k = k0 + k1 with ki = (-K)^2 of the base; the d-semistability shadow
     E0^2 + E1^2 = 0 holds automatically.  A supplied polarization must have
-    h^2 = 4 and h.xi = 0.
+    h^2 = 4 and h.xi = 0.  The dictionary, {basis name: {symbol: coeff}},
+    becomes the model's restriction images.
     """
     k0, k1 = BASE_DEGREE[base0], BASE_DEGREE[base1]
     k = k0 + k1
@@ -296,7 +369,7 @@ def build_model(
     model = SurfaceModel(
         id="CUSTOM", lattice=lat, tags=tags,
         h=h if h is not None else (0,) * lat.rank,
-        custom_dictionary=dictionary,
+        restrictions=dictionary,
     )
     xi = model.xi
     assert intersect(model, xi, xi) == 0
@@ -358,17 +431,12 @@ def swap_components(m: SurfaceModel) -> SurfaceModel:
 
     The lattice is rebuilt with primed and unprimed names exchanged, so the
     swapped model again satisfies the convention that unprimed classes live
-    on V0.  xi and the period morphism change sign; every derived result
-    (roots, relation spans, fans) is invariant.
+    on V0.  The restriction images and auxiliary relations are renamed by
+    the same tick toggle, in their keys and in their point symbols.  xi and
+    the period morphism change sign; every derived result (roots, relation
+    spans, fans) is invariant.
     """
-
-    def swap_name(n: str) -> str:
-        if "'" in n:
-            return n.replace("'", "")
-        head = n.rstrip("0123456789")
-        return head + "'" + n[len(head):]
-
-    new_names = tuple(swap_name(n) for n in m.lattice.names)
+    new_names = tuple(_toggle_tick(n) for n in m.lattice.names)
     lat2 = make_pair_lattice(
         m.lattice.base1,
         sum(1 for n in new_names if is_exceptional(n) and "'" not in n),
@@ -389,7 +457,10 @@ def swap_components(m: SurfaceModel) -> SurfaceModel:
         ),
         flop_history=m.flop_history,
         annotation=m.annotation,
-        custom_dictionary=m.custom_dictionary,
+        restrictions=None if m.restrictions is None else {
+            _toggle_tick(n): _toggle_terms(t) for n, t in m.restrictions.items()
+        },
+        aux_relations=tuple(_toggle_terms(t) for t in m.aux_relations),
     )
     check_model_invariants(out)
     return out

@@ -168,3 +168,19 @@ def signature(gram):
                 for k in range(n):
                     a[k][i] -= f * a[k][piv]
     return pos, neg
+
+
+# The fan of each catalogue model, written out independently of the
+# package's own table: boundary rays, interior walls (top, +xi side, to
+# bottom) and chamber count.  A ray (m, n) is the class m*h + n*xi.
+EXPECTED_FANS = {
+    "A15": {"boundary": [(2, 1), (2, -1)], "walls": [(1, 0)], "chambers": 2},
+    "A11E6": {"boundary": [(3, 1), (1, -1)], "walls": [(1, 0)], "chambers": 2},
+    "D12D5": {"boundary": [(1, 0), (1, -1)], "walls": [], "chambers": 1},
+    "D8D8": {"boundary": [(1, 0), (1, -1)], "walls": [], "chambers": 1},
+    "D16": {"boundary": [(1, 0), (2, -1)], "walls": [], "chambers": 1},
+    "D17": {"boundary": [(1, 0), (3, -2)], "walls": [], "chambers": 1},
+    "E8D9": {"boundary": [(1, 0), (1, -2)], "walls": [], "chambers": 1},
+    "E7E7A3": {"boundary": [(1, 0), (1, -2)], "walls": [(1, -1)], "chambers": 2},
+    "E8E8": {"boundary": [(1, 0), (1, -3)], "walls": [(1, -1), (1, -2)], "chambers": 3},
+}

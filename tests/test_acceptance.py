@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from degen_atlas.chamber_walk import EXPECTED_FANS, lift_fan, verify_fans
+from degen_atlas.chamber_walk import lift_fan, verify_fans
 from degen_atlas.ec_oracle import pinned_curves, randomized_membership_test
 from degen_atlas.exact_lattice import GramForm, enumerate_short, mat
 from degen_atlas.period_relations import (
@@ -27,7 +27,12 @@ from degen_atlas.root_classifier import (
     type_string,
 )
 from degen_atlas.surface_pair import catalogue, flop_all, intersect
-from oracles import box_short_vectors, classical_root_count, random_negative_definite
+from oracles import (
+    EXPECTED_FANS,
+    box_short_vectors,
+    classical_root_count,
+    random_negative_definite,
+)
 
 # Canonical spellings (E/D/A letter priority, rank descending, <-4> last).
 EXPECTED_TYPE_STRINGS = {
@@ -132,6 +137,11 @@ def test_criterion_4_chamber_fans():
     rep = verify_fans()
     elapsed = time.time() - t0
     assert rep["pass"]
+    for mid, want in EXPECTED_FANS.items():
+        got = rep["models"][mid]
+        assert got["boundary"] == [list(r) for r in want["boundary"]], mid
+        assert got["walls"] == [list(r) for r in want["walls"]], mid
+        assert got["chambers"] == want["chambers"], mid
     counts = [rep["models"][mid]["chambers"] for mid in EXPECTED_FANS]
     assert counts == [2, 2, 1, 1, 1, 1, 1, 2, 3]
     assert elapsed < 5, f"fan suite took {elapsed:.1f}s (budget 5s)"

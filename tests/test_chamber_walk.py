@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from degen_atlas.chamber_walk import (
-    EXPECTED_FANS,
     class_at,
     fan_diagram,
     format_ray,
@@ -18,6 +17,7 @@ from degen_atlas.surface_pair import (
     intersect,
     nef_report,
 )
+from oracles import EXPECTED_FANS
 
 
 @pytest.fixture(scope="module")

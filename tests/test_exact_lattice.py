@@ -5,6 +5,7 @@ import pytest
 from degen_atlas.exact_lattice import (
     GramForm,
     Sublattice,
+    add_vec,
     det,
     enumerate_short,
     hnf,
@@ -14,6 +15,7 @@ from degen_atlas.exact_lattice import (
     mat,
     matmul,
     quotient_by_isotropic,
+    scale_vec,
     snf,
 )
 from oracles import (
@@ -197,16 +199,16 @@ def test_quotient_pairing_independent_of_representatives():
     # rank-3 ambient: hyperbolic plane + <-2>, quotient by the isotropic (1,0,0)
     amb = GramForm(mat([[0, 1, 0], [1, 0, 0], [0, 0, -2]]))
     sub = Sublattice(amb, mat([[1, 0, 0], [0, 0, 1]]))
-    q = quotient_by_isotropic(sub, (1, 0, 0))
+    xi = (1, 0, 0)
+    q = quotient_by_isotropic(sub, xi)
     rng = random.Random(5)
     for _ in range(20):
-        a = rng.randint(-3, 3)
-        b = rng.randint(-3, 3)
-        v = (a, 0, b)
-        w = (rng.randint(-3, 3), 0, rng.randint(-3, 3))
-        pv, pw = q.project(v), q.project(w)
-        lifted = q.gram.pairing(pv, pw)
-        assert lifted == amb.pairing(v, w)
+        a = tuple(rng.randint(-3, 3) for _ in range(q.rank))
+        b = tuple(rng.randint(-3, 3) for _ in range(q.rank))
+        # any lift, shifted by any multiple of xi, pairs as in the quotient
+        v = add_vec(q.lift(a), scale_vec(rng.randint(-3, 3), xi))
+        w = add_vec(q.lift(b), scale_vec(rng.randint(-3, 3), xi))
+        assert amb.pairing(v, w) == q.gram.pairing(a, b)
 
 
 def test_enumerate_short_single_minus2():

@@ -17,8 +17,11 @@ from degen_atlas.period_relations import (
 from degen_atlas.surface_pair import (
     build_model,
     catalogue,
+    catalogue_ids,
+    catalogue_model,
     class_vector,
     flop_all,
+    swap_components,
 )
 
 
@@ -170,3 +173,45 @@ def test_table2_row_fixture_shapes():
     assert len(keys) == 11 and len(set(keys)) == 11
     flopped = [r for r in relation_rows() if r.flops]
     assert {r.key for r in flopped} == {"E8E8-d0", "A11E6-d9"}
+
+
+def _swap_symbols(d: Divisor) -> Divisor:
+    """Name each point from the other component: q <-> q', p3 <-> p'3.
+
+    pf, the distinguished point of D16, lies on no single component."""
+
+    def swap(sym: str) -> str:
+        if sym == "pf":
+            return sym
+        return sym.replace("'", "") if "'" in sym else sym[0] + "'" + sym[1:]
+
+    return Divisor.of({swap(s): c for s, c in d.coeffs})
+
+
+_ROWS = {r.key: r for r in relation_rows()}
+
+
+@pytest.mark.parametrize(
+    "state",
+    [f"model:{mid}" for mid in catalogue_ids()] + [f"row:{key}" for key in _ROWS],
+)
+def test_relation_span_is_swap_invariant(state):
+    kind, key = state.split(":")
+    m = catalogue_model(key) if kind == "model" else _ROWS[key].prepare()
+    s = swap_components(m)
+    for before, after in ((m, s), (s, m)):
+        span = imposed_relations(after)
+        for g in imposed_relations(before).generators():
+            res = derive(span, _swap_symbols(g))
+            assert res.certified, f"{g} renamed: {res.status}"
+
+
+def test_swapped_custom_model_renames_its_dictionary():
+    dictionary = {"l": {"q": 3}, "l'": {"q'": 3}}
+    for i in range(1, 19):
+        dictionary[f"e{i}"] = {f"p{i}": 1}
+    m = build_model(
+        "P2", "P2", 18, h_terms={"l": 3, "e1": -3, "l'": 2}, dictionary=dictionary
+    )
+    s = swap_components(m)
+    assert psi(s, s.h) == -_swap_symbols(psi(m, m.h))

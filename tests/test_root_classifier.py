@@ -1,8 +1,9 @@
 import pytest
 
-from degen_atlas.exact_lattice import GramForm, mat, snf, sub_vec
+from degen_atlas.exact_lattice import GramForm, identity, mat, snf, sub_vec
 from degen_atlas.root_classifier import (
     GeneralizedRootSet,
+    ScriptL,
     classify,
     discriminant_group_order,
     generalized_roots,
@@ -110,6 +111,22 @@ def test_single_root_is_a1():
     t = classify(roots)
     assert t.components == (("A", 1),)
     assert t.minus4_count == 0
+
+
+@pytest.mark.parametrize(
+    "gram",
+    [
+        [[-4, -4, 0], [-4, -8, 0], [0, 0, -2]],
+        [[-8, -4, 0], [-4, -4, 0], [0, 0, -2]],
+    ],
+)
+def test_two_minus4_summands_in_a_skewed_basis(gram):
+    # <-4> + <-4> + A1 with the <-4> part written in the basis (u, u + w)
+    L = ScriptL(gram=GramForm(mat(gram)), reps=identity(3))
+    t = classify(generalized_roots(L))
+    assert type_string(t) == "A1+<-4>+<-4>"
+    for gen in t.minus4_generators:
+        assert L.gram.norm(gen) == -4
 
 
 def test_classification_seed_independent(a15_roots):
