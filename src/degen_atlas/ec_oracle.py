@@ -219,9 +219,6 @@ class PointAssignment:
     def dlog(self, symbol: str) -> int:
         return dict(self.dlogs)[symbol]
 
-    def point(self, symbol: str) -> Point:
-        return scalar_mul(self.curve, self.dlog(symbol), self.curve.generator)
-
     def points(self) -> dict[str, Point]:
         return {s: scalar_mul(self.curve, k, self.curve.generator)
                 for s, k in self.dlogs}
@@ -319,8 +316,11 @@ def randomized_membership_test(
     """SUPPORTED when the target vanishes on every sampled configuration.
 
     A REFUTED verdict carries a witness assignment.  Symbols of the target
-    that the system does not constrain are sampled freely.
+    that the system does not constrain are sampled freely.  At least one
+    trial is required: a test that samples nothing supports nothing.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     assert target.degree() == 0
     if curve is None:
         curve = pinned_curves()[0]

@@ -356,8 +356,7 @@ class GramForm:
         return len(self.gram)
 
     def pairing(self, v: Vector, w: Vector) -> int:
-        g = self.gram
-        return sum(v[i] * sum(g[i][j] * w[j] for j in range(len(g))) for i in range(len(g)))
+        return sum(x * y for x, y in zip(v, matvec(self.gram, w)))
 
     def norm(self, v: Vector) -> int:
         return self.pairing(v, v)
@@ -406,8 +405,6 @@ class QuotientLattice:
     with everything in S.
     """
 
-    ambient: GramForm
-    xi: Vector
     reps: Matrix
     gram: GramForm
 
@@ -453,7 +450,7 @@ def quotient_by_isotropic(sub: Sublattice, xi: Vector) -> QuotientLattice:
     gram = GramForm(
         tuple(tuple(sub.ambient.pairing(a, b) for b in reps) for a in reps)
     )
-    return QuotientLattice(ambient=sub.ambient, xi=xi, reps=reps, gram=gram)
+    return QuotientLattice(reps=reps, gram=gram)
 
 
 def orthogonal_complement(g: GramForm, vectors: Sequence[Vector]) -> tuple[Vector, ...]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .exact_lattice import (
@@ -18,6 +19,7 @@ from .exact_lattice import (
     QuotientLattice,
     Sublattice,
     Vector,
+    add_vec,
     content,
     enumerate_short,
     in_span,
@@ -27,7 +29,6 @@ from .exact_lattice import (
     quotient_by_isotropic,
     row_span_basis,
     snf,
-    solve_rational,
 )
 from .surface_pair import SurfaceModel, check_model_invariants
 
@@ -45,21 +46,10 @@ EXPECTED_TYPES = {
 }
 
 
-@dataclass(frozen=True)
-class ScriptL:
-    """h-perp inside xi-perp / Z xi, with a lift back to the pair lattice."""
-
-    gram: GramForm
-    reps: tuple[Vector, ...]  # coset representatives in ambient coordinates
-
-    @property
-    def rank(self) -> int:
-        return self.gram.dim
-
-    lift = QuotientLattice.lift  # reads only `reps`
+ScriptL = QuotientLattice  # L = h-perp in xi-perp / Z xi, lifted by its reps
 
 
-def script_L(m: SurfaceModel) -> ScriptL:
+def script_L(m: SurfaceModel) -> QuotientLattice:
     """Compute L for a model; checks rank = ambient - 3 and definiteness."""
     check_model_invariants(m)
     g = m.lattice.gram_form
@@ -67,8 +57,7 @@ def script_L(m: SurfaceModel) -> ScriptL:
     perp = orthogonal_complement(g, [m.h, xi])
     sub = Sublattice(g, mat(perp))
     assert sub.rank == m.lattice.rank - 2
-    quotient = quotient_by_isotropic(sub, xi)  # validates xi in S, isotropy
-    out = ScriptL(gram=quotient.gram, reps=quotient.reps)
+    out = quotient_by_isotropic(sub, xi)  # validates xi in S, isotropy
     assert out.rank == m.lattice.rank - 3
     if not out.gram.is_negative_definite():
         raise ValueError(
@@ -97,30 +86,26 @@ class GeneralizedRootSet:
         return self.roots2 + self.roots4 + self.other
 
 
-def has_integral_reflection(g: GramForm, v: Vector) -> bool:
-    """R_v(w) = w - 2(v,w)/(v,v) v maps the lattice into itself."""
-    norm = g.norm(v)
-    row = matvec(g.gram, v)
-    return all((2 * x) % norm == 0 for x in row)
-
-
-def generalized_roots(L: ScriptL, bound: int = 4) -> GeneralizedRootSet:
+def generalized_roots(L: QuotientLattice, bound: int = 4) -> GeneralizedRootSet:
     """All generalized roots with -bound <= v^2 < 0, one per +-pair.
 
-    v^2 = -2 vectors always reflect integrally; v^2 = -4 vectors qualify when
-    all pairings with the lattice are even.  Norms -1 and -3 are collected in
+    A primitive v is a root when v^2 divides 2(v, e_i) for every basis
+    vector e_i, so that its reflection maps L into itself; the norm and the
+    test both come from the one row G.v.  Norms -1 and -3 are collected in
     `other`; the nine catalogue lattices are even, so it stays empty there.
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
+    gram = L.gram.gram
     roots2: list[Vector] = []
     roots4: list[Vector] = []
     other: list[Vector] = []
     for v in enumerate_short(L.gram, bound):
         if content(v) != 1:
             continue
-        norm = L.gram.norm(v)
-        if not has_integral_reflection(L.gram, v):
+        row = matvec(gram, v)
+        norm = sum(x * y for x, y in zip(v, row))
+        if any((2 * x) % norm for x in row):
             continue
         if norm == -2:
             roots2.append(v)
@@ -175,6 +160,12 @@ class UnclassifiableError(ValueError):
     pass
 
 
+def _require(ok: bool, message: str) -> None:
+    """A check that `python -O` keeps, unlike an assert."""
+    if not ok:
+        raise UnclassifiableError(message)
+
+
 def _classify_tree(gram: GramForm, nodes: Sequence[Vector]) -> tuple[str, int]:
     """Name the Dynkin diagram on `nodes` (edges where the pairing is nonzero)."""
     n = len(nodes)
@@ -221,10 +212,14 @@ def _classify_tree(gram: GramForm, nodes: Sequence[Vector]) -> tuple[str, int]:
 def classify(roots: GeneralizedRootSet, seed: int = 0) -> LatticeType:
     """Classify Span(Phi) as ADE components plus orthogonal <-4> summands.
 
-    A random linear functional separates the -2 roots into positives, simple
-    roots are the positives that are not sums of two positives, and each
-    Dynkin-graph component is named from its tree shape.  The <-4> part is
-    certified by explicit generators orthogonal to the whole root span.
+    A random linear functional separates the -2 roots into positives, and
+    simple roots are the positives that are not sums of two positives.
+    Adding one simple root at a time grows them into every positive root
+    (Bourbaki, Lie Groups VI 1.6), which certifies each as a sum of simple
+    roots.  Each Dynkin-graph component is named from its tree shape and
+    must hold the classical number of roots whose expansion stays in it.
+    The <-4> part is certified by explicit generators orthogonal to the
+    whole root span.
     """
     if not roots.all_roots():
         raise ValueError("empty root set")
@@ -252,9 +247,24 @@ def classify(roots: GeneralizedRootSet, seed: int = 0) -> LatticeType:
         if not any(tuple(x - y for x, y in zip(a, b)) in pos_set for b in positives)
     ]
 
+    # Expand every positive root in simple roots; keep only its support.
+    support = {a: frozenset((i,)) for i, a in enumerate(simples)}
+    frontier = list(simples)
+    while frontier:
+        grown = []
+        for a in frontier:
+            for i, s in enumerate(simples):
+                b = add_vec(a, s)
+                if b in pos_set and b not in support:
+                    support[b] = support[a] | {i}
+                    grown.append(b)
+        frontier = grown
+    _require(len(support) == len(pos_set),
+             "a positive root is not a sum of simple roots")
+
     # Split the simple roots into connected Dynkin components.
     unseen = set(range(len(simples)))
-    comps: list[list[Vector]] = []
+    comps: list[list[int]] = []
     while unseen:
         stack = [unseen.pop()]
         comp = [stack[0]]
@@ -265,22 +275,19 @@ def classify(roots: GeneralizedRootSet, seed: int = 0) -> LatticeType:
                     unseen.remove(j)
                     stack.append(j)
                     comp.append(j)
-        comps.append([simples[i] for i in sorted(comp)])
+        comps.append(sorted(comp))
+    simple_roots = tuple(tuple(simples[i] for i in comp) for comp in comps)
 
-    named = []
-    per_comp_counts = []
-    for comp in comps:
-        named.append(_classify_tree(gram, comp))
-        # every -2 root in the rational span of this component belongs to it
-        count = sum(
-            2 for v in roots.roots2 if solve_rational([tuple(c) for c in comp], v)
-        )
-        per_comp_counts.append(count)
+    named = [_classify_tree(gram, comp) for comp in simple_roots]
+    per_comp_counts = [
+        2 * sum(sup <= members for sup in support.values())
+        for members in map(frozenset, comps)
+    ]
 
     # <-4> part: rank deficit of the -2 root span inside Span(Phi).
-    all_span = row_span_basis(list(roots.all_roots()))
+    all_span = row_span_basis(simples + list(roots.roots4 + roots.other))
     r2_span = row_span_basis(simples)
-    assert len(r2_span) == len(simples), "simple roots must be independent"
+    _require(len(r2_span) == len(simples), "simple roots must be independent")
     deficit = len(all_span) - len(r2_span)
     minus4_gens: tuple[Vector, ...] = ()
     if deficit:
@@ -291,39 +298,31 @@ def classify(roots: GeneralizedRootSet, seed: int = 0) -> LatticeType:
         ]
         # The roots themselves are the generators; a reduced basis of their
         # span can mix two orthogonal <-4> roots into a vector of norm -8.
-        if len(perp4) != deficit:
-            raise UnclassifiableError(
-                "the <-4> part does not split off orthogonally"
-            )
-        for gen in perp4:
-            for other_gen in perp4:
-                if other_gen != gen and gram.pairing(gen, other_gen) != 0:
-                    raise UnclassifiableError("<-4> generators are not orthogonal")
+        _require(len(perp4) == deficit, "the <-4> part does not split off orthogonally")
+        _require(all(gram.pairing(a, b) == 0 for a, b in combinations(perp4, 2)),
+                 "<-4> generators are not orthogonal")
         minus4_gens = tuple(perp4)
-        # orthogonal decomposition: every root lies in the direct sum
-        gens = list(simples) + perp4
-        for v in roots.all_roots():
-            if in_span(v, gens) is None:
-                raise UnclassifiableError(
-                    "Span(Phi) is a proper overlattice of roots + <-4>"
-                )
+        # orthogonal decomposition: every root lies in the direct sum (the
+        # expansion above already places the -2 roots there)
+        gens = simples + perp4
+        _require(all(in_span(v, gens) is not None for v in roots.roots4 + roots.other),
+                 "Span(Phi) is a proper overlattice of roots + <-4>")
 
     lt = LatticeType(
         components=tuple(named),
         minus4_count=deficit,
-        simple_roots=tuple(tuple(c) for c in comps),
+        simple_roots=simple_roots,
         minus4_generators=minus4_gens,
         roots2_by_component=tuple(per_comp_counts),
     )
     # cross-checks: simple-root counts are ranks; root counts are classical
     for (letter, rank_), comp, count in zip(named, comps, per_comp_counts):
-        assert rank_ == len(comp)
-        assert count == classical_root_count(letter, rank_), (
-            f"{letter}{rank_}: found {count} roots, "
-            f"expected {classical_root_count(letter, rank_)}"
-        )
-    assert sum(per_comp_counts) == 2 * len(roots.roots2)
-    assert lt.rank == len(all_span)
+        want = classical_root_count(letter, rank_)
+        _require(rank_ == len(comp), f"{letter}{rank_}: {len(comp)} simple roots")
+        _require(count == want, f"{letter}{rank_}: found {count} roots, expected {want}")
+    _require(sum(per_comp_counts) == 2 * len(roots.roots2),
+             "some -2 roots lie in no single Dynkin component")
+    _require(lt.rank == len(all_span), f"rank {lt.rank}, root span rank {len(all_span)}")
     return lt
 
 
@@ -345,9 +344,7 @@ def verify_classification(models: Optional[dict] = None, seed: int = 0) -> dict:
     results = {}
     all_pass = True
     for mid, m in models.items():
-        L = script_L(m)
-        roots = generalized_roots(L, 4)
-        t = classify(roots, seed)
+        t, roots = model_type(m, 4, seed)
         got = tuple(sorted(t.as_multiset()))
         want = tuple(sorted(EXPECTED_TYPES[mid]))
         ok = got == want and not roots.other
@@ -360,6 +357,6 @@ def verify_classification(models: Optional[dict] = None, seed: int = 0) -> dict:
             "roots4_count": 2 * len(roots.roots4),
             "odd_norm_members": 2 * len(roots.other),
             "negative_definite": True,
-            "discriminant_order": discriminant_group_order(L.gram),
+            "discriminant_order": discriminant_group_order(roots.gram),
         }
     return {"suite": "root-lattice classification", "pass": all_pass, "models": results}

@@ -35,6 +35,68 @@ def box_short_vectors(gram, bound):
     return sorted(out)
 
 
+def brute_generalized_roots(gram, bound):
+    """Generalized roots with -bound <= v^2 < 0 by brute force.
+
+    Candidates are the box oracle's short vectors.  A primitive candidate v
+    is kept when its reflection w -> w - 2 (v, w) / (v, v) v sends every
+    basis vector e_i to an integer vector.  Returns the roots of norm -2,
+    of norm -4 and of any other norm, each sorted, one per +-pair.
+    """
+    n = len(gram)
+    by_norm = {-2: [], -4: [], None: []}
+    for v in box_short_vectors(gram, bound):
+        g = 0
+        for x in v:
+            g = gcd(g, x)
+        if g != 1:
+            continue
+        norm = sum(v[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
+        shifts = [Fraction(2 * sum(v[j] * gram[j][i] for j in range(n)), norm)
+                  for i in range(n)]
+        images = [[int(k == i) - shifts[i] * v[k] for k in range(n)] for i in range(n)]
+        if all(x.denominator == 1 for image in images for x in image):
+            by_norm[norm if norm in by_norm else None].append(tuple(v))
+    return tuple(by_norm[k] for k in (-2, -4, None))
+
+
+def dynkin_edges(letter, rank):
+    """Edges of the A, D or E Dynkin diagram on nodes 0..rank-1."""
+    path = [(i, i + 1) for i in range(rank - 2)]
+    if letter == "A":
+        return [(i, i + 1) for i in range(rank - 1)]
+    if letter == "D":
+        return path + [(rank - 3, rank - 1)]
+    return path + [(2, rank - 1)]  # E: the branch node is the third one
+
+
+def planted_gram(rng, blocks, minus4, moves):
+    """Gram matrix of the ADE blocks plus `minus4` <-4> summands in a random
+    basis: the block-diagonal form conjugated by a product of `moves`
+    elementary unimodular matrices (a row plus or minus another row)."""
+    n = sum(r for _, r in blocks) + minus4
+    g = [[0] * n for _ in range(n)]
+    at = 0
+    for letter, rank in blocks:
+        for i in range(rank):
+            g[at + i][at + i] = -2
+        for i, j in dynkin_edges(letter, rank):
+            g[at + i][at + j] = g[at + j][at + i] = 1
+        at += rank
+    for i in range(at, n):
+        g[i][i] = -4
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(moves if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    return [
+        tuple(sum(u[a][k] * g[k][l] * u[b][l] for k in range(n) for l in range(n))
+              for b in range(n))
+        for a in range(n)
+    ]
+
+
 def _invert(a):
     n = len(a)
     m = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]

@@ -96,6 +96,14 @@ def test_oracle_seed_env_override(capsys, monkeypatch):
     assert rep["seed"] == 9
 
 
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_oracle_without_trials_is_a_usage_error(capsys, trials):
+    assert run(["oracle", "D17", "--trials", trials]) == 2
+    out = capsys.readouterr()
+    assert "SUPPORTED" not in out.out
+    assert "trials" in out.err
+
+
 def test_list_command(capsys):
     code, rep = run_json(capsys, ["list"])
     assert code == 0

@@ -158,3 +158,10 @@ def test_certificate_implies_supported(models, curves):
                 system, row.target(), trials=40, curve=c, seed=1
             )
             assert verdict.verdict == "SUPPORTED"
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_membership_needs_a_trial(models, curves, trials):
+    system = imposed_relations(models["D17"])
+    with pytest.raises(ValueError, match="trials"):
+        randomized_membership_test(system, system.r_h, trials=trials, curve=curves[0])

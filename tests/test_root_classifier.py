@@ -1,9 +1,17 @@
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import degen_atlas
 from degen_atlas.exact_lattice import GramForm, identity, mat, snf, sub_vec
 from degen_atlas.root_classifier import (
     GeneralizedRootSet,
     ScriptL,
+    UnclassifiableError,
     classify,
     discriminant_group_order,
     generalized_roots,
@@ -16,6 +24,12 @@ from degen_atlas.surface_pair import (
     catalogue,
     class_vector,
     swap_components,
+)
+from oracles import (
+    brute_generalized_roots,
+    classical_root_count,
+    planted_gram,
+    random_negative_definite,
 )
 
 
@@ -181,3 +195,88 @@ def test_classification_invariant_under_xi_negation(models):
     L = ScriptL(gram=q.gram, reps=q.reps)
     t = classify(generalized_roots(L))
     assert type_string(t) == "D8+D8+<-4>"
+
+
+# A2 with the root a1 + a2 left out: the Dynkin graph is an A2 tree, but
+# only 4 of A2's 6 roots are present.
+INCOMPLETE_A2 = GeneralizedRootSet(((1, 0), (0, 1)), (), (), GramForm(((-2, 1), (1, -2))))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_incomplete_root_system_is_rejected(seed):
+    with pytest.raises(UnclassifiableError, match="A2: found 4 roots, expected 6"):
+        classify(INCOMPLETE_A2, seed)
+
+
+def test_incomplete_root_system_is_rejected_under_python_O():
+    # the classical-count check must not be an assert that -O strips
+    src = str(Path(degen_atlas.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "from degen_atlas.exact_lattice import GramForm\n"
+        "from degen_atlas.root_classifier import (\n"
+        "    GeneralizedRootSet, UnclassifiableError, classify)\n"
+        f"roots = {INCOMPLETE_A2!r}\n"
+        "try:\n"
+        "    print('accepted:', classify(roots))\n"
+        "except UnclassifiableError as exc:\n"
+        "    print('rejected:', exc)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "rejected: A2: found 4 roots, expected 6"
+
+
+def test_generalized_roots_match_brute_force():
+    # diagonals -1..-4, so odd forms with roots of norm -1 and -3 occur
+    rng = random.Random(20261018)
+    odd_norms = 0
+    for i in range(40):
+        gram = random_negative_definite(rng, rng.randint(1, 5))
+        got = generalized_roots(ScriptL(gram=GramForm(mat(gram)), reps=identity(len(gram))))
+        want = brute_generalized_roots([list(r) for r in gram], 4)
+        assert (list(got.roots2), list(got.roots4), list(got.other)) == want, (
+            f"form #{i} disagrees: {gram}"
+        )
+        odd_norms += len(got.other)
+    assert odd_norms > 0
+
+
+_LETTERS = {"E": 0, "D": 1, "A": 2}
+
+PLANTED = [
+    ((("A", 1),), 0),
+    ((("A", 2),), 1),
+    ((("A", 3), ("A", 1)), 2),
+    ((("D", 4),), 0),
+    ((("D", 5), ("A", 2)), 1),
+    ((("E", 6),), 2),
+    ((("E", 7), ("A", 1)), 0),
+    ((("E", 8),), 1),
+    ((("D", 6), ("A", 1), ("A", 1)), 0),
+    ((("A", 4), ("D", 4)), 0),
+    ((("A", 5),), 2),
+]
+
+
+@pytest.mark.parametrize("blocks,minus4", PLANTED)
+def test_planted_lattices_in_random_bases(blocks, minus4):
+    rng = random.Random(f"{blocks}/{minus4}")
+    rank = sum(r for _, r in blocks) + minus4
+    gram = planted_gram(rng, blocks, minus4, moves=2 * rank)
+    roots = generalized_roots(ScriptL(gram=GramForm(mat(gram)), reps=identity(rank)))
+    want = "+".join(
+        [f"{x}{r}" for x, r in sorted(blocks, key=lambda b: (_LETTERS[b[0]], -b[1]))]
+        + ["<-4>"] * minus4
+    )
+    for seed in range(4):
+        t = classify(roots, seed)
+        assert type_string(t) == want
+        assert sorted(t.components) == sorted(blocks)
+        assert t.roots2_by_component == tuple(
+            classical_root_count(x, r) for x, r in t.components
+        )
+        assert sum(t.roots2_by_component) == 2 * len(roots.roots2)
