@@ -259,6 +259,21 @@ def _solution_sampler(generators: Sequence[Divisor], symbols: Sequence[str], n_m
     return sample
 
 
+def _checked_draw(
+    curve: Curve, generators: Sequence[Divisor], dlogs: tuple[tuple[str, int], ...]
+) -> tuple[PointAssignment, dict[str, Point]]:
+    """The assignment and its points, once every generator vanishes on them."""
+    assignment = PointAssignment(curve, dlogs)
+    pts = assignment.points()
+    for g in generators:
+        if evaluate_divisor(curve, g, pts) is not None:
+            raise AssertionError(
+                f"sampled configuration violates {g} on the curve; "
+                "the congruence solver is inconsistent"
+            )
+    return assignment, pts
+
+
 def sample_config(
     system: RelationSystem, curve: Curve, seed: int = 0
 ) -> PointAssignment:
@@ -276,15 +291,7 @@ def sample_config(
         return PointAssignment(curve, ())
     rng = random.Random(seed)
     sampler = _solution_sampler(generators, symbols, curve.exponent)
-    x = sampler(rng)
-    assignment = PointAssignment(curve, tuple(zip(symbols, x)))
-    pts = assignment.points()
-    for g in generators:
-        if evaluate_divisor(curve, g, pts) is not None:
-            raise AssertionError(
-                f"sampled configuration violates {g} on the curve; "
-                "the congruence solver is inconsistent"
-            )
+    assignment, _ = _checked_draw(curve, generators, tuple(zip(symbols, sampler(rng))))
     return assignment
 
 
@@ -324,20 +331,17 @@ def randomized_membership_test(
     assert target.degree() == 0
     if curve is None:
         curve = pinned_curves()[0]
+    generators = system.generators()
     extra = [s for s in target.symbols()
-             if not any(s in g.symbols() for g in system.generators())]
+             if not any(s in g.symbols() for g in generators)]
     rng = random.Random(seed)
-    sys_symbols = sorted({s for g in system.generators() for s in g.symbols()})
-    sampler = _solution_sampler(system.generators(), sys_symbols, curve.exponent)
+    sys_symbols = sorted({s for g in generators for s in g.symbols()})
+    sampler = _solution_sampler(generators, sys_symbols, curve.exponent)
     for trial in range(trials):
-        x = sampler(rng)
-        dlogs = dict(zip(sys_symbols, x))
+        dlogs = dict(zip(sys_symbols, sampler(rng)))
         for s in extra:
             dlogs[s] = rng.randrange(curve.exponent)
-        assignment = PointAssignment(curve, tuple(sorted(dlogs.items())))
-        pts = assignment.points()
-        for g in system.generators():
-            assert evaluate_divisor(curve, g, pts) is None
+        assignment, pts = _checked_draw(curve, generators, tuple(sorted(dlogs.items())))
         if evaluate_divisor(curve, target, pts) is not None:
             return MembershipVerdict("REFUTED", trial + 1, assignment)
     return MembershipVerdict("SUPPORTED", trials)

@@ -7,7 +7,8 @@ ints, vectors are tuples of ints.  The three workhorses are
 * row Hermite / Smith normal forms with unimodular transforms,
 * saturated kernels and integer span membership, and
 * complete short-vector enumeration in a negative definite Gram form
-  (Fincke-Pohst style with an exact rational Cholesky decomposition).
+  (Fincke-Pohst style over an exact rational LDL^T, whose pivots also
+  decide definiteness), returning each vector with its norm.
 """
 
 from __future__ import annotations
@@ -362,13 +363,8 @@ class GramForm:
         return self.pairing(v, v)
 
     def is_negative_definite(self) -> bool:
-        """Check via the leading principal minors of -gram."""
-        neg = mat([[-x for x in row] for row in self.gram])
-        for k in range(1, self.dim + 1):
-            minor = det(mat([row[:k] for row in neg[:k]]))
-            if minor <= 0:
-                return False
-        return True
+        """Sylvester's criterion, read off the LDL^T pivots of -gram."""
+        return _ldl(self.gram) is not None
 
 
 @dataclass(frozen=True)
@@ -384,12 +380,6 @@ class Sublattice:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    def gram(self) -> GramForm:
-        g = tuple(
-            tuple(self.ambient.pairing(a, b) for b in self.rows) for a in self.rows
-        )
-        return GramForm(g)
 
     def coordinates(self, v: Vector) -> Optional[Vector]:
         """Express an ambient vector in this basis (integer coordinates)."""
@@ -461,34 +451,44 @@ def orthogonal_complement(g: GramForm, vectors: Sequence[Vector]) -> tuple[Vecto
     return kernel_basis(pairing_rows)
 
 
-def enumerate_short(g: GramForm, bound: int) -> tuple[Vector, ...]:
-    """All v (one per antipodal pair) with -bound <= (v, v) < 0.
+def _ldl(gram: Matrix) -> Optional[tuple[list[Fraction], list[list[Fraction]]]]:
+    """Exact rational LDL^T of -gram, or None when -gram is not positive definite.
 
-    g must be negative definite.  The search is a depth-first Fincke-Pohst
-    walk over the exact rational Cholesky decomposition of -gram, with the
-    rationals cleared to integers once up front, so the enumeration is both
-    exact and complete.  Vectors are canonicalized so their first nonzero
-    coordinate is positive and returned sorted.
+    Returns (A, C) with -gram(x) = sum_i A[i] * (x_i + sum_{j>i} C[i][j] x_j)^2.
+    The pivot A[i] is the ratio of the leading minors of orders i+1 and i, so
+    stopping at the first pivot that is not positive is Sylvester's criterion.
     """
-    if bound < 1:
-        raise ValueError("bound must be a positive integer")
-    if not g.is_negative_definite():
-        raise ValueError("form is not negative definite")
-    n = g.dim
-    if n == 0:
-        return ()
-    q = [[Fraction(-g.gram[i][j]) for j in range(n)] for i in range(n)]
-    # Cholesky-style reduction: Q(x) = sum_i A[i] * (x_i + sum_{j>i} C[i][j] x_j)^2
+    n = len(gram)
+    q = [[Fraction(-gram[i][j]) for j in range(n)] for i in range(n)]
     for i in range(n):
+        if q[i][i] <= 0:
+            return None
         for j in range(i + 1, n):
             q[j][i] = q[i][j]
             q[i][j] = q[i][j] / q[i][i]
         for k in range(i + 1, n):
             for l in range(k, n):
                 q[k][l] = q[k][l] - q[k][i] * q[i][l]
-    a = [q[i][i] for i in range(n)]
-    assert all(x > 0 for x in a)
-    c = [[q[i][j] for j in range(n)] for i in range(n)]
+    return [q[i][i] for i in range(n)], q
+
+
+def enumerate_short(g: GramForm, bound: int) -> dict[Vector, int]:
+    """All v (one per antipodal pair) with -bound <= (v, v) < 0, as {v: (v, v)}.
+
+    g must be negative definite: every pivot of the exact rational LDL^T of
+    -gram is positive (ValueError otherwise).  The search is a depth-first
+    Fincke-Pohst walk over that decomposition, with the rationals cleared to
+    integers once up front, so the enumeration is exact and complete and the
+    budget left at a leaf is the norm.  Vectors are canonicalized so their
+    first nonzero coordinate is positive; the keys come sorted.
+    """
+    if bound < 1:
+        raise ValueError("bound must be a positive integer")
+    ldl = _ldl(g.gram)
+    if ldl is None:
+        raise ValueError("form is not negative definite")
+    a, c = ldl
+    n = g.dim
 
     # Clear denominators: per level i let L_i = lcm of den(C[i][j]); then
     # u_i = sum_j Cint[i][j] x_j is an integer and the term is
@@ -506,17 +506,15 @@ def enumerate_short(g: GramForm, bound: int) -> tuple[Vector, ...]:
         m_scale = lcm(m_scale, a[i].denominator * lden[i] * lden[i])
     kcoef = [int(Fraction(m_scale) * a[i] / (lden[i] * lden[i])) for i in range(n)]
 
-    found: list[Vector] = []
+    found: list[tuple[Vector, int]] = []
     x = [0] * n
     u = [[0] * n for _ in range(n + 1)]  # u[level][i]: center accumulators
 
     def dfs(level: int, budget: int, all_zero_above: bool) -> None:
         if level < 0:
             if not all_zero_above:
-                v = tuple(x)
-                norm = -g.norm(v)
-                assert 1 <= norm <= bound
-                found.append(v)
+                # the walk spent m_scale * -(v, v) of the m_scale * bound budget
+                found.append((tuple(x), budget // m_scale - bound))
             return
         li = lden[level]
         ui = u[level + 1][level]
@@ -546,4 +544,4 @@ def enumerate_short(g: GramForm, bound: int) -> tuple[Vector, ...]:
                 return v if x0 > 0 else tuple(-y for y in v)
         return v
 
-    return tuple(sorted(canonical(v) for v in found))
+    return dict(sorted((canonical(v), norm) for v, norm in found))

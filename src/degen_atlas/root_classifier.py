@@ -21,6 +21,7 @@ from .exact_lattice import (
     Vector,
     add_vec,
     content,
+    det,
     enumerate_short,
     in_span,
     mat,
@@ -28,7 +29,6 @@ from .exact_lattice import (
     orthogonal_complement,
     quotient_by_isotropic,
     row_span_basis,
-    snf,
 )
 from .surface_pair import SurfaceModel, check_model_invariants
 
@@ -68,11 +68,8 @@ def script_L(m: SurfaceModel) -> QuotientLattice:
 
 
 def discriminant_group_order(g: GramForm) -> int:
-    d, _, _ = snf(g.gram)
-    order = 1
-    for i in range(g.dim):
-        order *= d[i][i]
-    return abs(order)
+    """|L^v / L| = |det G|."""
+    return abs(det(g.gram))
 
 
 @dataclass(frozen=True)
@@ -90,9 +87,10 @@ def generalized_roots(L: QuotientLattice, bound: int = 4) -> GeneralizedRootSet:
     """All generalized roots with -bound <= v^2 < 0, one per +-pair.
 
     A primitive v is a root when v^2 divides 2(v, e_i) for every basis
-    vector e_i, so that its reflection maps L into itself; the norm and the
-    test both come from the one row G.v.  Norms -1 and -3 are collected in
-    `other`; the nine catalogue lattices are even, so it stays empty there.
+    vector e_i, so that its reflection maps L into itself; the norm comes
+    from the short-vector search and the test from the one row G.v.  Norms
+    -1 and -3 are collected in `other`; the nine catalogue lattices are
+    even, so it stays empty there.
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
@@ -100,12 +98,8 @@ def generalized_roots(L: QuotientLattice, bound: int = 4) -> GeneralizedRootSet:
     roots2: list[Vector] = []
     roots4: list[Vector] = []
     other: list[Vector] = []
-    for v in enumerate_short(L.gram, bound):
-        if content(v) != 1:
-            continue
-        row = matvec(gram, v)
-        norm = sum(x * y for x, y in zip(v, row))
-        if any((2 * x) % norm for x in row):
+    for v, norm in enumerate_short(L.gram, bound).items():
+        if content(v) != 1 or any((2 * x) % norm for x in matvec(gram, v)):
             continue
         if norm == -2:
             roots2.append(v)
@@ -166,23 +160,14 @@ def _require(ok: bool, message: str) -> None:
         raise UnclassifiableError(message)
 
 
-def _classify_tree(gram: GramForm, nodes: Sequence[Vector]) -> tuple[str, int]:
-    """Name the Dynkin diagram on `nodes` (edges where the pairing is nonzero)."""
-    n = len(nodes)
-    adj = {i: [] for i in range(n)}
-    edges = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if gram.pairing(nodes[i], nodes[j]) != 0:
-                adj[i].append(j)
-                adj[j].append(i)
-                edges += 1
-    if edges != n - 1:
+def _classify_tree(adj: Sequence[Sequence[int]], comp: Sequence[int]) -> tuple[str, int]:
+    """Name the connected Dynkin diagram `comp` of the simple-root graph `adj`."""
+    n = len(comp)
+    if sum(len(adj[i]) for i in comp) != 2 * (n - 1):
         raise UnclassifiableError("component graph is not a tree")
-    degrees = sorted((len(adj[i]) for i in range(n)), reverse=True)
-    if degrees and degrees[0] > 3:
+    if max(len(adj[i]) for i in comp) > 3:
         raise UnclassifiableError("node of degree > 3")
-    branch = [i for i in range(n) if len(adj[i]) == 3]
+    branch = [i for i in comp if len(adj[i]) == 3]
     if not branch:
         return ("A", n)
     if len(branch) > 1:
@@ -262,23 +247,29 @@ def classify(roots: GeneralizedRootSet, seed: int = 0) -> LatticeType:
     _require(len(support) == len(pos_set),
              "a positive root is not a sum of simple roots")
 
-    # Split the simple roots into connected Dynkin components.
+    # The Dynkin graph (an edge where two simple roots pair nonzero), split
+    # into its connected components.
+    rows = [matvec(gram.gram, s) for s in simples]
+    adj: list[list[int]] = [[] for _ in simples]
+    for i, j in combinations(range(len(simples)), 2):
+        if sum(x * y for x, y in zip(rows[i], simples[j])) != 0:
+            adj[i].append(j)
+            adj[j].append(i)
     unseen = set(range(len(simples)))
     comps: list[list[int]] = []
     while unseen:
         stack = [unseen.pop()]
         comp = [stack[0]]
         while stack:
-            i = stack.pop()
-            for j in list(unseen):
-                if gram.pairing(simples[i], simples[j]) != 0:
+            for j in adj[stack.pop()]:
+                if j in unseen:
                     unseen.remove(j)
                     stack.append(j)
                     comp.append(j)
         comps.append(sorted(comp))
     simple_roots = tuple(tuple(simples[i] for i in comp) for comp in comps)
 
-    named = [_classify_tree(gram, comp) for comp in simple_roots]
+    named = [_classify_tree(adj, comp) for comp in comps]
     per_comp_counts = [
         2 * sum(sup <= members for sup in support.values())
         for members in map(frozenset, comps)
@@ -291,11 +282,8 @@ def classify(roots: GeneralizedRootSet, seed: int = 0) -> LatticeType:
     deficit = len(all_span) - len(r2_span)
     minus4_gens: tuple[Vector, ...] = ()
     if deficit:
-        perp4 = [
-            v
-            for v in roots.roots4
-            if all(gram.pairing(v, s) == 0 for s in simples)
-        ]
+        perp4 = [v for v in roots.roots4
+                 if all(sum(x * y for x, y in zip(v, row)) == 0 for row in rows)]
         # The roots themselves are the generators; a reduced basis of their
         # span can mix two orthogonal <-4> roots into a vector of norm -8.
         _require(len(perp4) == deficit, "the <-4> part does not split off orthogonally")

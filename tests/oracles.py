@@ -5,9 +5,13 @@ an exhaustive coefficient box, determinants from permutation expansion, and
 elementary divisors from gcds of minors.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd, isqrt
+from pathlib import Path
 
 
 def box_short_vectors(gram, bound):
@@ -169,6 +173,17 @@ def box_volume(gram, bound):
     return vol
 
 
+def random_symmetric(rng, n, depth=(1, 4)):
+    """Random symmetric integer matrix: each diagonal entry is -d with d
+    drawn from depth[0]..depth[1], each off-diagonal entry from -2..2."""
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = -rng.randint(*depth)
+        for j in range(i + 1, n):
+            g[i][j] = g[j][i] = rng.randint(-2, 2)
+    return g
+
+
 def random_negative_definite(rng, n, entry_bound=4, max_box=200_000):
     """Random negative definite symmetric integer matrix, rejection sampled.
 
@@ -176,22 +191,32 @@ def random_negative_definite(rng, n, entry_bound=4, max_box=200_000):
     rejected so the oracle stays exhaustive yet affordable.
     """
     while True:
-        g = [[0] * n for _ in range(n)]
-        for i in range(n):
-            g[i][i] = -rng.randint(1, entry_bound)
-            for j in range(i + 1, n):
-                g[i][j] = g[j][i] = rng.randint(-2, 2)
+        g = random_symmetric(rng, n, (1, entry_bound))
         if _is_neg_def(g) and box_volume(g, 4) <= max_box:
             return [tuple(r) for r in g]
 
 
 def _is_neg_def(g):
+    """Sylvester's criterion with minors by permutation expansion."""
     n = len(g)
     neg = [[-x for x in row] for row in g]
     for k in range(1, n + 1):
         if perm_det([row[:k] for row in neg[:k]]) <= 0:
             return False
     return True
+
+
+def run_python_O(args, timeout):
+    """`python -O *args` in a subprocess, with the package under test
+    importable; asserts are stripped there, so only real checks remain."""
+    import degen_atlas
+
+    src = str(Path(degen_atlas.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-O", *args], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), timeout=timeout,
+    )
 
 
 def signature(gram):

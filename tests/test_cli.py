@@ -3,6 +3,7 @@ import json
 import pytest
 
 from degen_atlas.cli import run
+from oracles import run_python_O
 
 
 def run_json(capsys, argv):
@@ -137,3 +138,11 @@ def test_verify_aggregation_and_exit_codes(capsys, monkeypatch):
     assert code == 1
     assert "FAIL" in out.out
     assert "failed" in out.err
+
+
+def test_verify_all_under_python_O():
+    # no verification check may be an assert that -O strips
+    done = run_python_O(["-m", "degen_atlas.cli", "verify", "--all", "--json"], timeout=600)
+    assert done.returncode == 0, done.stderr
+    rep = json.loads(done.stdout)
+    assert (rep["passed"], rep["failed"]) == (29, 0)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from degen_atlas import ec_oracle
 from degen_atlas.ec_oracle import (
     curve_setup,
     evaluate_divisor,
@@ -19,6 +20,7 @@ from degen_atlas.period_relations import (
     relation_rows,
 )
 from degen_atlas.surface_pair import catalogue
+from oracles import run_python_O
 
 
 @pytest.fixture(scope="module")
@@ -165,3 +167,34 @@ def test_membership_needs_a_trial(models, curves, trials):
     system = imposed_relations(models["D17"])
     with pytest.raises(ValueError, match="trials"):
         randomized_membership_test(system, system.r_h, trials=trials, curve=curves[0])
+
+
+def _relation_blind_sampler(generators, symbols, n_mod):
+    return lambda rng: [rng.randrange(n_mod) for _ in symbols]
+
+
+def test_membership_rejects_a_draw_off_the_relations(models, curves, monkeypatch):
+    monkeypatch.setattr(ec_oracle, "_solution_sampler", _relation_blind_sampler)
+    system = imposed_relations(models["D17"])
+    with pytest.raises(AssertionError, match="sampled configuration violates"):
+        randomized_membership_test(system, system.r_h, trials=10, curve=curves[0])
+
+
+def test_membership_rejects_a_draw_off_the_relations_under_python_O():
+    # the on-curve check of each draw must not be an assert that -O strips
+    code = (
+        "from degen_atlas import ec_oracle\n"
+        "from degen_atlas.period_relations import imposed_relations\n"
+        "from degen_atlas.surface_pair import catalogue_model\n"
+        "ec_oracle._solution_sampler = (\n"
+        "    lambda gens, symbols, n: lambda rng: [rng.randrange(n) for _ in symbols])\n"
+        "system = imposed_relations(catalogue_model('D17'))\n"
+        "try:\n"
+        "    v = ec_oracle.randomized_membership_test(system, system.r_h, trials=10)\n"
+        "    print('accepted:', v.verdict)\n"
+        "except AssertionError as exc:\n"
+        "    print('rejected:', exc)\n"
+    )
+    done = run_python_O(["-c", code], timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("rejected: sampled configuration violates")

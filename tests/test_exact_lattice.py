@@ -19,10 +19,12 @@ from degen_atlas.exact_lattice import (
     snf,
 )
 from oracles import (
+    _is_neg_def,
     box_short_vectors,
     minor_gcd_divisors,
     perm_det,
     random_negative_definite,
+    random_symmetric,
 )
 
 D4_GRAM = mat(
@@ -213,7 +215,7 @@ def test_quotient_pairing_independent_of_representatives():
 
 def test_enumerate_short_single_minus2():
     g = GramForm(mat([[-2]]))
-    assert enumerate_short(g, 2) == ((1,),)
+    assert enumerate_short(g, 2) == {(1,): -2}
 
 
 def test_enumerate_short_d4_and_e8_root_counts():
@@ -227,13 +229,38 @@ def test_enumerate_short_rejects_indefinite():
 
 
 def test_enumerate_short_matches_box_oracle():
+    # diagonals -1..-4, so odd norms -1 and -3 occur
     rng = random.Random(2024)
     for _ in range(25):
         n = rng.randint(1, 5)
         gram = mat(random_negative_definite(rng, n))
-        got = list(enumerate_short(GramForm(gram), 4))
+        got = enumerate_short(GramForm(gram), 4)
         want = [tuple(v) for v in box_short_vectors([list(r) for r in gram], 4)]
-        assert got == want
+        assert list(got) == want
+        for v, norm in got.items():
+            assert norm == sum(v[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
+
+
+def test_is_negative_definite_matches_sylvester_oracle():
+    # [[0]] stops at the first pivot, [[-1, 1], [1, -1]] at a zero second
+    # pivot, [[-1, 2], [2, -1]] at a negative one
+    forms = [[[0]], [[-1, 1], [1, -1]], [[-1, 2], [2, -1]]]
+    rng = random.Random(20261019)
+    for i in range(60):
+        n = rng.randint(1, 5)
+        # half drawn definite, half with diagonal entries in -4..4
+        forms.append(random_negative_definite(rng, n) if i % 2 else
+                     random_symmetric(rng, n, (-4, 4)))
+    not_definite = 0
+    for gram in forms:
+        g = GramForm(mat(gram))
+        want = _is_neg_def(gram)
+        assert g.is_negative_definite() == want
+        if not want:
+            not_definite += 1
+            with pytest.raises(ValueError, match="not negative definite"):
+                enumerate_short(g, 4)
+    assert 25 <= not_definite <= 40
 
 
 def test_enumerate_short_d4_matches_oracle():

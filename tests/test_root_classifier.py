@@ -1,12 +1,7 @@
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import degen_atlas
 from degen_atlas.exact_lattice import GramForm, identity, mat, snf, sub_vec
 from degen_atlas.root_classifier import (
     GeneralizedRootSet,
@@ -30,6 +25,7 @@ from oracles import (
     classical_root_count,
     planted_gram,
     random_negative_definite,
+    run_python_O,
 )
 
 
@@ -210,8 +206,6 @@ def test_incomplete_root_system_is_rejected(seed):
 
 def test_incomplete_root_system_is_rejected_under_python_O():
     # the classical-count check must not be an assert that -O strips
-    src = str(Path(degen_atlas.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     code = (
         "from degen_atlas.exact_lattice import GramForm\n"
         "from degen_atlas.root_classifier import (\n"
@@ -222,10 +216,7 @@ def test_incomplete_root_system_is_rejected_under_python_O():
         "except UnclassifiableError as exc:\n"
         "    print('rejected:', exc)\n"
     )
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", code], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=path), timeout=120,
-    )
+    done = run_python_O(["-c", code], timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "rejected: A2: found 4 roots, expected 6"
 
