@@ -16,7 +16,6 @@ the formal point relations numerically.
 
 from .exact_lattice import (
     GramForm,
-    Sublattice,
     enumerate_short,
     hnf,
     in_span,
@@ -77,7 +76,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GramForm",
-    "Sublattice",
     "enumerate_short",
     "hnf",
     "in_span",

@@ -20,16 +20,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Optional
 
 from .exact_lattice import Vector, add_vec, scale_vec
 from .surface_pair import (
     CurveEntry,
     SurfaceModel,
+    catalogue_ids,
     catalogue_model,
     curve_catalogue,
-    flop,
+    flop_all,
     intersect,
     nef_report,
     surface_name,
@@ -57,12 +57,13 @@ EXPECTED_FANS = {
 
 
 def ray_of(eps: Fraction, direction: int) -> tuple[int, int]:
-    """Primitive (m, n) along h + direction*eps*xi."""
-    num, den = eps.numerator, eps.denominator
-    if num == 0:
-        return (1, 0)
-    g = gcd(num, den)
-    return (den // g, direction * (num // g))
+    """Primitive (m, n) along h + direction*eps*xi.
+
+    A Fraction is stored in lowest terms with a positive denominator, so
+    (denominator, direction * numerator) is already primitive, and eps = 0
+    gives (1, 0).
+    """
+    return (eps.denominator, direction * eps.numerator)
 
 
 def class_at(m: SurfaceModel, ray: tuple[int, int]) -> Vector:
@@ -83,8 +84,9 @@ def next_wall(
     """
     best: Optional[Fraction] = None
     hits: list[CurveEntry] = []
+    xi = m.xi
     for entry in curve_catalogue(m):
-        slope = direction * intersect(m, m.xi, entry.cls)
+        slope = direction * intersect(m, xi, entry.cls)
         if slope >= 0:
             continue
         level = intersect(m, m.h, entry.cls)
@@ -225,7 +227,7 @@ class LiftFan:
 
 
 def _walk(model: SurfaceModel, direction: int):
-    """Walk one direction; returns (events, states-after-each-interior-wall)."""
+    """Walk one direction; returns (events ending at a boundary, states after each wall)."""
     m = model
     eps = Fraction(0)
     events: list[WallEvent] = []
@@ -239,85 +241,46 @@ def _walk(model: SurfaceModel, direction: int):
             )
         eps, zero = hit
         ray = ray_of(eps, direction)
-        cls = class_at(m, ray)
-        trivial_comp = None
-        for comp in (0, 1):
-            if all(x == 0 for x in m.component_part(cls, comp)):
-                trivial_comp = comp
-        if trivial_comp is not None:
-            events.append(
-                WallEvent(
-                    ray,
-                    "boundary_component_trivial",
-                    tuple(e.name for e in zero),
-                    stable_model_at(m, ray),
-                    note=f"V{trivial_comp} is contracted to a point",
-                )
-            )
+        names = tuple(e.name for e in zero)
+        stable = stable_model_at(m, ray)
+        points = [i for i, f in enumerate(stable.components) if f.verdict == "contracted_to_point"]
+        if points:
+            kind, note = "boundary_component_trivial", f"V{points[-1]} is contracted to a point"
+        elif any(e.kind == "moving" for e in zero):
+            kind, note = "boundary_moving_class", ""
+        else:  # a pure set of floppable curves: an interior wall
+            kind, note = "interior_flop", ""
+        events.append(WallEvent(ray, kind, names, stable, note))
+        if kind != "interior_flop":
             return events, states
-        if any(e.kind == "moving" for e in zero):
-            events.append(
-                WallEvent(
-                    ray,
-                    "boundary_moving_class",
-                    tuple(e.name for e in zero),
-                    stable_model_at(m, ray),
-                )
-            )
-            return events, states
-        # pure floppable set: cross the interior wall
-        event = WallEvent(
-            ray,
-            "interior_flop",
-            tuple(e.name for e in zero),
-            stable_model_at(m, ray),
-        )
-        events.append(event)
-        for e in zero:
-            flop_name = e.name
-            assert flop_name in m.lattice.names, "interior walls flop basis classes"
-            m = flop(m, flop_name)
+        assert all(n in m.lattice.names for n in names), "interior walls flop basis classes"
+        m = flop_all(m, names)
         states.append(m)
     raise ValueError(f"walk exceeded {MAX_WALK_STEPS} steps for {model.id}")
 
 
 def lift_fan(model: SurfaceModel) -> LiftFan:
-    """Both walks from (1, 0), assembled top-down (from +xi to -xi side)."""
+    """Both walks from (1, 0), assembled top-down (from +xi to -xi side).
+
+    The rays run from the + boundary through the walls to the - boundary,
+    and chamber i lies between rays i and i+1.  The model's polarization
+    must be nef (ValueError otherwise): (1, 0) is where both walks start.
+    """
+    negative = nef_report(model, model.h).negative
+    if negative:
+        names = [e.name for e in negative]
+        raise ValueError(f"polarization of {model.id} is not nef: negative on {names}")
     plus_events, plus_states = _walk(model, +1)
     minus_events, minus_states = _walk(model, -1)
-    assert plus_events[-1].kind != "interior_flop"
-    assert minus_events[-1].kind != "interior_flop"
-
-    boundary = (plus_events[-1].ray, minus_events[-1].ray)
-    plus_walls = [e.ray for e in plus_events[:-1]]
-    minus_walls = [e.ray for e in minus_events[:-1]]
-    walls = tuple(reversed(plus_walls)) + tuple(minus_walls)
-
-    def chamber(state: SurfaceModel, upper, lower) -> Chamber:
-        return Chamber(
-            upper=upper,
-            lower=lower,
-            labels=(surface_name(state, 0), surface_name(state, 1)),
-            flops=state.flop_history[len(model.flop_history):],
-        )
-
-    chambers: list[Chamber] = []
-    plus_rays = [boundary[0]] + list(reversed(plus_walls))
-    for i, state in enumerate(reversed(plus_states)):
-        chambers.append(chamber(state, plus_rays[i], plus_rays[i + 1]))
-    minus_rays = [plus_rays[-1]] + minus_walls + [boundary[1]]
-    chambers.append(chamber(model, minus_rays[0], minus_rays[1]))
-    for i, state in enumerate(minus_states):
-        chambers.append(chamber(state, minus_rays[i + 1], minus_rays[i + 2]))
-
-    assert len(chambers) == len(walls) + 1
-    return LiftFan(
-        model_id=model.id,
-        boundary=boundary,
-        walls=walls,
-        chambers=tuple(chambers),
-        events=tuple(plus_events) + tuple(minus_events),
+    rays = [e.ray for e in reversed(plus_events)] + [e.ray for e in minus_events]
+    states = plus_states[::-1] + [model] + minus_states
+    chambers = tuple(
+        Chamber(upper, lower, (surface_name(state, 0), surface_name(state, 1)),
+                state.flop_history[len(model.flop_history):])
+        for state, upper, lower in zip(states, rays[:-1], rays[1:], strict=True)
     )
+    return LiftFan(model.id, (rays[0], rays[-1]), tuple(rays[1:-1]), chambers,
+                   tuple(plus_events + minus_events))
 
 
 def format_ray(ray: tuple[int, int]) -> str:
@@ -337,10 +300,8 @@ def fan_diagram(fan: LiftFan) -> str:
     lines = [f"Lift>=0 cone for {fan.model_id} (rays are m*h + n*xi):"]
     rays_top_down = [fan.boundary[0]] + list(fan.walls) + [fan.boundary[1]]
     for i, ray in enumerate(rays_top_down):
-        event = by_ray.get(ray)
-        if event is None:
-            desc = ""
-        elif event.kind == "interior_flop":
+        event = by_ray[ray]
+        if event.kind == "interior_flop":
             desc = f"wall: flop {', '.join(event.zero_classes)}"
         elif event.kind == "boundary_component_trivial":
             desc = f"boundary: {event.note}"
@@ -354,27 +315,18 @@ def fan_diagram(fan: LiftFan) -> str:
 
 
 def verify_fans() -> dict:
-    """Compute all nine fans and compare with the expected decomposition."""
+    """Compute every catalogue fan and compare with the expected decomposition."""
+    fields = ("boundary", "walls", "chambers", "chamber_labels")
     results = {}
-    all_pass = True
-    for mid, want in EXPECTED_FANS.items():
+    for mid in catalogue_ids():
+        want = EXPECTED_FANS[mid]
         fan = lift_fan(catalogue_model(mid))
-        got = {
-            "boundary": [tuple(b) for b in fan.boundary],
-            "walls": [tuple(w) for w in fan.walls],
-            "chambers": len(fan.chambers),
-        }
         ok = (
-            got["boundary"] == [tuple(b) for b in want["boundary"]]
-            and got["walls"] == [tuple(w) for w in want["walls"]]
-            and got["chambers"] == want["chambers"]
+            list(fan.boundary) == want["boundary"]
+            and list(fan.walls) == want["walls"]
+            and len(fan.chambers) == want["chambers"]
         )
-        all_pass &= ok
-        results[mid] = {
-            "ok": ok,
-            "boundary": [list(b) for b in fan.boundary],
-            "walls": [list(w) for w in fan.walls],
-            "chambers": len(fan.chambers),
-            "chamber_labels": [list(c.labels) for c in fan.chambers],
-        }
-    return {"suite": "chamber fans", "pass": all_pass, "models": results}
+        report = fan.as_json()
+        results[mid] = {"ok": ok, **{k: report[k] for k in fields}}
+    return {"suite": "chamber fans", "pass": all(r["ok"] for r in results.values()),
+            "models": results}

@@ -67,7 +67,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roots", help="generalized root lattice of a model")
     _model_arg(p)
-    p.add_argument("--bound", type=int, default=4, help="norm bound (default 4)")
+    p.add_argument(
+        "--bound", type=int, choices=(2, 3, 4), default=4,
+        help="norm bound, at most 4 since generalized roots have norm -2 or -4 (default 4)",
+    )
     _json_flag(p)
 
     p = sub.add_parser("relation", help="imposed point relations and the certificate")

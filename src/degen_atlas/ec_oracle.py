@@ -284,8 +284,8 @@ def sample_config(
     then re-verified on the curve (real group law, not just dlogs).
     """
     generators = system.generators()
-    for g in generators:
-        assert g.degree() == 0, "relation generators must have degree 0"
+    if any(g.degree() != 0 for g in generators):
+        raise ValueError("relation generators must have degree 0")
     symbols = sorted({s for g in generators for s in g.symbols()})
     if not symbols:
         return PointAssignment(curve, ())
@@ -328,7 +328,8 @@ def randomized_membership_test(
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    assert target.degree() == 0
+    if target.degree() != 0:
+        raise ValueError("targets must have degree 0")
     if curve is None:
         curve = pinned_curves()[0]
     generators = system.generators()

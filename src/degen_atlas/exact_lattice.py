@@ -71,10 +71,6 @@ def content(v: Sequence[int]) -> int:
     return g
 
 
-def is_primitive(v: Sequence[int]) -> bool:
-    return content(v) == 1
-
-
 def det(m: Matrix) -> int:
     """Exact determinant by fraction-free Bareiss elimination."""
     n = len(m)
@@ -333,14 +329,6 @@ def rank(m: Matrix) -> int:
     return sum(1 for row in h if any(row))
 
 
-def row_span_basis(vectors: Sequence[Vector]) -> tuple[Vector, ...]:
-    """HNF basis of the lattice generated by the vectors (not saturated)."""
-    if not vectors:
-        return ()
-    h, _ = hnf(mat(vectors))
-    return tuple(row for row in h if any(row))
-
-
 @dataclass(frozen=True)
 class GramForm:
     """A symmetric integer bilinear form."""
@@ -368,25 +356,6 @@ class GramForm:
 
 
 @dataclass(frozen=True)
-class Sublattice:
-    """A finite-index-free sublattice of an ambient quadratic lattice.
-
-    rows are basis vectors written in ambient coordinates.
-    """
-
-    ambient: GramForm
-    rows: Matrix
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def coordinates(self, v: Vector) -> Optional[Vector]:
-        """Express an ambient vector in this basis (integer coordinates)."""
-        return solve_integer(list(self.rows), v)
-
-
-@dataclass(frozen=True)
 class QuotientLattice:
     """S / Z*xi for an isotropic xi orthogonal to all of S.
 
@@ -407,23 +376,25 @@ class QuotientLattice:
         return vecmat(coords, self.reps)
 
 
-def quotient_by_isotropic(sub: Sublattice, xi: Vector) -> QuotientLattice:
-    """Quotient of a sublattice by an isotropic primitive vector.
+def quotient_by_isotropic(ambient: GramForm, rows: Matrix, xi: Vector) -> QuotientLattice:
+    """Quotient S / Z*xi of the sublattice S spanned by `rows`.
 
-    Requires xi in S, xi orthogonal to all of S, and xi primitive in S.
+    The rows are a basis of S written in ambient coordinates, and `ambient`
+    is the form they are paired with.  Requires xi in S, xi orthogonal to
+    all of S, and xi primitive in S (ValueError otherwise).
     """
-    coords = sub.coordinates(xi)
+    coords = solve_integer(list(rows), xi)
     if coords is None:
         raise ValueError("xi does not lie in the sublattice")
-    if not is_primitive(coords):
+    if content(coords) != 1:
         raise ValueError("xi is not primitive in the sublattice")
-    for row in sub.rows:
-        if sub.ambient.pairing(xi, row) != 0:
+    for row in rows:
+        if ambient.pairing(xi, row) != 0:
             raise ValueError("xi is not isotropic on the sublattice")
 
     # Complete +-coords to a basis: snf([coords]) gives coords @ V = (+-1,0,..),
     # so the rows of V^-1 start with +-coords and form a unimodular matrix.
-    k = sub.rank
+    k = len(rows)
     _, _, v = snf(mat([coords]))
     first = vecmat(coords, v)
     assert first[0] in (1, -1) and all(x == 0 for x in first[1:])
@@ -434,11 +405,11 @@ def quotient_by_isotropic(sub: Sublattice, xi: Vector) -> QuotientLattice:
         basis_rows = mat([[-x for x in basis_rows[0]]] + [list(r) for r in basis_rows[1:]])
     assert tuple(basis_rows[0]) == coords
 
-    new_rows = matmul(basis_rows, sub.rows)  # rows in ambient; row 0 = xi
+    new_rows = matmul(basis_rows, rows)  # rows in ambient; row 0 = xi
     assert new_rows[0] == tuple(xi)
     reps = new_rows[1:]
     gram = GramForm(
-        tuple(tuple(sub.ambient.pairing(a, b) for b in reps) for a in reps)
+        tuple(tuple(ambient.pairing(a, b) for b in reps) for a in reps)
     )
     return QuotientLattice(reps=reps, gram=gram)
 

@@ -217,9 +217,10 @@ def derive(system: RelationSystem, target: Divisor) -> DeriveResult:
     re-expands exactly to the target.
     """
     gens = system.generators()
-    assert target.degree() == 0, "targets must have degree 0"
-    for g in gens:
-        assert g.degree() == 0, "generators must have degree 0"
+    if target.degree() != 0:
+        raise ValueError("targets must have degree 0")
+    if any(g.degree() != 0 for g in gens):
+        raise ValueError("generators must have degree 0")
     universe = sorted(
         {s for g in gens for s in g.symbols()} | set(target.symbols()),
         key=_symbol_key,

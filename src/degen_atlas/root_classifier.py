@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 from .exact_lattice import (
     GramForm,
     QuotientLattice,
-    Sublattice,
     Vector,
     add_vec,
     content,
@@ -28,7 +27,7 @@ from .exact_lattice import (
     matvec,
     orthogonal_complement,
     quotient_by_isotropic,
-    row_span_basis,
+    rank,
 )
 from .surface_pair import SurfaceModel, check_model_invariants
 
@@ -54,10 +53,9 @@ def script_L(m: SurfaceModel) -> QuotientLattice:
     check_model_invariants(m)
     g = m.lattice.gram_form
     xi = m.xi
-    perp = orthogonal_complement(g, [m.h, xi])
-    sub = Sublattice(g, mat(perp))
-    assert sub.rank == m.lattice.rank - 2
-    out = quotient_by_isotropic(sub, xi)  # validates xi in S, isotropy
+    perp = mat(orthogonal_complement(g, [m.h, xi]))
+    assert len(perp) == m.lattice.rank - 2
+    out = quotient_by_isotropic(g, perp, xi)  # validates xi in S, isotropy
     assert out.rank == m.lattice.rank - 3
     if not out.gram.is_negative_definite():
         raise ValueError(
@@ -276,10 +274,10 @@ def classify(roots: GeneralizedRootSet, seed: int = 0) -> LatticeType:
     ]
 
     # <-4> part: rank deficit of the -2 root span inside Span(Phi).
-    all_span = row_span_basis(simples + list(roots.roots4 + roots.other))
-    r2_span = row_span_basis(simples)
-    _require(len(r2_span) == len(simples), "simple roots must be independent")
-    deficit = len(all_span) - len(r2_span)
+    all_rank = rank(mat(simples + list(roots.roots4 + roots.other)))
+    r2_rank = rank(mat(simples))
+    _require(r2_rank == len(simples), "simple roots must be independent")
+    deficit = all_rank - r2_rank
     minus4_gens: tuple[Vector, ...] = ()
     if deficit:
         perp4 = [v for v in roots.roots4
@@ -310,7 +308,7 @@ def classify(roots: GeneralizedRootSet, seed: int = 0) -> LatticeType:
         _require(count == want, f"{letter}{rank_}: found {count} roots, expected {want}")
     _require(sum(per_comp_counts) == 2 * len(roots.roots2),
              "some -2 roots lie in no single Dynkin component")
-    _require(lt.rank == len(all_span), f"rank {lt.rank}, root span rank {len(all_span)}")
+    _require(lt.rank == all_rank, f"rank {lt.rank}, root span rank {all_rank}")
     return lt
 
 

@@ -206,17 +206,22 @@ def _is_neg_def(g):
     return True
 
 
-def run_python_O(args, timeout):
-    """`python -O *args` in a subprocess, with the package under test
-    importable; asserts are stripped there, so only real checks remain."""
+def run_python(args, timeout):
+    """`python *args` in a subprocess, with the package under test importable."""
     import degen_atlas
 
     src = str(Path(degen_atlas.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-O", *args], capture_output=True, text=True,
+        [sys.executable, *args], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=path), timeout=timeout,
     )
+
+
+def run_python_O(args, timeout):
+    """`python -O *args` in a subprocess, with the package under test
+    importable; asserts are stripped there, so only real checks remain."""
+    return run_python(["-O", *args], timeout)
 
 
 def signature(gram):

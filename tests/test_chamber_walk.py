@@ -13,11 +13,13 @@ from degen_atlas.chamber_walk import (
 )
 from degen_atlas.surface_pair import (
     catalogue,
+    flop,
     flop_all,
     intersect,
     nef_report,
+    swap_components,
 )
-from oracles import EXPECTED_FANS
+from oracles import EXPECTED_FANS, run_python_O
 
 
 @pytest.fixture(scope="module")
@@ -188,3 +190,44 @@ def test_verify_fans_report():
 def test_e8e8_interior_point_of_first_chamber(models):
     desc = stable_model_at(models["E8E8"], (2, -1))
     assert all(c.verdict == "birational" and not c.contracted for c in desc.components)
+
+
+def test_lift_fan_rejects_a_start_that_is_not_nef(models):
+    with pytest.raises(ValueError, match=r"not nef: negative on \[\"e'10\"\]"):
+        lift_fan(flop(models["E8E8"], "e'10"))
+
+
+def test_lift_fan_rejects_a_start_that_is_not_nef_under_python_O():
+    # under -O the walk used to return a fan with a wall at eps = -1
+    code = (
+        "from degen_atlas.chamber_walk import lift_fan\n"
+        "from degen_atlas.surface_pair import catalogue_model, flop\n"
+        "try:\n"
+        "    print('accepted:', lift_fan(flop(catalogue_model('E8E8'), \"e'10\")).walls)\n"
+        "except ValueError as exc:\n"
+        "    print('rejected:', exc)\n"
+    )
+    done = run_python_O(["-c", code], timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("rejected: polarization of E8E8 is not nef")
+
+
+def _untick(name):
+    return name.replace("'", "") if "'" in name else name.replace("e", "e'", 1)
+
+
+def test_fan_of_the_swapped_pair_is_the_mirror_image(models, fans):
+    # swapping V0 and V1 negates xi: (m, n) -> (m, -n) reverses the fan
+    def mirror(ray):
+        return (ray[0], -ray[1])
+
+    for mid, m in models.items():
+        fan, swapped = fans[mid], lift_fan(swap_components(m))
+        assert swapped.boundary == (mirror(fan.boundary[1]), mirror(fan.boundary[0]))
+        assert swapped.walls == tuple(mirror(w) for w in reversed(fan.walls))
+        assert [c.labels for c in swapped.chambers] == [
+            (c.labels[1], c.labels[0]) for c in reversed(fan.chambers)
+        ]
+        assert [c.flops for c in swapped.chambers] == [
+            tuple(_untick(f) for f in c.flops) for c in reversed(fan.chambers)
+        ]

@@ -30,6 +30,14 @@ def test_roots_e8e8(capsys):
     assert rep["schema"] == "degen-atlas/1"
 
 
+def test_roots_bound_above_4_is_a_usage_error(capsys):
+    # roots have norm -2 or -4; a larger bound only grows the search
+    with pytest.raises(SystemExit) as exc:
+        run(["roots", "E8E8", "--bound", "5"])
+    assert exc.value.code == 2
+    assert "--bound" in capsys.readouterr().err
+
+
 def test_chambers_a15_json_fields(capsys):
     code, rep = run_json(capsys, ["chambers", "A15"])
     assert code == 0

@@ -169,6 +169,44 @@ def test_membership_needs_a_trial(models, curves, trials):
         randomized_membership_test(system, system.r_h, trials=trials, curve=curves[0])
 
 
+def test_membership_rejects_a_target_of_nonzero_degree(models, curves):
+    system = imposed_relations(models["D17"])
+    with pytest.raises(ValueError, match="degree 0"):
+        randomized_membership_test(system, Divisor.of({"q": 1}), trials=10, curve=curves[0])
+
+
+def test_sampling_rejects_generators_of_nonzero_degree(models, curves):
+    system = imposed_relations(models["D17"])
+    bad = RelationSystem(system.r_h, system.r_xi, system.aux + (Divisor.of({"q": 1}),))
+    with pytest.raises(ValueError, match="degree 0"):
+        sample_config(bad, curves[0])
+
+
+def test_degree_checks_hold_under_python_O():
+    # the degree-0 contract is checked on input, not by an assert -O strips
+    code = (
+        "from degen_atlas.ec_oracle import randomized_membership_test, sample_config\n"
+        "from degen_atlas.ec_oracle import pinned_curves\n"
+        "from degen_atlas.period_relations import Divisor, RelationSystem, imposed_relations\n"
+        "from degen_atlas.surface_pair import catalogue_model\n"
+        "system = imposed_relations(catalogue_model('D17'))\n"
+        "q = Divisor.of({'q': 1})\n"
+        "bad = RelationSystem(system.r_h, system.r_xi, system.aux + (q,))\n"
+        "for call in (lambda: randomized_membership_test(system, q, trials=10),\n"
+        "             lambda: sample_config(bad, pinned_curves()[0])):\n"
+        "    try:\n"
+        "        print('accepted:', type(call()).__name__)\n"
+        "    except ValueError as exc:\n"
+        "        print('rejected:', exc)\n"
+    )
+    done = run_python_O(["-c", code], timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "rejected: targets must have degree 0",
+        "rejected: relation generators must have degree 0",
+    ]
+
+
 def _relation_blind_sampler(generators, symbols, n_mod):
     return lambda rng: [rng.randrange(n_mod) for _ in symbols]
 

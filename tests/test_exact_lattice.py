@@ -4,7 +4,6 @@ import pytest
 
 from degen_atlas.exact_lattice import (
     GramForm,
-    Sublattice,
     add_vec,
     det,
     enumerate_short,
@@ -172,8 +171,7 @@ def test_in_span():
 
 def test_quotient_by_isotropic_rank1_zero_form():
     amb = GramForm(mat([[0, 0], [0, 0]]))
-    sub = Sublattice(amb, identity(2))
-    q = quotient_by_isotropic(sub, (1, 0))
+    q = quotient_by_isotropic(amb, identity(2), (1, 0))
     assert q.rank == 1
     assert q.gram.gram == mat([[0]])
 
@@ -183,26 +181,23 @@ def test_quotient_needs_xi_orthogonal_to_sublattice():
     # other generator, so the induced form on H/Z*xi would depend on coset
     # representatives; the operation must refuse.
     amb = GramForm(mat([[0, 1], [1, 0]]))
-    sub = Sublattice(amb, identity(2))
     with pytest.raises(ValueError):
-        quotient_by_isotropic(sub, (1, 0))
+        quotient_by_isotropic(amb, identity(2), (1, 0))
 
 
 def test_quotient_rejects_bad_xi():
     amb = GramForm(mat([[0, 1], [1, 0]]))
-    sub = Sublattice(amb, identity(2))
     with pytest.raises(ValueError):
-        quotient_by_isotropic(sub, (2, 0))  # not primitive
+        quotient_by_isotropic(amb, identity(2), (2, 0))  # not primitive
     with pytest.raises(ValueError):
-        quotient_by_isotropic(sub, (1, 1))  # not isotropic on S
+        quotient_by_isotropic(amb, identity(2), (1, 1))  # not isotropic on S
 
 
 def test_quotient_pairing_independent_of_representatives():
     # rank-3 ambient: hyperbolic plane + <-2>, quotient by the isotropic (1,0,0)
     amb = GramForm(mat([[0, 1, 0], [1, 0, 0], [0, 0, -2]]))
-    sub = Sublattice(amb, mat([[1, 0, 0], [0, 0, 1]]))
     xi = (1, 0, 0)
-    q = quotient_by_isotropic(sub, xi)
+    q = quotient_by_isotropic(amb, mat([[1, 0, 0], [0, 0, 1]]), xi)
     rng = random.Random(5)
     for _ in range(20):
         a = tuple(rng.randint(-3, 3) for _ in range(q.rank))

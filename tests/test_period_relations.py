@@ -5,6 +5,7 @@ import pytest
 from degen_atlas.exact_lattice import orthogonal_complement
 from degen_atlas.period_relations import (
     Divisor,
+    RelationSystem,
     d_semistability_relation,
     derive,
     hirzebruch_relation,
@@ -23,6 +24,7 @@ from degen_atlas.surface_pair import (
     flop_all,
     swap_components,
 )
+from oracles import run_python_O
 
 
 @pytest.fixture(scope="module")
@@ -111,9 +113,40 @@ def test_derive_certificates(models):
     assert derive(imposed_relations(d17), bogus).status == "not_in_span"
 
 
-def test_derive_reports_rational_only():
-    from degen_atlas.period_relations import RelationSystem
+def test_derive_rejects_input_of_nonzero_degree(models):
+    system = imposed_relations(models["D17"])
+    q = Divisor.of({"q": 1})
+    with pytest.raises(ValueError, match="targets must have degree 0"):
+        derive(system, q)
+    bad = RelationSystem(system.r_h, system.r_xi, system.aux + (q,))
+    with pytest.raises(ValueError, match="generators must have degree 0"):
+        derive(bad, system.r_h)
 
+
+def test_derive_degree_checks_hold_under_python_O():
+    # under -O a degree-1 target used to come back as not_in_span
+    code = (
+        "from degen_atlas.period_relations import Divisor, RelationSystem, derive\n"
+        "from degen_atlas.period_relations import imposed_relations\n"
+        "from degen_atlas.surface_pair import catalogue_model\n"
+        "system = imposed_relations(catalogue_model('D17'))\n"
+        "q = Divisor.of({'q': 1})\n"
+        "bad = RelationSystem(system.r_h, system.r_xi, system.aux + (q,))\n"
+        "for args in ((system, q), (bad, system.r_h)):\n"
+        "    try:\n"
+        "        print('accepted:', derive(*args).status)\n"
+        "    except ValueError as exc:\n"
+        "        print('rejected:', exc)\n"
+    )
+    done = run_python_O(["-c", code], timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "rejected: targets must have degree 0",
+        "rejected: generators must have degree 0",
+    ]
+
+
+def test_derive_reports_rational_only():
     sys_ = RelationSystem(
         r_h=Divisor.of({"q": 2, "q'": -2}),
         r_xi=Divisor.of({"p1": 1, "p2": -1}),

@@ -178,16 +178,15 @@ def test_bound_is_a_parameter(models):
 
 def test_classification_invariant_under_xi_negation(models):
     # quotient by -xi instead of xi gives the same generalized type
-    from degen_atlas.exact_lattice import Sublattice, mat, orthogonal_complement
+    from degen_atlas.exact_lattice import mat, orthogonal_complement
     from degen_atlas.exact_lattice import quotient_by_isotropic
     from degen_atlas.root_classifier import ScriptL
 
     m = models["D8D8"]
     g = m.lattice.gram_form
     perp = orthogonal_complement(g, [m.h, m.xi])
-    sub = Sublattice(g, mat(perp))
     neg_xi = tuple(-x for x in m.xi)
-    q = quotient_by_isotropic(sub, neg_xi)
+    q = quotient_by_isotropic(g, mat(perp), neg_xi)
     L = ScriptL(gram=q.gram, reps=q.reps)
     t = classify(generalized_roots(L))
     assert type_string(t) == "D8+D8+<-4>"
