@@ -28,10 +28,10 @@ from .surface_pair import (
     SurfaceModel,
     catalogue_ids,
     catalogue_model,
+    check_model_invariants,
     curve_catalogue,
     flop_all,
     intersect,
-    nef_report,
     surface_name,
 )
 
@@ -72,25 +72,23 @@ def class_at(m: SurfaceModel, ray: tuple[int, int]) -> Vector:
 
 
 def next_wall(
-    m: SurfaceModel, direction: int, start: Fraction = Fraction(0)
+    curves: tuple[CurveEntry, ...], direction: int, start: Fraction = Fraction(0)
 ) -> Optional[tuple[Fraction, tuple[CurveEntry, ...]]]:
     """First epsilon >= start where h + direction*eps*xi meets a curve.
 
-    Only curves whose pairing with xi decreases along the direction can stop
-    the walk; the threshold of such a curve C is (h.C) / |xi.C|.  Returns
-    the minimal threshold and every curve attaining it, or None when the
-    direction is unobstructed (a data error for catalogue models, whose
-    cones are strictly convex).
+    Only curves of the state's whitelist `curves` whose xi-degree decreases
+    along the direction can stop the walk; the threshold of such a C is
+    (h.C) / |xi.C|.  Returns the minimal threshold and every curve attaining
+    it, or None when the direction is unobstructed (a data error for
+    catalogue models, whose cones are strictly convex).
     """
     best: Optional[Fraction] = None
     hits: list[CurveEntry] = []
-    xi = m.xi
-    for entry in curve_catalogue(m):
-        slope = direction * intersect(m, xi, entry.cls)
+    for entry in curves:
+        slope = direction * entry.xi_degree
         if slope >= 0:
             continue
-        level = intersect(m, m.h, entry.cls)
-        eps = Fraction(level, -slope)
+        eps = Fraction(entry.h_degree, -slope)
         assert eps >= start, (
             f"curve {entry.name} already negative before eps={start} "
             f"(threshold {eps}); walk state is inconsistent"
@@ -135,18 +133,21 @@ class StableModelDescription:
         }
 
 
-def stable_model_at(m: SurfaceModel, ray: tuple[int, int]) -> StableModelDescription:
+def stable_model_at(
+    m: SurfaceModel, curves: tuple[CurveEntry, ...], ray: tuple[int, int]
+) -> StableModelDescription:
     """Describe the stable model of the nef class at the given ray.
 
     Per component: birational when the restricted class has positive square
-    (listing the curves it contracts), a map to a curve when the restriction
-    is nonzero of square zero, a point when the restriction vanishes.
+    (listing the curves of m's whitelist `curves` it meets in degree 0), a
+    map to a curve when the restriction is nonzero of square zero, a point
+    when the restriction vanishes.
     """
     c = class_at(m, ray)
-    report = nef_report(m, c)
-    if report.negative:
-        names = [e.name for e in report.negative]
-        raise ValueError(f"class at ray {ray} is not nef: negative on {names}")
+    degrees = [(e, ray[0] * e.h_degree + ray[1] * e.xi_degree) for e in curves]
+    negative = [e.name for e, deg in degrees if deg < 0]
+    if negative:
+        raise ValueError(f"class at ray {ray} is not nef: negative on {negative}")
     fates = []
     for comp in (0, 1):
         restricted = m.component_part(c, comp)
@@ -166,8 +167,8 @@ def stable_model_at(m: SurfaceModel, ray: tuple[int, int]) -> StableModelDescrip
         else:
             contracted = tuple(
                 e.name
-                for e in report.zero
-                if any(x and m.tags[i] == comp for i, x in enumerate(e.cls))
+                for e, deg in degrees
+                if deg == 0 and any(x and m.tags[i] == comp for i, x in enumerate(e.cls))
             )
             fates.append(ComponentFate("birational", square, restricted, contracted))
     total = sum(f.restricted_square for f in fates)
@@ -226,14 +227,14 @@ class LiftFan:
         }
 
 
-def _walk(model: SurfaceModel, direction: int):
+def _walk(model: SurfaceModel, curves: tuple[CurveEntry, ...], direction: int):
     """Walk one direction; returns (events ending at a boundary, states after each wall)."""
     m = model
     eps = Fraction(0)
     events: list[WallEvent] = []
     states: list[SurfaceModel] = []
     for _ in range(MAX_WALK_STEPS):
-        hit = next_wall(m, direction, eps)
+        hit = next_wall(curves, direction, eps)
         if hit is None:
             raise ValueError(
                 f"walk in direction {direction:+d} is unbounded for {model.id}; "
@@ -242,7 +243,7 @@ def _walk(model: SurfaceModel, direction: int):
         eps, zero = hit
         ray = ray_of(eps, direction)
         names = tuple(e.name for e in zero)
-        stable = stable_model_at(m, ray)
+        stable = stable_model_at(m, curves, ray)
         points = [i for i, f in enumerate(stable.components) if f.verdict == "contracted_to_point"]
         if points:
             kind, note = "boundary_component_trivial", f"V{points[-1]} is contracted to a point"
@@ -255,6 +256,7 @@ def _walk(model: SurfaceModel, direction: int):
             return events, states
         assert all(n in m.lattice.names for n in names), "interior walls flop basis classes"
         m = flop_all(m, names)
+        curves = curve_catalogue(m)
         states.append(m)
     raise ValueError(f"walk exceeded {MAX_WALK_STEPS} steps for {model.id}")
 
@@ -263,15 +265,17 @@ def lift_fan(model: SurfaceModel) -> LiftFan:
     """Both walks from (1, 0), assembled top-down (from +xi to -xi side).
 
     The rays run from the + boundary through the walls to the - boundary,
-    and chamber i lies between rays i and i+1.  The model's polarization
-    must be nef (ValueError otherwise): (1, 0) is where both walks start.
+    and chamber i lies between rays i and i+1.  The model must pass
+    `check_model_invariants` and h must be nef on its whitelist (ValueError
+    otherwise): (1, 0) is where both walks start, sharing that whitelist.
     """
-    negative = nef_report(model, model.h).negative
+    check_model_invariants(model)
+    curves = curve_catalogue(model)
+    negative = [e.name for e in curves if e.h_degree < 0]
     if negative:
-        names = [e.name for e in negative]
-        raise ValueError(f"polarization of {model.id} is not nef: negative on {names}")
-    plus_events, plus_states = _walk(model, +1)
-    minus_events, minus_states = _walk(model, -1)
+        raise ValueError(f"polarization of {model.id} is not nef: negative on {negative}")
+    plus_events, plus_states = _walk(model, curves, +1)
+    minus_events, minus_states = _walk(model, curves, -1)
     rays = [e.ray for e in reversed(plus_events)] + [e.ray for e in minus_events]
     states = plus_states[::-1] + [model] + minus_states
     chambers = tuple(

@@ -18,7 +18,6 @@ from .exact_lattice import (
     GramForm,
     QuotientLattice,
     Vector,
-    add_vec,
     content,
     det,
     enumerate_short,
@@ -195,12 +194,13 @@ def _classify_tree(adj: Sequence[Sequence[int]], comp: Sequence[int]) -> tuple[s
 def classify(roots: GeneralizedRootSet, seed: int = 0) -> LatticeType:
     """Classify Span(Phi) as ADE components plus orthogonal <-4> summands.
 
-    A random linear functional separates the -2 roots into positives, and
-    simple roots are the positives that are not sums of two positives.
-    Adding one simple root at a time grows them into every positive root
-    (Bourbaki, Lie Groups VI 1.6), which certifies each as a sum of simple
-    roots.  Each Dynkin-graph component is named from its tree shape and
-    must hold the classical number of roots whose expansion stays in it.
+    A random linear functional separates the -2 roots into positives.  In
+    one pass by increasing value, a positive a is simple unless a - s is
+    positive for a simple s already found (Bourbaki, Lie Groups VI 1.6);
+    then a's support in the simple roots is that of a - s plus s.  The
+    simple roots keep the order of the positives.  Each Dynkin-graph
+    component is named from its tree shape and must hold the classical
+    number of roots whose support stays in it.
     The <-4> part is certified by explicit generators orthogonal to the
     whole root span.
     """
@@ -224,26 +224,18 @@ def classify(roots: GeneralizedRootSet, seed: int = 0) -> LatticeType:
         raise UnclassifiableError("could not separate roots with a functional")
 
     pos_set = set(positives)
-    simples = [
-        a
-        for a in positives
-        if not any(tuple(x - y for x, y in zip(a, b)) in pos_set for b in positives)
-    ]
-
-    # Expand every positive root in simple roots; keep only its support.
-    support = {a: frozenset((i,)) for i, a in enumerate(simples)}
-    frontier = list(simples)
-    while frontier:
-        grown = []
-        for a in frontier:
-            for i, s in enumerate(simples):
-                b = add_vec(a, s)
-                if b in pos_set and b not in support:
-                    support[b] = support[a] | {i}
-                    grown.append(b)
-        frontier = grown
-    _require(len(support) == len(pos_set),
-             "a positive root is not a sum of simple roots")
+    found: list[Vector] = []
+    support: dict[Vector, frozenset[Vector]] = {}
+    for _, a in sorted(zip(map(abs, values), positives)):
+        for s in found:
+            b = tuple(x - y for x, y in zip(a, s))
+            if b in pos_set:
+                support[a] = support[b] | {s}
+                break
+        else:
+            found.append(a)
+            support[a] = frozenset((a,))
+    simples = sorted(found, key=positives.index)
 
     # The Dynkin graph (an edge where two simple roots pair nonzero), split
     # into its connected components.
@@ -270,7 +262,7 @@ def classify(roots: GeneralizedRootSet, seed: int = 0) -> LatticeType:
     named = [_classify_tree(adj, comp) for comp in comps]
     per_comp_counts = [
         2 * sum(sup <= members for sup in support.values())
-        for members in map(frozenset, comps)
+        for members in map(frozenset, simple_roots)
     ]
 
     # <-4> part: rank deficit of the -2 root span inside Span(Phi).

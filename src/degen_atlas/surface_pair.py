@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .exact_lattice import GramForm, Vector, add_vec, mat, scale_vec
+from .exact_lattice import GramForm, Vector, add_vec, mat, matvec, scale_vec
 
 P2 = "P2"
 P1XP1 = "P1xP1"
@@ -121,6 +121,8 @@ class CurveEntry:
     name: str
     cls: Vector
     kind: str  # "floppable" | "moving"
+    h_degree: int  # h.C and xi.C in the model the whitelist was built for
+    xi_degree: int
 
 
 @dataclass(frozen=True)
@@ -334,13 +336,17 @@ def catalogue_model(model_id: str) -> SurfaceModel:
 
 
 def check_model_invariants(m: SurfaceModel) -> None:
-    """h^2 = 4, h.xi = 0, xi^2 = 0 and E0^2 + E1^2 = 0."""
+    """h^2 = 4, h.xi = 0, xi^2 = 0 and E0^2 + E1^2 = 0, else ValueError."""
     xi = m.xi
-    assert intersect(m, m.h, m.h) == 4, "polarization must have square 4"
-    assert intersect(m, m.h, xi) == 0, "polarization must be numerically Cartier"
-    assert intersect(m, xi, xi) == 0, "double curve class must be isotropic"
+    if intersect(m, m.h, m.h) != 4:
+        raise ValueError("polarization must have square 4")
+    if intersect(m, m.h, xi) != 0:
+        raise ValueError("polarization must be numerically Cartier")
+    if intersect(m, xi, xi) != 0:
+        raise ValueError("double curve class must be isotropic")
     e0, e1 = m.double_curve_class(0), m.double_curve_class(1)
-    assert intersect(m, e0, e0) + intersect(m, e1, e1) == 0, "triple-point formula"
+    if intersect(m, e0, e0) + intersect(m, e1, e1) != 0:
+        raise ValueError("triple-point formula")
 
 
 def build_model(
@@ -467,46 +473,43 @@ def swap_components(m: SurfaceModel) -> SurfaceModel:
 
 
 def curve_catalogue(m: SurfaceModel) -> tuple[CurveEntry, ...]:
-    """The finite curve whitelist for the current tagging.
+    """The finite curve whitelist for the current tagging, with degrees.
 
     Floppable: every exceptional basis class, plus the two-point lines
     l - e_i - e_j on P2-type components carrying at least two exceptionals.
     Moving: l (P2) and the two rulings (P1xP1) of each component, plus the
-    declared fiber classes of the Hirzebruch-cover models.  For CUSTOM
-    models this list is only complete relative to the catalogue.
+    declared fiber classes of the Hirzebruch-cover models.  Each entry
+    carries h.C and xi.C, from one G.h and one G.xi.  For CUSTOM models
+    this list is only complete relative to the catalogue.
     """
     lat = m.lattice
-    entries: list[CurveEntry] = []
+    curves: list[tuple[str, Vector, str]] = []
     for i, name in enumerate(lat.names):
         if is_exceptional(name):
             cls = tuple(1 if j == i else 0 for j in range(lat.rank))
-            entries.append(CurveEntry(name, cls, "floppable"))
+            curves.append((name, cls, "floppable"))
     for comp in (0, 1):
         base = lat.base0 if comp == 0 else lat.base1
         primed = comp == 1
         if base == P2:
             lname = "l'" if primed else "l"
-            lvec = class_vector(lat, {lname: 1})
-            entries.append(CurveEntry(lname, lvec, "moving"))
+            curves.append((lname, class_vector(lat, {lname: 1}), "moving"))
             exc = m.exceptionals_on(comp)
             for a in range(len(exc)):
                 for b in range(a + 1, len(exc)):
                     terms = {lname: 1, exc[a]: -1, exc[b]: -1}
                     cls = class_vector(lat, terms)
-                    entries.append(
-                        CurveEntry(f"{lname}-{exc[a]}-{exc[b]}", cls, "floppable")
-                    )
+                    curves.append((f"{lname}-{exc[a]}-{exc[b]}", cls, "floppable"))
         else:
             for rn in _base_names(P1XP1, primed):
-                entries.append(
-                    CurveEntry(rn, class_vector(lat, {rn: 1}), "moving")
-                )
+                curves.append((rn, class_vector(lat, {rn: 1}), "moving"))
     for fname, fvec in m.fiber_classes:
         support = [i for i, x in enumerate(fvec) if x]
         comps = {m.tags[i] for i in support}
         if len(comps) == 1:  # still a curve class on a single component
-            entries.append(CurveEntry(fname, fvec, "moving"))
-    return tuple(entries)
+            curves.append((fname, fvec, "moving"))
+    rows = (matvec(lat.gram_form.gram, m.h), matvec(lat.gram_form.gram, m.xi))
+    return tuple(CurveEntry(name, cls, kind, *matvec(rows, cls)) for name, cls, kind in curves)
 
 
 @dataclass(frozen=True)

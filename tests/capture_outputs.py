@@ -1,0 +1,66 @@
+"""Print the outputs of the CLI and the demos, to compare two checkouts.
+
+Runs 67 `degen-atlas` commands and the five demos of the checkout this
+file belongs to, each in a fresh interpreter, and prints every command
+with its exit code, stdout and stderr.  Two checkouts give the same
+outputs when the captures are byte-identical:
+
+    python3 tests/capture_outputs.py > after.txt
+    python3 /path/to/other/checkout/tests/capture_outputs.py > before.txt
+    diff before.txt after.txt
+
+A full capture takes a few minutes; `verify --all` dominates it.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+sys.path.insert(0, str(SRC))
+
+from degen_atlas.surface_pair import catalogue_ids  # noqa: E402
+
+
+def cli_commands() -> list[list[str]]:
+    """The compared argument lists: the suites, the catalogue listing, and
+    every per-model report in text and JSON."""
+    commands = [
+        ["verify", "--all"],
+        ["verify", "--all", "--json"],
+        ["list"],
+        ["list", "--full", "--json"],
+    ]
+    for mid in catalogue_ids():
+        commands += [
+            ["roots", mid],
+            ["roots", mid, "--json"],
+            ["roots", mid, "--bound", "2", "--json"],
+            ["relation", mid, "--json"],
+            ["oracle", mid, "--seed", "0", "--json"],
+            ["chambers", mid],
+            ["chambers", mid, "--json"],
+        ]
+    return commands
+
+
+def capture(title: str, args: list[str]) -> str:
+    """`python *args` with this checkout's package importable, as text."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=ROOT
+    )
+    return (
+        f"$ {title}\nexit {done.returncode}\n"
+        f"--- stdout\n{done.stdout}--- stderr\n{done.stderr}"
+    )
+
+
+if __name__ == "__main__":
+    for args in cli_commands():
+        print(capture(" ".join(["degen-atlas", *args]), ["-m", "degen_atlas.cli", *args]))
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        name = demo.relative_to(ROOT).as_posix()
+        print(capture(f"python {name}", [str(demo)]))

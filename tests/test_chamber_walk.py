@@ -12,7 +12,9 @@ from degen_atlas.chamber_walk import (
     verify_fans,
 )
 from degen_atlas.surface_pair import (
+    build_model,
     catalogue,
+    curve_catalogue,
     flop,
     flop_all,
     intersect,
@@ -33,15 +35,15 @@ def fans(models):
 
 
 def test_next_wall_examples(models):
-    eps, zero = next_wall(models["A15"], +1)
+    eps, zero = next_wall(curve_catalogue(models["A15"]), +1)
     assert eps == 0
     assert {e.name for e in zero} == {f"e{i}" for i in range(1, 17)}
 
-    eps, zero = next_wall(models["E8E8"], -1)
+    eps, zero = next_wall(curve_catalogue(models["E8E8"]), -1)
     assert eps == 1
     assert {e.name for e in zero} == {"e'10"}
 
-    eps, zero = next_wall(models["D17"], -1)
+    eps, zero = next_wall(curve_catalogue(models["D17"]), -1)
     assert eps == Fraction(2, 3)
     assert {e.name for e in zero} == {"l'"}
 
@@ -108,7 +110,7 @@ def test_a11e6_upper_boundary_contracts_v0(fans):
 
 def test_stable_model_examples(models):
     a15 = models["A15"]
-    desc = stable_model_at(a15, (1, 0))
+    desc = stable_model_at(a15, curve_catalogue(a15), (1, 0))
     assert desc.annotation == "two quadrics intersecting transversally"
     v0, v1 = desc.components
     assert v0.verdict == "birational"
@@ -116,12 +118,12 @@ def test_stable_model_examples(models):
     assert v1.verdict == "birational" and not v1.contracted
 
     d17 = models["D17"]
-    desc = stable_model_at(d17, (3, -2))
+    desc = stable_model_at(d17, curve_catalogue(d17), (3, -2))
     assert desc.components[1].verdict == "contracted_to_point"
 
     # an interior point of the middle E8E8 chamber: nothing is contracted
     e8e8 = flop_all(models["E8E8"], ["e'10"])
-    desc = stable_model_at(e8e8, (2, -3))
+    desc = stable_model_at(e8e8, curve_catalogue(e8e8), (2, -3))
     assert all(c.verdict == "birational" and not c.contracted for c in desc.components)
 
 
@@ -155,21 +157,30 @@ def test_flops_preserve_ray_squares(models):
 
 def test_fan_stable_without_two_point_lines(models, fans, monkeypatch):
     # The two-point line classes only vanish at rays the fan already records,
-    # so dropping them must not change any fan.
+    # so dropping them must not change any fan.  The walk builds every
+    # whitelist it reads through this one name, so the reduced list reaches
+    # the start check, the walls and the stable models alike.
     import degen_atlas.chamber_walk as cw
-    from degen_atlas.surface_pair import curve_catalogue as full_catalogue
 
     def filtered(m):
         return tuple(
-            e for e in full_catalogue(m) if "-" not in e.name or e.kind == "moving"
+            e for e in curve_catalogue(m) if "-" not in e.name or e.kind == "moving"
         )
 
     monkeypatch.setattr(cw, "curve_catalogue", filtered)
+    changed = 0
     for mid, m in models.items():
-        fan = cw.lift_fan(m)
-        assert fan.boundary == fans[mid].boundary
-        assert fan.walls == fans[mid].walls
-        assert len(fan.chambers) == len(fans[mid].chambers)
+        fan, want = cw.lift_fan(m), fans[mid]
+        assert fan.boundary == want.boundary
+        assert fan.walls == want.walls
+        assert fan.chambers == want.chambers  # rays, labels and flops
+        assert [(e.ray, e.kind, e.stable_model) for e in fan.events] == [
+            (e.ray, e.kind, e.stable_model) for e in want.events
+        ]
+        # the zero classes an event lists do lose the two-point lines
+        changed += sum(e.zero_classes != w.zero_classes
+                       for e, w in zip(fan.events, want.events))
+    assert changed
 
 
 def test_format_ray_and_diagram(fans):
@@ -188,13 +199,36 @@ def test_verify_fans_report():
 
 
 def test_e8e8_interior_point_of_first_chamber(models):
-    desc = stable_model_at(models["E8E8"], (2, -1))
+    e8e8 = models["E8E8"]
+    desc = stable_model_at(e8e8, curve_catalogue(e8e8), (2, -1))
     assert all(c.verdict == "birational" and not c.contracted for c in desc.components)
 
 
 def test_lift_fan_rejects_a_start_that_is_not_nef(models):
     with pytest.raises(ValueError, match=r"not nef: negative on \[\"e'10\"\]"):
         lift_fan(flop(models["E8E8"], "e'10"))
+
+
+def test_lift_fan_rejects_a_model_without_polarization():
+    with pytest.raises(ValueError, match="^polarization must have square 4$"):
+        lift_fan(build_model("P2", "P2", 9))
+
+
+def test_a_model_without_polarization_is_rejected_under_python_O():
+    # h = 0: under -O lift_fan used to return one chamber of zero width
+    code = (
+        "from degen_atlas.chamber_walk import lift_fan\n"
+        "from degen_atlas.root_classifier import script_L\n"
+        "from degen_atlas.surface_pair import build_model\n"
+        "for step in (lift_fan, script_L):\n"
+        "    try:\n"
+        "        print('accepted:', step(build_model('P2', 'P2', 9)))\n"
+        "    except ValueError as exc:\n"
+        "        print('rejected:', exc)\n"
+    )
+    done = run_python_O(["-c", code], timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["rejected: polarization must have square 4"] * 2
 
 
 def test_lift_fan_rejects_a_start_that_is_not_nef_under_python_O():
@@ -231,3 +265,21 @@ def test_fan_of_the_swapped_pair_is_the_mirror_image(models, fans):
         assert [c.flops for c in swapped.chambers] == [
             tuple(_untick(f) for f in c.flops) for c in reversed(fan.chambers)
         ]
+
+
+def test_whitelist_degrees_are_the_pairings(models, fans):
+    # every state a walk visits is the model of one of its chambers
+    for mid, m in models.items():
+        swapped = swap_components(m)
+        for base, fan in ((m, fans[mid]), (swapped, lift_fan(swapped))):
+            for chamber in fan.chambers:
+                state = flop_all(base, chamber.flops)
+                curves = curve_catalogue(state)
+                for e in curves:
+                    assert e.h_degree == intersect(state, state.h, e.cls)
+                    assert e.xi_degree == intersect(state, state.xi, e.cls)
+                for a, b in (chamber.upper, chamber.lower):
+                    report = nef_report(state, class_at(state, (a, b)))
+                    degrees = [(e, a * e.h_degree + b * e.xi_degree) for e in curves]
+                    assert [e for e, d in degrees if d == 0] == list(report.zero)
+                    assert [e for e, d in degrees if d < 0] == list(report.negative)

@@ -47,6 +47,11 @@ def test_script_L_rank_and_definiteness(models):
         assert L.gram.is_negative_definite()
 
 
+def test_script_L_rejects_a_model_without_polarization():
+    with pytest.raises(ValueError, match="^polarization must have square 4$"):
+        script_L(build_model("P2", "P2", 9))
+
+
 def test_d17_discriminant_order(models):
     L = script_L(models["D17"])
     assert discriminant_group_order(L.gram) == 4
