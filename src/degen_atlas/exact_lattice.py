@@ -71,6 +71,14 @@ def content(v: Sequence[int]) -> int:
     return g
 
 
+def canonical_sign(v: Vector) -> Vector:
+    """The one of +-v whose first nonzero coordinate is positive."""
+    for x in v:
+        if x != 0:
+            return v if x > 0 else tuple(-y for y in v)
+    return v
+
+
 def det(m: Matrix) -> int:
     """Exact determinant by fraction-free Bareiss elimination."""
     n = len(m)
@@ -257,6 +265,20 @@ def snf(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
             d[k] = [-x for x in d[k]]
             u[k] = [-x for x in u[k]]
     return mat(d), mat(u), mat(v)
+
+
+def reflective_basis(smith: tuple[Matrix, Matrix, Matrix], d: int) -> Matrix:
+    """Basis rows of M_d = {v : G.v = 0 mod d}, given snf(G) = (D, U, V).
+
+    With D = U.G.V and U unimodular, G.v = 0 mod d exactly when
+    D_ii (V^-1 v)_i = 0 mod d for every i, so the columns of V scaled by
+    d / gcd(d, D_ii) are a basis.  Stacked on d.I, whose rows lie in M_d,
+    their Hermite normal form is a basis with entries between 0 and d.
+    """
+    diag, _, v = smith
+    rows = [scale_vec(d // gcd(d, diag[i][i]), col) for i, col in enumerate(transpose(v))]
+    h, _ = hnf(mat(rows + [scale_vec(d, e) for e in identity(len(v))]))
+    return tuple(row for row in h if any(row))
 
 
 def kernel_basis(m: Matrix) -> tuple[Vector, ...]:
@@ -508,11 +530,4 @@ def enumerate_short(g: GramForm, bound: int) -> dict[Vector, int]:
         x[level] = 0
 
     dfs(n - 1, m_scale * bound, True)
-
-    def canonical(v: Vector) -> Vector:
-        for x0 in v:
-            if x0 != 0:
-                return v if x0 > 0 else tuple(-y for y in v)
-        return v
-
-    return dict(sorted((canonical(v), norm) for v, norm in found))
+    return dict(sorted((canonical_sign(v), norm) for v, norm in found))

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to pin expected values.
 
 These deliberately avoid the code paths they check: short vectors come from
-an exhaustive coefficient box, determinants from permutation expansion, and
-elementary divisors from gcds of minors.
+an exhaustive coefficient box or a floating-point Fincke-Pohst walk,
+determinants from permutation expansion, and elementary divisors from gcds
+of minors.
 """
 
 import os
@@ -10,7 +11,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import gcd, isqrt
+from math import ceil, floor, gcd, isqrt
 from pathlib import Path
 
 
@@ -61,6 +62,63 @@ def brute_generalized_roots(gram, bound):
         images = [[int(k == i) - shifts[i] * v[k] for k in range(n)] for i in range(n)]
         if all(x.denominator == 1 for image in images for x in image):
             by_norm[norm if norm in by_norm else None].append(tuple(v))
+    return tuple(by_norm[k] for k in (-2, -4, None))
+
+
+def fincke_pohst_short_vectors(gram, bound):
+    """{v: v^T gram v} for all v (one per +-pair) with -bound <= v^2 < 0.
+
+    A Fincke-Pohst walk in floating point over the Cholesky factors of
+    -gram, with a margin on every interval.  Norms are integers, so the
+    margin admits no vector beyond the bound, and rounding the float norm
+    recovers the exact one.
+    """
+    n = len(gram)
+    q = [[float(-x) for x in row] for row in gram]
+    a = [0.0] * n  # -v^2 = sum_i a[i] * (v_i + sum_{j>i} mu[i][j] v_j)^2
+    mu = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        a[i] = q[i][i] - sum(mu[k][i] ** 2 * a[k] for k in range(i))
+        for j in range(i + 1, n):
+            mu[i][j] = (q[i][j] - sum(mu[k][i] * mu[k][j] * a[k] for k in range(i))) / a[i]
+    eps = 1e-6
+    out = {}
+    v = [0] * n
+
+    def walk(i, left, above_zero):
+        if i < 0:
+            if not above_zero:
+                w = tuple(v) if next(x for x in v if x) > 0 else tuple(-x for x in v)
+                out[w] = -round(bound - left)
+            return
+        center = -sum(mu[i][j] * v[j] for j in range(i + 1, n))
+        r = (max(left, 0.0) / a[i]) ** 0.5
+        lo = ceil(center - r - eps)
+        if above_zero:
+            lo = max(lo, 0)
+        for x in range(lo, floor(center + r + eps) + 1):
+            v[i] = x
+            walk(i - 1, left - a[i] * (x - center) ** 2, above_zero and x == 0)
+        v[i] = 0
+
+    walk(n - 1, bound + eps, True)
+    return dict(sorted(out.items()))
+
+
+def filtered_generalized_roots(gram, bound):
+    """Generalized roots with -bound <= v^2 < 0 by search and filter.
+
+    Every short vector of `fincke_pohst_short_vectors` is tested: a
+    primitive v of norm -k is kept when k divides 2 (G.v)_i for every i.
+    Returns the roots of norm -2, of norm -4 and of any other norm, each
+    sorted, one per +-pair.
+    """
+    by_norm = {-2: [], -4: [], None: []}
+    for v, norm in fincke_pohst_short_vectors(gram, bound).items():
+        if gcd(*v) != 1:
+            continue
+        if all(2 * sum(g * x for g, x in zip(row, v)) % norm == 0 for row in gram):
+            by_norm[norm if norm in by_norm else None].append(v)
     return tuple(by_norm[k] for k in (-2, -4, None))
 
 

@@ -1,8 +1,9 @@
 import random
+from math import gcd
 
 import pytest
 
-from degen_atlas.exact_lattice import GramForm, identity, mat, snf, sub_vec
+from degen_atlas.exact_lattice import GramForm, det, identity, mat, reflective_basis, snf, sub_vec
 from degen_atlas.root_classifier import (
     GeneralizedRootSet,
     ScriptL,
@@ -23,6 +24,8 @@ from degen_atlas.surface_pair import (
 from oracles import (
     brute_generalized_roots,
     classical_root_count,
+    filtered_generalized_roots,
+    minor_gcd_divisors,
     planted_gram,
     random_negative_definite,
     run_python_O,
@@ -32,6 +35,17 @@ from oracles import (
 @pytest.fixture(scope="module")
 def models():
     return catalogue()
+
+
+@pytest.fixture(scope="module")
+def lattices(models):
+    return {mid: script_L(m) for mid, m in models.items()}
+
+
+def _roots_of(gram, bound=4):
+    """generalized_roots of the form `gram` in the standard basis, as lists."""
+    got = generalized_roots(ScriptL(gram=GramForm(mat(gram)), reps=identity(len(gram))), bound)
+    return list(got.roots2), list(got.roots4), list(got.other)
 
 
 @pytest.fixture(scope="module")
@@ -231,12 +245,11 @@ def test_generalized_roots_match_brute_force():
     odd_norms = 0
     for i in range(40):
         gram = random_negative_definite(rng, rng.randint(1, 5))
-        got = generalized_roots(ScriptL(gram=GramForm(mat(gram)), reps=identity(len(gram))))
+        got = _roots_of(gram)
         want = brute_generalized_roots([list(r) for r in gram], 4)
-        assert (list(got.roots2), list(got.roots4), list(got.other)) == want, (
-            f"form #{i} disagrees: {gram}"
-        )
-        odd_norms += len(got.other)
+        assert got == want, f"form #{i} disagrees: {gram}"
+        assert filtered_generalized_roots(gram, 4) == want, f"oracles disagree on {gram}"
+        odd_norms += len(got[2])
     assert odd_norms > 0
 
 
@@ -263,6 +276,8 @@ def test_planted_lattices_in_random_bases(blocks, minus4):
     rank = sum(r for _, r in blocks) + minus4
     gram = planted_gram(rng, blocks, minus4, moves=2 * rank)
     roots = generalized_roots(ScriptL(gram=GramForm(mat(gram)), reps=identity(rank)))
+    assert (list(roots.roots2), list(roots.roots4), list(roots.other)) == (
+        filtered_generalized_roots(gram, 4))
     want = "+".join(
         [f"{x}{r}" for x, r in sorted(blocks, key=lambda b: (_LETTERS[b[0]], -b[1]))]
         + ["<-4>"] * minus4
@@ -275,3 +290,80 @@ def test_planted_lattices_in_random_bases(blocks, minus4):
             classical_root_count(x, r) for x, r in t.components
         )
         assert sum(t.roots2_by_component) == 2 * len(roots.roots2)
+
+
+@pytest.mark.parametrize("bound", [2, 3, 4])
+def test_generalized_roots_match_filter_oracle_on_models(lattices, bound):
+    for mid, L in lattices.items():
+        got = generalized_roots(L, bound)
+        want = filtered_generalized_roots(L.gram.gram, bound)
+        assert (list(got.roots2), list(got.roots4), list(got.other)) == want, mid
+
+
+@pytest.mark.parametrize(
+    "gram,v,kind",
+    [
+        ([[-4]], (1,), "roots4"),  # G.v = (-4) is even
+        ([[-4, 1], [1, -2]], (1, 0), None),  # norm -4, but G.v = (-4, 1) is odd
+        ([[-1]], (2,), None),  # norm -4 and G.v even, but content 2
+        ([[-3]], (1,), "other"),  # norm -3 and G.v = (-3) in M_3
+        ([[-3, 1], [1, -2]], (1, 0), None),  # norm -3, but G.v = (-3, 1)
+        ([[-3, 0], [0, -2]], (1, 0), "other"),  # norm -3 beside an A1
+    ],
+)
+def test_norm_minus3_and_minus4_roots_are_the_primitive_vectors_of_M_d(gram, v, kind):
+    got = _roots_of(gram)
+    assert got == filtered_generalized_roots(gram, 4)
+    found = [name for name, roots in zip(("roots2", "roots4", "other"), got) if v in roots]
+    assert found == ([kind] if kind else [])
+    assert _roots_of(gram, 3) == filtered_generalized_roots(gram, 3)
+
+
+def _basis_checks(gram, divisors):
+    """M_2 and M_3 bases from snf(gram): rows in M_d, the right index, and
+    entries between 0 and d (the Hermite re-basing)."""
+    smith = snf(mat(gram))
+    for d in (2, 3):
+        basis = reflective_basis(smith, d)
+        assert len(basis) == len(gram)
+        for row in basis:
+            assert all(sum(g * x for g, x in zip(grow, row)) % d == 0 for grow in gram)
+            assert all(0 <= x <= d for x in row)
+        index = 1
+        for di in divisors:
+            index *= d // gcd(d, di)
+        assert abs(det(basis)) == index
+
+
+def test_reflective_basis_on_models(lattices):
+    for L in lattices.values():
+        d, _, _ = snf(L.gram.gram)
+        _basis_checks(L.gram.gram, [d[i][i] for i in range(L.rank)])
+
+
+def test_reflective_basis_on_random_forms():
+    # elementary divisors from gcds of minors, not from snf
+    rng = random.Random(20261019)
+    for _ in range(30):
+        gram = random_negative_definite(rng, rng.randint(1, 4))
+        _basis_checks(gram, minor_gcd_divisors(gram))
+
+
+@pytest.mark.parametrize(
+    "gram,named",
+    [
+        (  # Phi spans Z^4
+            [[-1 if i == j else 0 for j in range(4)] for i in range(4)],
+            "(0, 0, 0, 1) (norm -1), (0, 0, 1, 0) (norm -1), "
+            "(0, 1, 0, 0) (norm -1), (1, 0, 0, 0) (norm -1)",
+        ),
+        ([[-3]], "(1,) (norm -3)"),
+        ([[-1, 0], [0, -4]], "(1, 0) (norm -1)"),
+    ],
+    ids=["-I4", "<-3>", "<-1>+<-4>"],
+)
+def test_odd_norm_roots_are_rejected_before_the_rank_checks(gram, named):
+    roots = generalized_roots(ScriptL(gram=GramForm(mat(gram)), reps=identity(len(gram))))
+    with pytest.raises(UnclassifiableError) as exc:
+        classify(roots)
+    assert str(exc.value) == f"roots of odd norm do not span ADE + <-4>: {named}"
