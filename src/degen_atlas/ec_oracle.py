@@ -3,10 +3,12 @@
 The formal calculus proves relations; this module spot-checks them in the
 group of an actual short Weierstrass curve over a small prime field.  Point
 configurations are sampled in discrete-log coordinates with respect to a
-generator of the group's largest cyclic subgroup: the imposed relations
+generator G of the group's largest cyclic subgroup: the imposed relations
 become linear congruences mod N, solved exactly by Smith normal form, so
-sampling never needs point division.  The curve is re-entered at the end -
-every generator and target is evaluated with honest chord-tangent group-law
+sampling never needs point division.  The curve is re-entered at the end.
+Each drawn point k*G is summed from a per-curve table of d*128^j*G
+(d = 1..127), built once by the group law, and every generator and target
+is then re-evaluated point by point with honest chord-tangent group-law
 code before a verdict is returned.
 
 SUPPORTED verdicts are evidence modulo N-torsion artifacts; the formal
@@ -18,6 +20,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from math import gcd, isqrt
 from typing import Optional, Sequence
@@ -26,6 +29,7 @@ from .exact_lattice import mat, matvec, snf
 from .period_relations import Divisor, RelationSystem
 
 Point = Optional[tuple[int, int]]  # None is the point at infinity
+_RADIX = 128  # each row of a curve's generator table serves one base-128 digit of k
 
 
 def _is_prime(n: int) -> bool:
@@ -67,9 +71,39 @@ class Curve:
         x, y = pt
         return (y * y - (x * x * x + self.a * x + self.b)) % self.p == 0
 
+    @cached_property
+    def _generator_table(self) -> tuple[tuple[Point, ...], ...]:
+        """Row j holds d*128^j*G for d = 1..127, built by the group law; one
+        row per base-128 digit of exponent - 1."""
+        rows = []
+        base: Point = self.generator
+        top = self.exponent - 1
+        while top:
+            row = [base]
+            for _ in range(_RADIX - 2):
+                row.append(group_law(self, row[-1], base))
+            rows.append(tuple(row))
+            base = group_law(self, row[-1], base)
+            top //= _RADIX
+        return tuple(rows)
+
+    def multiple_of_generator(self, k: int) -> Point:
+        """k*G for 0 <= k < exponent: one table addition per nonzero
+        base-128 digit of k.  k is not reduced mod the exponent, which would
+        trust that G has that order."""
+        if not 0 <= k < self.exponent:
+            raise ValueError(f"k = {k} is not in [0, {self.exponent})")
+        acc: Point = None
+        for row in self._generator_table:
+            k, digit = divmod(k, _RADIX)
+            if digit:
+                acc = group_law(self, acc, row[digit - 1])
+        return acc
+
 
 def group_law(c: Curve, P: Point, Q: Point) -> Point:
-    """Chord-tangent addition with the identity at infinity."""
+    """Chord-tangent addition with the identity at infinity; coordinates
+    are compared mod p."""
     if P is None:
         return Q
     if Q is None:
@@ -77,12 +111,12 @@ def group_law(c: Curve, P: Point, Q: Point) -> Point:
     p = c.p
     x1, y1 = P
     x2, y2 = Q
-    if x1 == x2 and (y1 + y2) % p == 0:
+    if (x1 - x2) % p:
+        slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    elif (y1 + y2) % p == 0:
         return None
-    if P == Q:
-        slope = (3 * x1 * x1 + c.a) * pow(2 * y1, p - 2, p) % p
-    else:
-        slope = (y2 - y1) * pow(x2 - x1, p - 2, p) % p
+    else:  # on the curve, the same x and not opposite: P = Q
+        slope = (3 * x1 * x1 + c.a) * pow(2 * y1, -1, p) % p
     x3 = (slope * slope - x1 - x2) % p
     y3 = (slope * (x1 - x3) - y1) % p
     return (x3, y3)
@@ -95,16 +129,17 @@ def negate(c: Curve, P: Point) -> Point:
 
 
 def scalar_mul(c: Curve, k: int, P: Point) -> Point:
-    """Double-and-add; negative k uses the inverse point."""
+    """Double-and-add, with no doubling after the top bit; negative k uses
+    the inverse point."""
     if k < 0:
-        return scalar_mul(c, -k, negate(c, P))
+        k, P = -k, negate(c, P)
     acc: Point = None
-    base = P
     while k:
         if k & 1:
-            acc = group_law(c, acc, base)
-        base = group_law(c, base, base)
+            acc = group_law(c, acc, P)
         k >>= 1
+        if k:
+            P = group_law(c, P, P)
     return acc
 
 
@@ -154,18 +189,31 @@ def curve_setup(p: int, a: int, b: int) -> Curve:
     # For an elliptic curve group Z_m x Z_n (m | n) the scan above finds a
     # point of maximal order n as long as enough points are sampled; verify
     # the structural constraint n | order and order | n^2.
-    assert order % exponent == 0 and (exponent * exponent) % order == 0
+    if order % exponent or (exponent * exponent) % order:
+        raise ValueError(
+            f"largest point order {exponent} found does not fit the group order "
+            f"{order} (it must divide it, and its square must be a multiple)"
+        )
     return Curve(p, a, b, order, exponent, generator)
 
 
 def _sqrt_mod(n: int, p: int) -> int:
-    """Square root mod an odd prime (Tonelli-Shanks; p is small here)."""
+    """Square root mod an odd prime (Tonelli-Shanks; p is small here).
+    Raises ValueError when n has none."""
     n %= p
     if p % 4 == 3:
         r = pow(n, (p + 1) // 4, p)
-        assert r * r % p == n
-        return r
-    # Tonelli-Shanks
+    elif pow(n, (p - 1) // 2, p) != 1:  # Tonelli-Shanks needs a nonzero square
+        raise ValueError(f"{n} has no square root mod {p}")
+    else:
+        r = _tonelli_shanks(n, p)
+    if r * r % p != n:
+        raise ValueError(f"{n} has no square root mod {p}")
+    return r
+
+
+def _tonelli_shanks(n: int, p: int) -> int:
+    """A root of a nonzero square n mod an odd prime p = 1 mod 4."""
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2
@@ -181,15 +229,19 @@ def _sqrt_mod(n: int, p: int) -> int:
             i += 1
         bexp = pow(cc, 1 << (m - i - 1), p)
         m, cc, t, r = i, bexp * bexp % p, t * bexp * bexp % p, r * bexp % p
-    assert r * r % p == n
     return r
 
 
 def pinned_curves() -> tuple[Curve, ...]:
     """The three fixture curves with distinct subgroup orders."""
-    data = json.loads(
+    return _checked_curves(json.loads(
         resources.files("degen_atlas").joinpath("curves.json").read_text()
-    )
+    ))
+
+
+def _checked_curves(data: dict) -> tuple[Curve, ...]:
+    """The curves of a fixture, once each generator is on its curve and has
+    order exactly its exponent, and the exponents are distinct."""
     curves = []
     for entry in data["curves"]:
         c = Curve(
@@ -200,12 +252,22 @@ def pinned_curves() -> tuple[Curve, ...]:
             exponent=entry["exponent"],
             generator=tuple(entry["generator"]),
         )
-        assert c.contains(c.generator)
-        assert scalar_mul(c, c.exponent, c.generator) is None
+        where = f"pinned curve p={c.p}, a={c.a}, b={c.b}"
+        if not c.contains(c.generator):
+            raise ValueError(f"{where}: generator {c.generator} is not on the curve")
+        if scalar_mul(c, c.exponent, c.generator) is not None:
+            raise ValueError(f"{where}: exponent*G is not the identity (exponent {c.exponent})")
         for q in _trial_factor(c.exponent):
-            assert scalar_mul(c, c.exponent // q, c.generator) is not None
+            if scalar_mul(c, c.exponent // q, c.generator) is None:
+                raise ValueError(
+                    f"{where}: (exponent/{q})*G is the identity, so G has order "
+                    f"below the exponent {c.exponent}"
+                )
         curves.append(c)
-    assert len({c.exponent for c in curves}) == len(curves)
+    if len({c.exponent for c in curves}) != len(curves):
+        raise ValueError(
+            f"pinned curves must have distinct exponents, got {[c.exponent for c in curves]}"
+        )
     return tuple(curves)
 
 
@@ -220,8 +282,7 @@ class PointAssignment:
         return dict(self.dlogs)[symbol]
 
     def points(self) -> dict[str, Point]:
-        return {s: scalar_mul(self.curve, k, self.curve.generator)
-                for s, k in self.dlogs}
+        return {s: self.curve.multiple_of_generator(k) for s, k in self.dlogs}
 
 
 def evaluate_divisor(c: Curve, d: Divisor, points: dict[str, Point]) -> Point:

@@ -2,8 +2,9 @@
 
 These deliberately avoid the code paths they check: short vectors come from
 an exhaustive coefficient box or a floating-point Fincke-Pohst walk,
-determinants from permutation expansion, and elementary divisors from gcds
-of minors.
+determinants from permutation expansion, elementary divisors from gcds
+of minors, and elliptic-curve points from the affine group law with the
+Fermat inverse and plain double-and-add.
 """
 
 import os
@@ -318,6 +319,43 @@ def signature(gram):
                 for k in range(n):
                     a[k][i] -= f * a[k][piv]
     return pos, neg
+
+
+def affine_group_law(c, P, Q):
+    """P + Q on y^2 = x^3 + c.a x + c.b over F_c.p, None the identity.
+
+    The chord-tangent law with every inverse taken as x^(p-2) (Fermat);
+    coordinates are compared mod p.
+    """
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    p = c.p
+    x1, y1 = P
+    x2, y2 = Q
+    if (x1 - x2) % p == 0 and (y1 + y2) % p == 0:
+        return None
+    if (x1 - x2) % p == 0 and (y1 - y2) % p == 0:
+        slope = (3 * x1 * x1 + c.a) * pow(2 * y1, p - 2, p) % p
+    else:
+        slope = (y2 - y1) * pow(x2 - x1, p - 2, p) % p
+    x3 = (slope * slope - x1 - x2) % p
+    return x3, (slope * (x1 - x3) - y1) % p
+
+
+def double_and_add(c, k, P):
+    """k*P by right-to-left double-and-add over `affine_group_law`, doubling
+    after every bit; negative k multiplies -P."""
+    if k < 0:
+        k, P = -k, (None if P is None else (P[0], -P[1] % c.p))
+    acc = None
+    while k:
+        if k & 1:
+            acc = affine_group_law(c, acc, P)
+        P = affine_group_law(c, P, P)
+        k >>= 1
+    return acc
 
 
 # The fan of each catalogue model, written out independently of the

@@ -1,4 +1,6 @@
+import json
 import random
+from importlib import resources
 
 import pytest
 
@@ -20,7 +22,9 @@ from degen_atlas.period_relations import (
     relation_rows,
 )
 from degen_atlas.surface_pair import catalogue
-from oracles import run_python_O
+from oracles import affine_group_law, double_and_add, run_python_O
+
+SMALL_CURVES = ((5, 0, 1), (5, 1, 0))  # orders 6 and 4: one-row tables
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +49,99 @@ def test_curve_setup_rejects_bad_input():
         curve_setup(15, 1, 1)
 
 
+def _fixture() -> dict:
+    return json.loads(resources.files("degen_atlas").joinpath("curves.json").read_text())
+
+
+def _corrupt(field, value):
+    data = _fixture()
+    data["curves"][0][field] = value
+    return data
+
+
+def _duplicated():
+    data = _fixture()
+    data["curves"][2] = data["curves"][0]
+    return data
+
+
+def _corrupted_fixtures():
+    """(fixture, message) pairs, one per check on the pinned curves."""
+    first = _fixture()["curves"][0]
+    x, y = first["generator"]
+    n = first["exponent"]
+    where = "pinned curve p=10007, a=1, b=1"
+    return [
+        (_corrupt("generator", [x, y + 1]),
+         f"{where}: generator ({x}, {y + 1}) is not on the curve"),
+        (_corrupt("exponent", n + 1),
+         f"{where}: exponent*G is not the identity (exponent {n + 1})"),
+        (_corrupt("exponent", 2 * n),
+         f"{where}: (exponent/2)*G is the identity, so G has order below the "
+         f"exponent {2 * n}"),
+        (_duplicated(), "pinned curves must have distinct exponents, got [10065, 10138, 10065]"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_corrupted_fixture_is_rejected(case):
+    data, message = _corrupted_fixtures()[case]
+    with pytest.raises(ValueError) as exc:
+        ec_oracle._checked_curves(data)
+    assert str(exc.value) == message
+
+
+def _short_point_order(c, P, group_order):
+    return group_order // 2  # a scan that misses every point of full order
+
+
+def test_curve_setup_checks_the_group_structure(monkeypatch):
+    monkeypatch.setattr(ec_oracle, "_point_order", _short_point_order)
+    with pytest.raises(ValueError, match="largest point order 3 found does not fit the group order 6"):
+        curve_setup(5, 0, 1)
+
+
+def test_sqrt_mod():
+    for p in (7, 13, 17, 10007, 10009, 10037):
+        for n in range(1, min(p, 400)):
+            if pow(n, (p - 1) // 2, p) == 1:
+                r = ec_oracle._sqrt_mod(n, p)
+                assert r * r % p == n
+            else:
+                with pytest.raises(ValueError, match=f"^{n} has no square root mod {p}$"):
+                    ec_oracle._sqrt_mod(n, p)
+    assert ec_oracle._sqrt_mod(0, 7) == 0
+    with pytest.raises(ValueError, match="^0 has no square root mod 13$"):
+        ec_oracle._sqrt_mod(0, 13)  # Tonelli-Shanks would never end
+
+
+def test_oracle_checks_hold_under_python_O():
+    # the fixture, group-structure and square-root checks are not asserts
+    code = (
+        "import json, sys\n"
+        "from degen_atlas import ec_oracle\n"
+        "calls = [lambda text=text: ec_oracle._checked_curves(json.loads(text))\n"
+        "         for text in sys.argv[1:]]\n"
+        "calls += [lambda: ec_oracle._sqrt_mod(3, 7), lambda: ec_oracle._sqrt_mod(2, 13)]\n"
+        "ec_oracle._point_order = lambda c, P, group_order: group_order // 2\n"
+        "calls.append(lambda: ec_oracle.curve_setup(5, 0, 1))\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        print('accepted:', call())\n"
+        "    except ValueError as exc:\n"
+        "        print('rejected:', exc)\n"
+    )
+    cases = _corrupted_fixtures()
+    done = run_python_O(["-c", code, *(json.dumps(data) for data, _ in cases)], timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [f"rejected: {message}" for _, message in cases] + [
+        "rejected: 3 has no square root mod 7",
+        "rejected: 2 has no square root mod 13",
+        "rejected: largest point order 3 found does not fit the group order 6 "
+        "(it must divide it, and its square must be a multiple)",
+    ]
+
+
 def test_pinned_fixture_is_consistent(curves):
     assert len(curves) == 3
     assert len({c.exponent for c in curves}) == 3
@@ -61,6 +158,46 @@ def test_group_law_identities(curves):
     assert group_law(c, None, None) is None
     assert scalar_mul(c, c.exponent, g) is None
     assert group_law(c, g, negate(c, g)) is None
+
+
+def test_group_law_compares_coordinates_mod_p(curves):
+    for c in curves:
+        g = c.generator
+        x, y = g
+        assert c.contains((x + c.p, y))
+        assert group_law(c, g, (x + c.p, y)) == scalar_mul(c, 2, g) == double_and_add(c, 2, g)
+        assert group_law(c, g, (x + c.p, -y)) is None
+
+
+def test_scalar_mul_matches_double_and_add(curves):
+    rng = random.Random(8)
+    for c in (*curves, *(curve_setup(*abc) for abc in SMALL_CURVES)):
+        g, n = c.generator, c.exponent
+        ks = [0, 1, -1, n - 1, n, -n] + [rng.randrange(-3 * n, 3 * n) for _ in range(40)]
+        for k in ks:
+            point = double_and_add(c, rng.randrange(n), g)
+            assert scalar_mul(c, k, g) == double_and_add(c, k, g), (c.p, k)
+            assert scalar_mul(c, k, point) == double_and_add(c, k, point), (c.p, k, point)
+
+
+def test_generator_table_draws_match_double_and_add(curves):
+    rng = random.Random(9)
+    for c in curves:
+        assert [len(row) for row in c._generator_table] == [127, 127]
+        for k in [0, 1, 127, 128, c.exponent - 1] + [rng.randrange(c.exponent) for _ in range(300)]:
+            assert c.multiple_of_generator(k) == double_and_add(c, k, c.generator), (c.p, k)
+    for abc in SMALL_CURVES:
+        c = curve_setup(*abc)
+        assert [len(row) for row in c._generator_table] == [127]
+        for k in range(c.exponent):
+            assert c.multiple_of_generator(k) == double_and_add(c, k, c.generator), (abc, k)
+
+
+def test_generator_table_rejects_k_out_of_range(curves):
+    for c in (*curves, curve_setup(*SMALL_CURVES[0])):
+        for k in (-1, c.exponent):
+            with pytest.raises(ValueError, match=rf"k = {k} is not in \[0, {c.exponent}\)"):
+                c.multiple_of_generator(k)
 
 
 def test_group_law_homomorphism(curves):
@@ -236,3 +373,30 @@ def test_membership_rejects_a_draw_off_the_relations_under_python_O():
     done = run_python_O(["-c", code], timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("rejected: sampled configuration violates")
+
+
+def _criterion_6_verdicts(curves):
+    """Each row's target and its perturbation (as in criterion 6) on every
+    pinned curve, seed 0, 50 trials: half of criterion 6's, to keep the
+    reference run short."""
+    verdicts = []
+    for row in relation_rows():
+        system = imposed_relations(row.prepare())
+        target = row.target()
+        point_syms = [s for s in target.symbols() if s.startswith("p")]
+        perturbed = target + Divisor.of({point_syms[1]: 1, point_syms[2]: -1})
+        for c in curves:
+            for t in (target, perturbed):
+                verdicts.append(randomized_membership_test(system, t, trials=50, curve=c, seed=0))
+    return verdicts
+
+
+def test_verdicts_match_the_reference_arithmetic(curves, monkeypatch):
+    fast = _criterion_6_verdicts(curves)
+    monkeypatch.setattr(ec_oracle, "group_law", affine_group_law)
+    monkeypatch.setattr(ec_oracle, "scalar_mul", double_and_add)
+    monkeypatch.setattr(ec_oracle.Curve, "multiple_of_generator",
+                        lambda c, k: double_and_add(c, k, c.generator))
+    reference = _criterion_6_verdicts(curves)
+    assert fast == reference
+    assert sum(v.verdict == "REFUTED" for v in fast) == 33
