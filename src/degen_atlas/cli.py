@@ -3,7 +3,7 @@
 Every subcommand builds one report dict; `--json` prints it as JSON and the
 default text rendering is derived from the same dict, so the two formats
 always agree field for field.  Exit codes: 0 success, 1 verification
-failure, 2 usage error.  Diagnostics go to stderr.
+failure or broken invariant, 2 usage error.  Diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -227,14 +227,9 @@ def cmd_chambers(args) -> int:
 
 
 def cmd_build(args) -> int:
-    try:
-        m = build_model(args.v0, args.v1, args.n)
-        if args.h:
-            h = parse_class(m.lattice, args.h)
-            m = build_model(args.v0, args.v1, args.n, h=h)
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    m = build_model(args.v0, args.v1, args.n)
+    if args.h:
+        m = build_model(args.v0, args.v1, args.n, h=parse_class(m.lattice, args.h))
     report = {"schema": SCHEMA, "command": "build", **export_model(m)}
     if args.h:
         report["h_square"] = intersect(m, m.h, m.h)
@@ -323,6 +318,9 @@ def run(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:  # a broken invariant, not a usage error
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

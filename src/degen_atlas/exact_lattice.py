@@ -410,9 +410,6 @@ def quotient_by_isotropic(ambient: GramForm, rows: Matrix, xi: Vector) -> Quotie
         raise ValueError("xi does not lie in the sublattice")
     if content(coords) != 1:
         raise ValueError("xi is not primitive in the sublattice")
-    for row in rows:
-        if ambient.pairing(xi, row) != 0:
-            raise ValueError("xi is not isotropic on the sublattice")
 
     # Complete +-coords to a basis: snf([coords]) gives coords @ V = (+-1,0,..),
     # so the rows of V^-1 start with +-coords and form a unimodular matrix.
@@ -429,11 +426,11 @@ def quotient_by_isotropic(ambient: GramForm, rows: Matrix, xi: Vector) -> Quotie
 
     new_rows = matmul(basis_rows, rows)  # rows in ambient; row 0 = xi
     assert new_rows[0] == tuple(xi)
-    reps = new_rows[1:]
-    gram = GramForm(
-        tuple(tuple(ambient.pairing(a, b) for b in reps) for a in reps)
-    )
-    return QuotientLattice(reps=reps, gram=gram)
+    full = matmul(matmul(new_rows, ambient.gram), transpose(new_rows))
+    if any(full[0]):  # new_rows is a basis of S
+        raise ValueError("xi is not isotropic on the sublattice")
+    gram = GramForm(tuple(row[1:] for row in full[1:]))
+    return QuotientLattice(reps=new_rows[1:], gram=gram)
 
 
 def orthogonal_complement(g: GramForm, vectors: Sequence[Vector]) -> tuple[Vector, ...]:

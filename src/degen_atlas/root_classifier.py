@@ -54,7 +54,12 @@ ScriptL = QuotientLattice  # L = h-perp in xi-perp / Z xi, lifted by its reps
 
 
 def script_L(m: SurfaceModel) -> QuotientLattice:
-    """Compute L for a model; checks rank = ambient - 3 and definiteness."""
+    """Compute L for a model; checks rank = ambient - 3."""
+    # No definiteness check here: the pair lattice has signature (2, r - 2),
+    # one positive class per component, and check_model_invariants requires
+    # h^2 = 4, h.xi = 0 and xi^2 = 0, so h-perp is Lorentzian and
+    # (h-perp in xi-perp) / Z xi is negative definite.  enumerate_short, the
+    # one place that decides definiteness, runs on L in generalized_roots.
     check_model_invariants(m)
     g = m.lattice.gram_form
     xi = m.xi
@@ -62,11 +67,6 @@ def script_L(m: SurfaceModel) -> QuotientLattice:
     assert len(perp) == m.lattice.rank - 2
     out = quotient_by_isotropic(g, perp, xi)  # validates xi in S, isotropy
     assert out.rank == m.lattice.rank - 3
-    if not out.gram.is_negative_definite():
-        raise ValueError(
-            f"induced form on L is not negative definite for model {m.id}; "
-            "the lattice data is inconsistent"
-        )
     return out
 
 

@@ -1,6 +1,6 @@
 """Print the outputs of the CLI and the demos, to compare two checkouts.
 
-Runs 76 `degen-atlas` commands and the five demos of the checkout this
+Runs 80 `degen-atlas` commands and the five demos of the checkout this
 file belongs to, each in a fresh interpreter, and prints every command
 with its exit code, stdout and stderr.  Two checkouts give the same
 outputs when the captures are byte-identical:
@@ -10,7 +10,7 @@ outputs when the captures are byte-identical:
     diff before.txt after.txt
 
 A full capture takes about 8 s on a 2-vCPU machine, most of it spent
-starting the 81 interpreters.
+starting the 85 interpreters.
 """
 
 import os
@@ -26,13 +26,19 @@ from degen_atlas.surface_pair import catalogue_ids  # noqa: E402
 
 
 def cli_commands() -> list[list[str]]:
-    """The compared argument lists: the suites, the catalogue listing, and
-    every per-model report in text and JSON."""
+    """The compared argument lists: the suites, the catalogue listing, one
+    valid and three rejected `build`s, and every per-model report in text
+    and JSON."""
     commands = [
         ["verify", "--all"],
         ["verify", "--all", "--json"],
         ["list"],
         ["list", "--full", "--json"],
+        ["build", "--v0", "P2", "--v1", "P2", "--n", "9", "--json", "--h",
+         "l-e1+4l'-2e'1-e'2-e'3-e'4-e'5-e'6-e'7-e'8-e'9"],
+        ["build", "--v0", "P2", "--v1", "P2", "--n", "9", "--h", "l"],
+        ["build", "--v0", "P1xP1", "--v1", "P2", "--n", "2", "--h", "3l-e1"],
+        ["build", "--v0", "P2", "--v1", "P2", "--n", "99"],
     ]
     for mid in catalogue_ids():
         commands += [

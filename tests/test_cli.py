@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from degen_atlas import ec_oracle
 from degen_atlas.cli import run
 from oracles import run_python_O
+from test_ec_oracle import _relation_blind_sampler
 
 
 def run_json(capsys, argv):
@@ -93,6 +95,16 @@ def test_build_rejects_unknown_symbol(capsys):
     code = run(["build", "--v0", "P1xP1", "--v1", "P2", "--n", "2", "--h", "3l-e1"])
     assert code == 2
     assert "alphabet" in capsys.readouterr().err
+
+
+def test_broken_invariant_exits_1_with_one_line(capsys, monkeypatch):
+    monkeypatch.setattr(ec_oracle, "_solution_sampler", _relation_blind_sampler)
+    code = run(["oracle", "D17", "--trials", "10"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sampled configuration violates")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_oracle_seed_env_override(capsys, monkeypatch):

@@ -181,16 +181,19 @@ def test_quotient_needs_xi_orthogonal_to_sublattice():
     # other generator, so the induced form on H/Z*xi would depend on coset
     # representatives; the operation must refuse.
     amb = GramForm(mat([[0, 1], [1, 0]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^xi is not isotropic on the sublattice$"):
         quotient_by_isotropic(amb, identity(2), (1, 0))
 
 
 def test_quotient_rejects_bad_xi():
+    # the first two xi also fail a later check, so the order is pinned
     amb = GramForm(mat([[0, 1], [1, 0]]))
-    with pytest.raises(ValueError):
-        quotient_by_isotropic(amb, identity(2), (2, 0))  # not primitive
-    with pytest.raises(ValueError):
-        quotient_by_isotropic(amb, identity(2), (1, 1))  # not isotropic on S
+    with pytest.raises(ValueError, match="^xi does not lie in the sublattice$"):
+        quotient_by_isotropic(amb, mat([[1, 0]]), (0, 1))  # pairs to 1 with S
+    with pytest.raises(ValueError, match="^xi is not primitive in the sublattice$"):
+        quotient_by_isotropic(amb, identity(2), (2, 0))  # pairs to 2 with S
+    with pytest.raises(ValueError, match="^xi is not isotropic on the sublattice$"):
+        quotient_by_isotropic(amb, identity(2), (1, 1))
 
 
 def test_quotient_pairing_independent_of_representatives():

@@ -55,10 +55,21 @@ def a15_roots(models):
 
 
 def test_script_L_rank_and_definiteness(models):
-    for m in models.values():
+    for m in list(models.values()) + [swap_components(m) for m in models.values()]:
         L = script_L(m)
         assert L.rank == 17
         assert L.gram.is_negative_definite()
+        amb = m.lattice.gram_form
+        assert L.gram.gram == tuple(
+            tuple(amb.pairing(a, b) for b in L.reps) for a in L.reps
+        )
+
+
+def test_generalized_roots_rejects_an_indefinite_L():
+    # enumerate_short, run by generalized_roots, decides definiteness for L
+    L = ScriptL(reps=identity(2), gram=GramForm(((-1, 2), (2, -1))))
+    with pytest.raises(ValueError, match="not negative definite"):
+        generalized_roots(L)
 
 
 def test_script_L_rejects_a_model_without_polarization():
