@@ -22,6 +22,7 @@ from .period_relations import (
     verify_relations,
 )
 from .root_classifier import (
+    UnclassifiableError,
     classify,
     generalized_roots,
     script_L,
@@ -315,12 +316,12 @@ def run(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except AssertionError as exc:  # a broken invariant, not a usage error
+    except (AssertionError, UnclassifiableError) as exc:  # a broken invariant
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (ValueError, KeyError) as exc:  # a usage error
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -7,14 +7,13 @@ ints, vectors are tuples of ints.  The three workhorses are
 * row Hermite / Smith normal forms with unimodular transforms,
 * saturated kernels and integer span membership, and
 * complete short-vector enumeration in a negative definite Gram form
-  (Fincke-Pohst style over an exact rational LDL^T, whose pivots also
-  decide definiteness), returning each vector with its norm.
+  (Fincke-Pohst style over an integer Bareiss elimination, whose leading
+  minors also decide definiteness), returning each vector with its norm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -298,31 +297,35 @@ def kernel_basis(m: Matrix) -> tuple[Vector, ...]:
     return tuple(vt[j] for j in free)
 
 
-def solve_integer(columns: Sequence[Vector], target: Vector) -> Optional[Vector]:
-    """Integer coefficients c with sum c_i * columns_i = target, or None.
+def solve_integer(
+    columns: Sequence[Vector], targets: Sequence[Vector]
+) -> list[Optional[Vector]]:
+    """For each target, integer coefficients c with sum c_i * columns_i = target,
+    or None.
 
-    Membership is tested over the integers, not the rationals.
+    Membership is tested over the integers, not the rationals, from one
+    Smith form of the columns for all the targets.
     """
     if not columns:
-        return () if all(x == 0 for x in target) else None
-    n = len(target)
-    assert all(len(c) == n for c in columns), "dimension mismatch"
+        return [() if all(x == 0 for x in t) else None for t in targets]
+    n = len(columns[0])
+    assert all(len(c) == n for c in list(columns) + list(targets)), "dimension mismatch"
     m = transpose(mat(columns))  # n x k, generators as columns
     d, u, v = snf(m)
-    ut = matvec(u, target)
     k = len(columns)
-    y = [0] * k
-    for i in range(n):
-        di = d[i][i] if i < min(n, k) else 0
-        if di == 0:
-            if ut[i] != 0:
-                return None
-        else:
-            if ut[i] % di:
-                return None
-            y[i] = ut[i] // di
-    c = matvec(v, tuple(y))
-    return c
+    r = min(n, k)
+    diag = [d[i][i] for i in range(r)]
+
+    def solve(target: Vector) -> Optional[Vector]:
+        # D y = U target with D = U m V, then c = V y: each d_i must divide
+        # (U target)_i, and a zero d_i (or a row past the diagonal) needs a zero
+        ut = matvec(u, target)
+        if any(ut[i] % diag[i] if diag[i] else ut[i] for i in range(r)) or any(ut[r:]):
+            return None
+        y = [ut[i] // diag[i] if diag[i] else 0 for i in range(r)] + [0] * (k - r)
+        return matvec(v, tuple(y))
+
+    return [solve(t) for t in targets]
 
 
 def solve_rational(columns: Sequence[Vector], target: Vector) -> bool:
@@ -333,17 +336,28 @@ def solve_rational(columns: Sequence[Vector], target: Vector) -> bool:
     return rank(stacked) == rank(mat(list(columns) + [list(target)]))
 
 
+def in_span_many(
+    targets: Sequence[Vector], generators: Sequence[Vector]
+) -> list[Optional[Vector]]:
+    """Integer span membership of each target, from one Smith form of the
+    generators; returns each coefficient vector or None."""
+    gens = list(generators)
+    found = solve_integer(gens, targets)
+    for target, coeffs in zip(targets, found):
+        if coeffs is None:
+            continue
+        # Exactness guard, kept under -O: the certificate must re-expand to the target.
+        acc = (0,) * len(target)
+        for c, g in zip(coeffs, gens):
+            acc = add_vec(acc, scale_vec(c, g))
+        if acc != tuple(target):
+            raise AssertionError(f"span coefficients {coeffs} do not re-expand to {tuple(target)}")
+    return found
+
+
 def in_span(target: Vector, generators: Sequence[Vector]) -> Optional[Vector]:
     """Integer span membership; returns the coefficient vector or None."""
-    coeffs = solve_integer(list(generators), target)
-    if coeffs is None:
-        return None
-    # Exactness guard: the certificate must re-expand to the target.
-    acc = (0,) * len(target)
-    for c, g in zip(coeffs, generators):
-        acc = add_vec(acc, scale_vec(c, g))
-    assert acc == tuple(target)
-    return coeffs
+    return in_span_many([target], generators)[0]
 
 
 def rank(m: Matrix) -> int:
@@ -373,8 +387,8 @@ class GramForm:
         return self.pairing(v, v)
 
     def is_negative_definite(self) -> bool:
-        """Sylvester's criterion, read off the LDL^T pivots of -gram."""
-        return _ldl(self.gram) is not None
+        """Sylvester's criterion, read off the Bareiss minors of -gram."""
+        return _bareiss(self.gram)[0][-1] > 0
 
 
 @dataclass(frozen=True)
@@ -405,7 +419,7 @@ def quotient_by_isotropic(ambient: GramForm, rows: Matrix, xi: Vector) -> Quotie
     is the form they are paired with.  Requires xi in S, xi orthogonal to
     all of S, and xi primitive in S (ValueError otherwise).
     """
-    coords = solve_integer(list(rows), xi)
+    (coords,) = solve_integer(rows, [xi])
     if coords is None:
         raise ValueError("xi does not lie in the sublattice")
     if content(coords) != 1:
@@ -441,60 +455,68 @@ def orthogonal_complement(g: GramForm, vectors: Sequence[Vector]) -> tuple[Vecto
     return kernel_basis(pairing_rows)
 
 
-def _ldl(gram: Matrix) -> Optional[tuple[list[Fraction], list[list[Fraction]]]]:
-    """Exact rational LDL^T of -gram, or None when -gram is not positive definite.
+def _bareiss(gram: Matrix) -> tuple[list[int], list[list[int]]]:
+    """Fraction-free (Bareiss) elimination of -gram, without pivoting.
 
-    Returns (A, C) with -gram(x) = sum_i A[i] * (x_i + sum_{j>i} C[i][j] x_j)^2.
-    The pivot A[i] is the ratio of the leading minors of orders i+1 and i, so
-    stopping at the first pivot that is not positive is Sylvester's criterion.
+    Returns (d, b): d[k] is the leading principal minor of order k of -gram
+    (d[0] = 1), and row k of b holds the integers b[k][j] for j >= k, with
+    b[k][k] = d[k+1], such that
+
+        -gram(x) = sum_k (d[k+1] x_k + sum_{j>k} b[k][j] x_j)^2 / (d[k] d[k+1]).
+
+    The elimination stops at the first minor that is not positive, which is
+    then the last entry of d, so -gram is positive definite exactly when
+    d[-1] > 0 (Sylvester's criterion).  Every division is exact.  The
+    eliminated matrices stay symmetric, so only entries j >= i are updated
+    and those below the diagonal are left stale.
     """
     n = len(gram)
-    q = [[Fraction(-gram[i][j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        if q[i][i] <= 0:
-            return None
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / q[i][i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                q[k][l] = q[k][l] - q[k][i] * q[i][l]
-    return [q[i][i] for i in range(n)], q
+    b = [[-x for x in row] for row in gram]
+    d = [1]
+    for k in range(n):
+        pivot = b[k][k]
+        d.append(pivot)
+        if pivot <= 0:
+            break
+        prev, row = d[k], b[k]
+        for i in range(k + 1, n):
+            f = row[i]  # b[i][k], by symmetry
+            b[i][i:] = [(pivot * x - f * y) // prev for x, y in zip(b[i][i:], row[i:])]
+    return d, b
 
 
 def enumerate_short(g: GramForm, bound: int) -> dict[Vector, int]:
     """All v (one per antipodal pair) with -bound <= (v, v) < 0, as {v: (v, v)}.
 
-    g must be negative definite: every pivot of the exact rational LDL^T of
-    -gram is positive (ValueError otherwise).  The search is a depth-first
-    Fincke-Pohst walk over that decomposition, with the rationals cleared to
-    integers once up front, so the enumeration is exact and complete and the
-    budget left at a leaf is the norm.  Vectors are canonicalized so their
-    first nonzero coordinate is positive; the keys come sorted.
+    g must be negative definite: every leading minor of -gram is positive
+    (ValueError otherwise).  The search is a depth-first Fincke-Pohst walk
+    over the integer Bareiss rows of -gram, brought once to common integer
+    coefficients, so the enumeration is exact and complete and the budget
+    left at a leaf is the norm.  Vectors are canonicalized so their first
+    nonzero coordinate is positive; the keys come sorted.
     """
     if bound < 1:
         raise ValueError("bound must be a positive integer")
-    ldl = _ldl(g.gram)
-    if ldl is None:
+    d, b = _bareiss(g.gram)
+    if d[-1] <= 0:
         raise ValueError("form is not negative definite")
-    a, c = ldl
     n = g.dim
 
-    # Clear denominators: per level i let L_i = lcm of den(C[i][j]); then
-    # u_i = sum_j Cint[i][j] x_j is an integer and the term is
-    # A_i (L_i x_i + u_i)^2 / L_i^2.  Scale the budget by M = lcm(b_i L_i^2).
-    lden = [1] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            lden[i] = lcm(lden[i], c[i][j].denominator)
-    cint = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            cint[i][j] = int(c[i][j] * lden[i])
+    # Row k divided by its gcd g_k writes the k-th term as
+    # kcoef_k * (lden_k x_k + u_k)^2 / m_scale, with u_k = sum_{j>k} cint_kj x_j
+    # an integer, lden_k = d_{k+1} / g_k and kcoef_k = m_scale g_k^2 / (d_k d_{k+1}).
+    # m_scale, the lcm of lden_k^2 d_k / gcd(d_k, d_{k+1}), makes each kcoef_k
+    # an integer; the walk spends m_scale * bound.
+    lden: list[int] = []
+    cint: list[list[int]] = []
+    gk: list[int] = []
     m_scale = 1
-    for i in range(n):
-        m_scale = lcm(m_scale, a[i].denominator * lden[i] * lden[i])
-    kcoef = [int(Fraction(m_scale) * a[i] / (lden[i] * lden[i])) for i in range(n)]
+    for k in range(n):
+        gk.append(content(b[k][k:]))
+        lden.append(d[k + 1] // gk[k])
+        cint.append([0] * (k + 1) + [x // gk[k] for x in b[k][k + 1:]])
+        m_scale = lcm(m_scale, d[k] // gcd(d[k], d[k + 1]) * lden[k] * lden[k])
+    kcoef = [m_scale * gk[k] * gk[k] // (d[k] * d[k + 1]) for k in range(n)]
 
     found: list[tuple[Vector, int]] = []
     x = [0] * n

@@ -22,7 +22,7 @@ from .exact_lattice import (
     content,
     det,
     enumerate_short,
-    in_span,
+    in_span_many,
     mat,
     matmul,
     matvec,
@@ -99,6 +99,9 @@ def generalized_roots(L: QuotientLattice, bound: int = 4) -> GeneralizedRootSet:
     follows the skew of the basis, and in the raw Smith basis a skewed
     rank-10 lattice took 43 s instead of 10 ms.  Other norms than -2 and -4
     go to `other`; at bound 4 it stays empty on the even catalogue lattices.
+    When every diagonal entry of G is even, L is even and has no vector of
+    odd norm, so the searches for odd k are skipped; the Smith form is taken
+    only when some k is left.  On odd lattices every k is searched.
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
@@ -107,8 +110,10 @@ def generalized_roots(L: QuotientLattice, bound: int = 4) -> GeneralizedRootSet:
     other = [v for v, norm in short.items() if norm == -1]
     roots4: list[Vector] = []
     gram = L.gram.gram
-    smith = snf(gram) if bound > 2 else None
-    for k in range(3, bound + 1):
+    even = all(row[i] % 2 == 0 for i, row in enumerate(gram))
+    norms = [k for k in range(3, bound + 1) if k % 2 == 0 or not even]
+    smith = snf(gram) if norms else None
+    for k in norms:
         basis = reflective_basis(smith, k if k % 2 else k // 2)
         sub = GramForm(matmul(matmul(basis, gram), transpose(basis)))
         for c, norm in enumerate_short(sub, k).items():
@@ -298,7 +303,7 @@ def classify(roots: GeneralizedRootSet, seed: int = 0) -> LatticeType:
         # orthogonal decomposition: every root lies in the direct sum (the
         # expansion above already places the -2 roots there)
         gens = simples + perp4
-        _require(all(in_span(v, gens) is not None for v in roots.roots4 + roots.other),
+        _require(all(c is not None for c in in_span_many(roots.roots4 + roots.other, gens)),
                  "Span(Phi) is a proper overlattice of roots + <-4>")
 
     lt = LatticeType(

@@ -9,8 +9,7 @@ outputs when the captures are byte-identical:
     python3 /path/to/other/checkout/tests/capture_outputs.py > before.txt
     diff before.txt after.txt
 
-A full capture takes about 8 s on a 2-vCPU machine, most of it spent
-starting the 85 interpreters.
+A full capture takes about 16 s on a 2-vCPU machine.
 """
 
 import os

@@ -1,10 +1,10 @@
 """Independent brute-force oracles used to pin expected values.
 
 These deliberately avoid the code paths they check: short vectors come from
-an exhaustive coefficient box or a floating-point Fincke-Pohst walk,
-determinants from permutation expansion, elementary divisors from gcds
-of minors, and elliptic-curve points from the affine group law with the
-Fermat inverse and plain double-and-add.
+an exhaustive coefficient box, a floating-point Fincke-Pohst walk or one
+over an exact rational LDL^T, determinants from permutation expansion,
+elementary divisors from gcds of minors, and elliptic-curve points from the
+affine group law with the Fermat inverse and plain double-and-add.
 """
 
 import os
@@ -12,7 +12,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import ceil, floor, gcd, isqrt
+from math import ceil, floor, gcd, isqrt, lcm
 from pathlib import Path
 
 
@@ -103,6 +103,60 @@ def fincke_pohst_short_vectors(gram, bound):
         v[i] = 0
 
     walk(n - 1, bound + eps, True)
+    return dict(sorted(out.items()))
+
+
+def rational_short_vectors(gram, bound):
+    """{v: v^T gram v} for all v (one per +-pair) with -bound <= v^2 < 0.
+
+    A Fincke-Pohst walk over the exact rational LDL^T of -gram,
+    -v^2 = sum_i a[i] (v_i + sum_{j>i} c[i][j] v_j)^2, with the fractions
+    cleared to integers once: level i scales by l_i = lcm of the
+    denominators of c[i][*], and the budget by m = lcm of den(a[i]) l_i^2.
+    Raises ValueError when -gram is not positive definite.
+    """
+    n = len(gram)
+    q = [[Fraction(-gram[i][j]) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        if q[i][i] <= 0:
+            raise ValueError("form is not negative definite")
+        for j in range(i + 1, n):
+            q[j][i] = q[i][j]
+            q[i][j] = q[i][j] / q[i][i]
+        for k in range(i + 1, n):
+            for l in range(k, n):
+                q[k][l] = q[k][l] - q[k][i] * q[i][l]
+    lden = [1] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            lden[i] = lcm(lden[i], q[i][j].denominator)
+    cint = [[int(q[i][j] * lden[i]) if j > i else 0 for j in range(n)] for i in range(n)]
+    m = 1
+    for i in range(n):
+        m = lcm(m, q[i][i].denominator * lden[i] ** 2)
+    kcoef = [int(m * q[i][i] / lden[i] ** 2) for i in range(n)]
+    out = {}
+    v = [0] * n
+
+    def walk(i, left, above_zero):
+        if i < 0:
+            if not above_zero:
+                w = tuple(v) if next(x for x in v if x) > 0 else tuple(-x for x in v)
+                out[w] = left // m - bound
+            return
+        center = sum(cint[i][j] * v[j] for j in range(i + 1, n))
+        r = isqrt(left // kcoef[i])  # |l_i v_i + center| <= r
+        lo = -((r + center) // lden[i])
+        if above_zero:
+            lo = max(lo, 0)
+        for x in range(lo, (r - center) // lden[i] + 1):
+            used = kcoef[i] * (lden[i] * x + center) ** 2
+            if used <= left:
+                v[i] = x
+                walk(i - 1, left - used, above_zero and x == 0)
+        v[i] = 0
+
+    walk(n - 1, m * bound, True)
     return dict(sorted(out.items()))
 
 

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+import degen_atlas.cli as cli
 from degen_atlas import ec_oracle
 from degen_atlas.cli import run
+from degen_atlas.root_classifier import UnclassifiableError
 from oracles import run_python_O
 from test_ec_oracle import _relation_blind_sampler
 
@@ -107,6 +109,18 @@ def test_broken_invariant_exits_1_with_one_line(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_unclassifiable_lattice_exits_1_with_one_line(capsys, monkeypatch):
+    # UnclassifiableError is a ValueError, but not a usage error
+    def unclassifiable(roots, seed=0):
+        raise UnclassifiableError("node of degree > 3")
+
+    monkeypatch.setattr(cli, "classify", unclassifiable)
+    code = run(["roots", "D17"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: node of degree > 3\n"
+
+
 def test_oracle_seed_env_override(capsys, monkeypatch):
     monkeypatch.setenv("DEGEN_ATLAS_SEED", "123")
     code, rep = run_json(capsys, ["oracle", "A15", "--trials", "5"])
@@ -142,8 +156,6 @@ def test_list_full_exports_lattice_data(capsys):
 
 
 def test_verify_aggregation_and_exit_codes(capsys, monkeypatch):
-    import degen_atlas.cli as cli
-
     good = {"suite": "s1", "pass": True, "models": {"x": {"ok": True}}}
     bad = {"suite": "s2", "pass": False, "rows": {"y": {"ok": False}}}
     monkeypatch.setattr(cli, "verify_classification", lambda: good)

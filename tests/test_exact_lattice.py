@@ -1,15 +1,21 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from degen_atlas import exact_lattice
 from degen_atlas.exact_lattice import (
     GramForm,
+    _bareiss,
     add_vec,
     det,
     enumerate_short,
     hnf,
     identity,
     in_span,
+    in_span_many,
     kernel_basis,
     mat,
     matmul,
@@ -24,6 +30,8 @@ from oracles import (
     perm_det,
     random_negative_definite,
     random_symmetric,
+    rational_short_vectors,
+    run_python_O,
 )
 
 D4_GRAM = mat(
@@ -169,6 +177,64 @@ def test_in_span():
     assert in_span((3, 2, 8), [g1, g2]) == (3, 2)
 
 
+def test_in_span_many_solves_each_target():
+    gens = [(2, 0, 0), (0, 3, 0)]
+    targets = [(4, 3, 0), (1, 0, 0), (0, 0, 1), (2, 6, 0), (0, 0, 0)]
+    assert in_span_many(targets, gens) == [(2, 1), None, None, (1, 2), (0, 0)]
+    assert in_span_many([(0, 0), (1, 0)], []) == [(), None]
+    rng = random.Random(13)
+    for _ in range(30):
+        gens = [tuple(rng.randint(-4, 4) for _ in range(4)) for _ in range(rng.randint(1, 4))]
+        targets = []
+        for _ in range(5):
+            coeffs = [rng.randint(-3, 3) for _ in gens]
+            t = tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(4))
+            targets += [t, add_vec(t, (1, 0, 0, 0))]
+        found = in_span_many(targets, gens)
+        assert found == [in_span(t, gens) for t in targets]
+        assert all(c is not None for c in found[::2])  # integer combinations
+
+
+CORRUPT_SOLVE = """
+from degen_atlas import exact_lattice
+
+solve = exact_lattice.solve_integer
+
+
+def corrupted(columns, targets):
+    # shift the first coefficient of every solution by one
+    return [None if c is None else (c[0] + 1,) + c[1:] for c in solve(columns, targets)]
+
+
+exact_lattice.solve_integer = corrupted
+for call in (lambda: exact_lattice.in_span((3, 2, 8), [(1, 0, 2), (0, 1, 1)]),
+             lambda: exact_lattice.in_span_many([(1, 0, 2)], [(1, 0, 2), (0, 1, 1)])):
+    try:
+        print("accepted:", call())
+    except AssertionError as exc:
+        print("rejected:", exc)
+"""
+
+
+def test_corrupted_span_solve_is_rejected(monkeypatch):
+    solve = exact_lattice.solve_integer
+    monkeypatch.setattr(exact_lattice, "solve_integer", lambda cols, ts: [
+        None if c is None else (c[0] + 1,) + c[1:] for c in solve(cols, ts)])
+    with pytest.raises(AssertionError, match=r"^span coefficients \(4, 2\) do not re-expand "
+                       r"to \(3, 2, 8\)$"):
+        in_span((3, 2, 8), [(1, 0, 2), (0, 1, 1)])
+
+
+def test_corrupted_span_solve_is_rejected_under_python_O():
+    # the re-expansion guard must not be an assert that -O strips
+    done = run_python_O(["-c", CORRUPT_SOLVE], timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "rejected: span coefficients (4, 2) do not re-expand to (3, 2, 8)",
+        "rejected: span coefficients (2, 0) do not re-expand to (1, 0, 2)",
+    ]
+
+
 def test_quotient_by_isotropic_rank1_zero_form():
     amb = GramForm(mat([[0, 0], [0, 0]]))
     q = quotient_by_isotropic(amb, identity(2), (1, 0))
@@ -235,6 +301,7 @@ def test_enumerate_short_matches_box_oracle():
         got = enumerate_short(GramForm(gram), 4)
         want = [tuple(v) for v in box_short_vectors([list(r) for r in gram], 4)]
         assert list(got) == want
+        assert got == rational_short_vectors(gram, 4)
         for v, norm in got.items():
             assert norm == sum(v[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
 
@@ -269,3 +336,59 @@ def test_enumerate_short_d4_matches_oracle():
         got = list(enumerate_short(GramForm(gram), bound))
         want = [tuple(v) for v in box_short_vectors([list(r) for r in gram], bound)]
         assert got == want
+
+
+def _leading_minors(gram):
+    """Leading principal minors of -gram by permutation expansion."""
+    return [perm_det([[-x for x in row[:k]] for row in gram[:k]]) for k in range(len(gram) + 1)]
+
+
+def test_bareiss_minors_and_rows():
+    # d holds the leading minors of -gram up to the first one that is not
+    # positive; on definite forms the rows rebuild -gram(x) exactly
+    rng = random.Random(20261020)
+    definite = 0
+    for i in range(60):
+        n = rng.randint(1, 5)
+        gram = random_negative_definite(rng, n) if i % 2 else random_symmetric(rng, n, (-4, 4))
+        d, b = _bareiss(gram)
+        minors = _leading_minors(gram)
+        assert d == minors[:len(d)]
+        assert all(x > 0 for x in d[:-1])
+        if d[-1] <= 0:
+            continue
+        definite += 1
+        assert len(d) == n + 1 and b[0][0] == d[1]
+        for _ in range(5):
+            x = [rng.randint(-3, 3) for _ in range(n)]
+            rows = [d[k + 1] * x[k] + sum(b[k][j] * x[j] for j in range(k + 1, n))
+                    for k in range(n)]
+            terms = sum(Fraction(rows[k] ** 2, d[k] * d[k + 1]) for k in range(n))
+            assert terms == -sum(x[i] * gram[i][j] * x[j] for i in range(n) for j in range(n))
+    assert 30 <= definite < 60
+
+
+@st.composite
+def symmetric_forms(draw):
+    """Small symmetric integer matrices with diagonal entries in -6..0 and
+    off-diagonal ones in -2..2; about a fifth are negative definite."""
+    n = draw(st.integers(1, 5))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = draw(st.integers(-6, 0))
+        for j in range(i + 1, n):
+            g[i][j] = g[j][i] = draw(st.integers(-2, 2))
+    return mat(g)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(symmetric_forms(), st.integers(1, 4))
+def test_definiteness_and_short_vectors_match_the_oracles(gram, bound):
+    g = GramForm(gram)
+    definite = _is_neg_def([list(r) for r in gram])
+    assert g.is_negative_definite() == definite
+    if definite:
+        assert enumerate_short(g, bound) == rational_short_vectors(gram, bound)
+    else:
+        with pytest.raises(ValueError, match="not negative definite"):
+            enumerate_short(g, bound)

@@ -3,7 +3,19 @@ from math import gcd
 
 import pytest
 
-from degen_atlas.exact_lattice import GramForm, det, identity, mat, reflective_basis, snf, sub_vec
+from degen_atlas import root_classifier
+from degen_atlas.exact_lattice import (
+    GramForm,
+    det,
+    enumerate_short,
+    identity,
+    mat,
+    matmul,
+    reflective_basis,
+    snf,
+    sub_vec,
+    transpose,
+)
 from degen_atlas.root_classifier import (
     GeneralizedRootSet,
     ScriptL,
@@ -28,6 +40,7 @@ from oracles import (
     minor_gcd_divisors,
     planted_gram,
     random_negative_definite,
+    rational_short_vectors,
     run_python_O,
 )
 
@@ -286,6 +299,8 @@ def test_planted_lattices_in_random_bases(blocks, minus4):
     rng = random.Random(f"{blocks}/{minus4}")
     rank = sum(r for _, r in blocks) + minus4
     gram = planted_gram(rng, blocks, minus4, moves=2 * rank)
+    for bound in (2, 3, 4):
+        assert enumerate_short(GramForm(mat(gram)), bound) == rational_short_vectors(gram, bound)
     roots = generalized_roots(ScriptL(gram=GramForm(mat(gram)), reps=identity(rank)))
     assert (list(roots.roots2), list(roots.roots4), list(roots.other)) == (
         filtered_generalized_roots(gram, 4))
@@ -309,6 +324,42 @@ def test_generalized_roots_match_filter_oracle_on_models(lattices, bound):
         got = generalized_roots(L, bound)
         want = filtered_generalized_roots(L.gram.gram, bound)
         assert (list(got.roots2), list(got.roots4), list(got.other)) == want, mid
+
+
+def test_enumerate_short_matches_rational_oracle_on_models(models):
+    # the three searches of generalized_roots at bound 4: L, M_3 and M_2
+    for m in list(models.values()) + [swap_components(m) for m in models.values()]:
+        gram = script_L(m).gram.gram
+        smith = snf(gram)
+        forms = [(gram, 2)]
+        for d, bound in ((3, 3), (2, 4)):
+            basis = reflective_basis(smith, d)
+            forms.append((matmul(matmul(basis, gram), transpose(basis)), bound))
+        for form, bound in forms:
+            assert enumerate_short(GramForm(form), bound) == rational_short_vectors(form, bound)
+
+
+@pytest.mark.parametrize(
+    "gram,searches,other",
+    [
+        ([[-2, 0], [0, -2]], 1, []),  # even: no search in M_3, no Smith form
+        ([[-2, 1], [1, -3]], 2, []),  # odd: M_3 is searched; (0, 1), (1, 1) are not roots
+        ([[-6, 3], [3, -3]], 2, [(0, 1), (1, 1)]),  # odd with an even first diagonal entry
+    ],
+)
+def test_odd_norms_are_searched_only_on_odd_lattices(monkeypatch, gram, searches, other):
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+
+    monkeypatch.setattr(root_classifier, "enumerate_short", counted("search", enumerate_short))
+    monkeypatch.setattr(root_classifier, "snf", counted("snf", snf))
+    got = _roots_of(gram, 3)
+    assert got == filtered_generalized_roots(gram, 3)
+    assert got[2] == other
+    assert calls.count("search") == searches
+    assert calls.count("snf") == searches - 1
 
 
 @pytest.mark.parametrize(
