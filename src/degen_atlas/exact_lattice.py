@@ -54,10 +54,6 @@ def add_vec(a: Vector, b: Vector) -> Vector:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def sub_vec(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def scale_vec(k: int, v: Vector) -> Vector:
     return tuple(k * x for x in v)
 
@@ -266,18 +262,31 @@ def snf(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     return mat(d), mat(u), mat(v)
 
 
-def reflective_basis(smith: tuple[Matrix, Matrix, Matrix], d: int) -> Matrix:
-    """Basis rows of M_d = {v : G.v = 0 mod d}, given snf(G) = (D, U, V).
+def reflective_basis(gram: Matrix, d: int) -> Matrix:
+    """Hermite basis rows of M_d = {v : G.v = 0 mod d}, for a prime d.
 
-    With D = U.G.V and U unimodular, G.v = 0 mod d exactly when
-    D_ii (V^-1 v)_i = 0 mod d for every i, so the columns of V scaled by
-    d / gcd(d, D_ii) are a basis.  Stacked on d.I, whose rows lie in M_d,
-    their Hermite normal form is a basis with entries between 0 and d.
+    d.Z^n lies in M_d, the preimage of the kernel of G over F_d (Cohen,
+    GTM 138, 2.4.2).  Gauss-Jordan over F_d with pivots taken from the last
+    column to the first leaves each row ending at its pivot, so the kernel
+    vector of a free column c starts at c, with a 1.  Row c of the Hermite
+    form is that vector, or d.e_c for a pivot column c; entries are in [0, d].
     """
-    diag, _, v = smith
-    rows = [scale_vec(d // gcd(d, diag[i][i]), col) for i, col in enumerate(transpose(v))]
-    h, _ = hnf(mat(rows + [scale_vec(d, e) for e in identity(len(v))]))
-    return tuple(row for row in h if any(row))
+    if d < 2 or any(d % q == 0 for q in range(2, isqrt(d) + 1)):
+        raise ValueError(f"d = {d} is not a prime")
+    a = [[x % d for x in row] for row in gram]
+    pivots: dict[int, int] = {}  # pivot column -> its row of a
+    for c in reversed(range(len(a))):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if pr is not None:
+            inv = pow(a[pr][c], -1, d)
+            a[pr], a[r] = a[r], [x * inv % d for x in a[pr]]  # swap, then scale to pivot 1
+            a = [row if i == r or not row[c] else [(x - row[c] * y) % d for x, y in zip(row, a[r])]
+                 for i, row in enumerate(a)]
+            pivots[c] = r
+    return tuple(scale_vec(d, e) if c in pivots else
+                 tuple(-a[pivots[j]][c] % d if j in pivots else x for j, x in enumerate(e))
+                 for c, e in enumerate(identity(len(a))))
 
 
 def kernel_basis(m: Matrix) -> tuple[Vector, ...]:
@@ -373,8 +382,10 @@ class GramForm:
 
     def __post_init__(self) -> None:
         g = self.gram
-        assert all(len(row) == len(g) for row in g), "gram must be square"
-        assert g == transpose(g), "gram must be symmetric"
+        if any(len(row) != len(g) for row in g):
+            raise ValueError("gram must be square")
+        if g != transpose(g):
+            raise ValueError("gram must be symmetric")
 
     @property
     def dim(self) -> int:

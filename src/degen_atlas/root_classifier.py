@@ -28,9 +28,7 @@ from .exact_lattice import (
     matvec,
     orthogonal_complement,
     quotient_by_isotropic,
-    rank,
     reflective_basis,
-    snf,
     transpose,
     vecmat,
 )
@@ -54,19 +52,18 @@ ScriptL = QuotientLattice  # L = h-perp in xi-perp / Z xi, lifted by its reps
 
 
 def script_L(m: SurfaceModel) -> QuotientLattice:
-    """Compute L for a model; checks rank = ambient - 3."""
+    """Compute L for a model; checks rank = ambient - 3 (UnclassifiableError)."""
     # No definiteness check here: the pair lattice has signature (2, r - 2),
     # one positive class per component, and check_model_invariants requires
     # h^2 = 4, h.xi = 0 and xi^2 = 0, so h-perp is Lorentzian and
     # (h-perp in xi-perp) / Z xi is negative definite.  enumerate_short, the
     # one place that decides definiteness, runs on L in generalized_roots.
     check_model_invariants(m)
-    g = m.lattice.gram_form
-    xi = m.xi
+    g, xi, r = m.lattice.gram_form, m.xi, m.lattice.rank
     perp = mat(orthogonal_complement(g, [m.h, xi]))
-    assert len(perp) == m.lattice.rank - 2
+    _require(len(perp) == r - 2, f"h-perp in xi-perp has rank {len(perp)}, expected {r - 2}")
     out = quotient_by_isotropic(g, perp, xi)  # validates xi in S, isotropy
-    assert out.rank == m.lattice.rank - 3
+    _require(out.rank == r - 3, f"L has rank {out.rank}, expected {r - 3}")
     return out
 
 
@@ -94,27 +91,26 @@ def generalized_roots(L: QuotientLattice, bound: int = 4) -> GeneralizedRootSet:
     d = k / gcd(k, 2) (Vinberg).  So the roots of norm -1 and -2 are all
     vectors of that norm, and those of norm -k <= -3 are the primitive
     vectors of norm -k in M_d = {v : G.v = 0 mod d}, found by a search in
-    M_d rather than by testing every short vector of L.  The search runs in
-    the Hermite-reduced basis of `reflective_basis`: the Fincke-Pohst cost
-    follows the skew of the basis, and in the raw Smith basis a skewed
-    rank-10 lattice took 43 s instead of 10 ms.  Other norms than -2 and -4
-    go to `other`; at bound 4 it stays empty on the even catalogue lattices.
-    When every diagonal entry of G is even, L is even and has no vector of
-    odd norm, so the searches for odd k are skipped; the Smith form is taken
-    only when some k is left.  On odd lattices every k is searched.
+    M_d rather than by testing every short vector of L.  For k <= 7, d is
+    a prime, and `reflective_basis` reads the Hermite basis of M_d off the
+    kernel of G over F_d, with no Smith or Hermite form (bound 8 or more is
+    rejected).  The Fincke-Pohst cost follows the skew of the basis: in the
+    raw Smith basis a skewed rank-10 lattice took 43 s instead of 10 ms.
+    Other norms than -2 and -4 go to `other`.  When every diagonal entry of
+    G is even, L is even and the searches for odd k are skipped.
     """
-    if bound < 2:
-        raise ValueError("bound must be at least 2")
+    if not 2 <= bound <= 7:
+        raise ValueError("bound must be between 2 and 7")
     short = enumerate_short(L.gram, 2)
     roots2 = [v for v, norm in short.items() if norm == -2]
     other = [v for v, norm in short.items() if norm == -1]
     roots4: list[Vector] = []
     gram = L.gram.gram
     even = all(row[i] % 2 == 0 for i, row in enumerate(gram))
-    norms = [k for k in range(3, bound + 1) if k % 2 == 0 or not even]
-    smith = snf(gram) if norms else None
-    for k in norms:
-        basis = reflective_basis(smith, k if k % 2 else k // 2)
+    for k in range(3, bound + 1):
+        if k % 2 and even:
+            continue
+        basis = reflective_basis(gram, k if k % 2 else k // 2)
         sub = GramForm(matmul(matmul(basis, gram), transpose(basis)))
         for c, norm in enumerate_short(sub, k).items():
             v = canonical_sign(vecmat(c, basis))
@@ -214,12 +210,15 @@ def classify(roots: GeneralizedRootSet, seed: int = 0) -> LatticeType:
     one pass by increasing value, a positive a is simple unless a - s is
     positive for a simple s already found (Bourbaki, Lie Groups VI 1.6);
     then a's support in the simple roots is that of a - s plus s.  The
-    simple roots keep the order of the positives.  Each Dynkin-graph
-    component is named from its tree shape and must hold the classical
-    number of roots whose support stays in it.
-    The <-4> part is certified by explicit generators orthogonal to the
-    whole root span.  Roots of odd norm are rejected first: ADE and <-4>
-    lattices are even, so their sum holds no such root.
+    simple roots keep the order of the positives; each has norm -2 and each
+    Dynkin edge pairs to +-1.  Each component is named from its tree shape
+    and must hold the classical number of roots whose support stays in it.
+    The <-4> generators are the norm -4 roots orthogonal to every simple
+    root, pairwise orthogonal.  With the simple roots they have Gram matrix
+    -Cartan + -4I, which is nonsingular, so one span check of the other
+    roots certifies Span(Phi) = Z.gens, of rank len(gens).  Roots of odd
+    norm are rejected first: ADE and <-4> lattices are even, so their sum
+    holds no such root.
     """
     if not roots.all_roots():
         raise ValueError("empty root set")
@@ -260,9 +259,14 @@ def classify(roots: GeneralizedRootSet, seed: int = 0) -> LatticeType:
     # The Dynkin graph (an edge where two simple roots pair nonzero), split
     # into its connected components.
     rows = [matvec(gram.gram, s) for s in simples]
+    for s, row in zip(simples, rows):
+        norm = sum(x * y for x, y in zip(row, s))
+        _require(norm == -2, f"simple root {s} has norm {norm}, not -2")
     adj: list[list[int]] = [[] for _ in simples]
-    for i, j in combinations(range(len(simples)), 2):
-        if sum(x * y for x, y in zip(rows[i], simples[j])) != 0:
+    for (i, s), (j, t) in combinations(enumerate(simples), 2):
+        p = sum(x * y for x, y in zip(rows[i], t))
+        _require(p in (-1, 0, 1), f"simple roots {s} and {t} pair to {p}, not +-1")
+        if p:
             adj[i].append(j)
             adj[j].append(i)
     unseen = set(range(len(simples)))
@@ -280,48 +284,33 @@ def classify(roots: GeneralizedRootSet, seed: int = 0) -> LatticeType:
     simple_roots = tuple(tuple(simples[i] for i in comp) for comp in comps)
 
     named = [_classify_tree(adj, comp) for comp in comps]
-    per_comp_counts = [
-        2 * sum(sup <= members for sup in support.values())
-        for members in map(frozenset, simple_roots)
-    ]
+    per_comp_counts = [2 * sum(sup <= members for sup in support.values())
+                       for members in map(frozenset, simple_roots)]
 
-    # <-4> part: rank deficit of the -2 root span inside Span(Phi).
-    all_rank = rank(mat(simples + list(roots.roots4 + roots.other)))
-    r2_rank = rank(mat(simples))
-    _require(r2_rank == len(simples), "simple roots must be independent")
-    deficit = all_rank - r2_rank
-    minus4_gens: tuple[Vector, ...] = ()
-    if deficit:
-        perp4 = [v for v in roots.roots4
-                 if all(sum(x * y for x, y in zip(v, row)) == 0 for row in rows)]
-        # The roots themselves are the generators; a reduced basis of their
-        # span can mix two orthogonal <-4> roots into a vector of norm -8.
-        _require(len(perp4) == deficit, "the <-4> part does not split off orthogonally")
-        _require(all(gram.pairing(a, b) == 0 for a, b in combinations(perp4, 2)),
-                 "<-4> generators are not orthogonal")
-        minus4_gens = tuple(perp4)
-        # orthogonal decomposition: every root lies in the direct sum (the
-        # expansion above already places the -2 roots there)
-        gens = simples + perp4
-        _require(all(c is not None for c in in_span_many(roots.roots4 + roots.other, gens)),
-                 "Span(Phi) is a proper overlattice of roots + <-4>")
+    # <-4> part: the roots themselves are the generators; a reduced basis of
+    # their span can mix two orthogonal <-4> roots into a vector of norm -8.
+    perp4 = [v for v in roots.roots4
+             if not any(sum(x * y for x, y in zip(v, row)) for row in rows) and gram.norm(v) == -4]
+    _require(all(gram.pairing(a, b) == 0 for a, b in combinations(perp4, 2)),
+             "<-4> generators are not orthogonal")
+    # Every -2 root is a sum of simple roots by construction, and gens is
+    # independent, so it is a basis of Span(Phi) once it spans the rest.
+    gens = simples + perp4
+    _require(all(c is not None for c in in_span_many(roots.roots4 + roots.other, gens)),
+             "Span(Phi) is a proper overlattice of roots + <-4>")
 
-    lt = LatticeType(
-        components=tuple(named),
-        minus4_count=deficit,
-        simple_roots=simple_roots,
-        minus4_generators=minus4_gens,
-        roots2_by_component=tuple(per_comp_counts),
-    )
-    # cross-checks: simple-root counts are ranks; root counts are classical
-    for (letter, rank_), comp, count in zip(named, comps, per_comp_counts):
+    for (letter, rank_), count in zip(named, per_comp_counts):
         want = classical_root_count(letter, rank_)
-        _require(rank_ == len(comp), f"{letter}{rank_}: {len(comp)} simple roots")
         _require(count == want, f"{letter}{rank_}: found {count} roots, expected {want}")
     _require(sum(per_comp_counts) == 2 * len(roots.roots2),
              "some -2 roots lie in no single Dynkin component")
-    _require(lt.rank == all_rank, f"rank {lt.rank}, root span rank {all_rank}")
-    return lt
+    return LatticeType(
+        components=tuple(named),
+        minus4_count=len(perp4),
+        simple_roots=simple_roots,
+        minus4_generators=tuple(perp4),
+        roots2_by_component=tuple(per_comp_counts),
+    )
 
 
 def model_type(m: SurfaceModel, bound: int = 4, seed: int = 0) -> tuple[LatticeType, GeneralizedRootSet]:

@@ -310,13 +310,49 @@ def random_negative_definite(rng, n, entry_bound=4, max_box=200_000):
 
 
 def _is_neg_def(g):
-    """Sylvester's criterion with minors by permutation expansion."""
+    """Sylvester's criterion by exact Fraction elimination of -g.
+
+    Every principal 2x2 minor of a positive definite form is positive, a
+    test without divisions that rejects many random forms.  Then the pivots of
+    Gaussian elimination without row exchanges, the ratios of consecutive
+    leading minors, must all be positive.  Row k is reduced against the
+    rows above it only when its pivot is needed, so the work stops at the
+    first pivot that is not positive.
+    """
     n = len(g)
-    neg = [[-x for x in row] for row in g]
-    for k in range(1, n + 1):
-        if perm_det([row[:k] for row in neg[:k]]) <= 0:
+    if any(g[i][i] * g[j][j] <= g[i][j] ** 2 for i in range(n) for j in range(i + 1, n)):
+        return False
+    done = []
+    for k, row in enumerate(g):
+        r = [Fraction(-x) for x in row]
+        for j, top in enumerate(done):
+            if r[j]:
+                f = r[j] / top[j]
+                r[j:] = [x - f * y for x, y in zip(r[j:], top[j:])]
+        if r[k] <= 0:
             return False
+        done.append(r)
     return True
+
+
+def snf_reflective_basis(gram, d):
+    """Hermite basis rows of M_d = {v : G.v = 0 mod d}, from a Smith form.
+
+    The reference for `exact_lattice.reflective_basis`, which works over
+    F_d instead.  With D = U.G.V and U unimodular, G.v = 0 mod d exactly
+    when D_ii (V^-1 v)_i = 0 mod d for every i, so the columns of V scaled
+    by d / gcd(d, D_ii) are a basis of M_d.  Stacked on d.I, whose rows lie
+    in M_d, their Hermite normal form is a basis with entries between 0 and
+    d.  Any d >= 1 works here, prime or not.
+    """
+    from degen_atlas.exact_lattice import hnf, snf
+
+    diag, _, v = snf(tuple(tuple(r) for r in gram))
+    n = len(v)
+    rows = [tuple(d // gcd(d, diag[i][i]) * x for x in col) for i, col in enumerate(zip(*v))]
+    rows += [tuple(d * int(i == j) for j in range(n)) for i in range(n)]
+    h, _ = hnf(tuple(rows))
+    return tuple(row for row in h if any(row))
 
 
 def run_python(args, timeout):

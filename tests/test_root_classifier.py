@@ -3,17 +3,20 @@ from math import gcd
 
 import pytest
 
-from degen_atlas import root_classifier
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from degen_atlas import exact_lattice, root_classifier
 from degen_atlas.exact_lattice import (
     GramForm,
     det,
     enumerate_short,
+    hnf,
     identity,
     mat,
     matmul,
     reflective_basis,
     snf,
-    sub_vec,
     transpose,
 )
 from degen_atlas.root_classifier import (
@@ -42,6 +45,7 @@ from oracles import (
     random_negative_definite,
     rational_short_vectors,
     run_python_O,
+    snf_reflective_basis,
 )
 
 
@@ -129,7 +133,7 @@ def _coset_member(m, L, roots, expected_terms):
     for r in roots:
         lifted = L.lift(r)
         for cand in (lifted, tuple(-x for x in lifted)):
-            diff = sub_vec(want, cand)
+            diff = tuple(x - y for x, y in zip(want, cand))
             for k in range(-3, 4):
                 if diff == tuple(k * x for x in xi):
                     return True
@@ -263,6 +267,97 @@ def test_incomplete_root_system_is_rejected_under_python_O():
     assert done.stdout.strip() == "rejected: A2: found 4 roots, expected 6"
 
 
+def _tree(n, edges):
+    """The basis vectors of a form with diagonal -2 and 1 on `edges`."""
+    g = [[-2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        g[i][j] = g[j][i] = 1
+    return GeneralizedRootSet(identity(n), (), (), GramForm(mat(g)))
+
+
+def _a1x8_glued():
+    """Eight orthogonal -2 roots e1..e8 in the basis (e1..e7, w) of the
+    overlattice with w = (e1 + ... + e8) / 2, and w, of norm -4, as its one
+    root of norm -4.  w pairs to -1 with every e_i, so it is no <-4>
+    generator, and it lies outside Z.e1 + ... + Z.e8."""
+    g = [[-2 * (i == j) for j in range(8)] for i in range(8)]
+    for i in range(7):
+        g[i][7] = g[7][i] = -1
+    g[7][7] = -4
+    e8 = (-1,) * 7 + (2,)
+    return GeneralizedRootSet(identity(8)[:7] + (e8,), ((0,) * 7 + (1,),), (),
+                              GramForm(mat(g)))
+
+
+@pytest.mark.parametrize(
+    "roots,seed,message",
+    [
+        (GeneralizedRootSet(((0, 0),), (), (), GramForm(((-2, 0), (0, -2)))), 0,
+         "could not separate roots with a functional"),
+        (GeneralizedRootSet(((1,),), (), (), GramForm(((-6,),))), 0,
+         "simple root (1,) has norm -6, not -2"),
+        (GeneralizedRootSet(((1, 0), (0, 1)), (), (), GramForm(((-2, 2), (2, -2)))), 2,
+         "simple roots (1, 0) and (0, 1) pair to 2, not +-1"),
+        (_tree(3, [(0, 1), (1, 2), (0, 2)]), 0, "component graph is not a tree"),
+        (_tree(5, [(0, 1), (0, 2), (0, 3), (0, 4)]), 0, "node of degree > 3"),
+        (_tree(6, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)]), 0, "more than one branch node"),
+        (_tree(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]), 0,
+         "arm profile [2, 2, 2] is not simply laced ADE"),
+        (_tree(8, [(0, 1), (0, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 7)]), 0,
+         "arm profile [1, 3, 3] is not simply laced ADE"),
+        (GeneralizedRootSet((), ((0, 1), (1, 0), (1, 1)), (), GramForm(((-4, 2), (2, -4)))), 0,
+         "<-4> generators are not orthogonal"),
+        (_a1x8_glued(), 0, "Span(Phi) is a proper overlattice of roots + <-4>"),
+        (INCOMPLETE_A2, 0, "A2: found 4 roots, expected 6"),
+        # (1, 1) = e1 + e2 is listed as a -2 root but lies in no component
+        (GeneralizedRootSet(((1, 0), (0, 1), (1, 1)), (), (), GramForm(((-2, 0), (0, -2)))), 2,
+         "some -2 roots lie in no single Dynkin component"),
+    ],
+    ids=["no-functional", "norm", "pairing", "cycle", "degree-4", "two-branches",
+         "arms-2-2-2", "arms-1-3-3", "A2(2)", "A1x8-glued", "incomplete-A2", "no-component"],
+)
+def test_classify_rejection_messages(roots, seed, message):
+    with pytest.raises(UnclassifiableError) as exc:
+        classify(roots, seed)
+    assert str(exc.value) == message
+
+
+def test_gram_and_script_L_checks_raise_under_python_O():
+    # each check is broken on purpose: a non-symmetric and a non-square Gram
+    # matrix, then script_L with one vector dropped from h-perp in xi-perp
+    # and with one coordinate dropped from L
+    code = (
+        "from degen_atlas import catalogue_model, root_classifier as rc\n"
+        "from degen_atlas.exact_lattice import GramForm, QuotientLattice\n"
+        "def attempt(fn):\n"
+        "    try:\n"
+        "        print('accepted:', fn())\n"
+        "    except ValueError as exc:\n"
+        "        print(f'{type(exc).__name__}: {exc}')\n"
+        "attempt(lambda: GramForm(((-2, 1), (0, -2))))\n"
+        "attempt(lambda: GramForm(((-2, 1),)))\n"
+        "m = catalogue_model('D17')\n"
+        "perp, quotient = rc.orthogonal_complement, rc.quotient_by_isotropic\n"
+        "rc.orthogonal_complement = lambda g, vs: perp(g, vs)[1:]\n"
+        "attempt(lambda: rc.script_L(m))\n"
+        "rc.orthogonal_complement = perp\n"
+        "def shrunk(*args):\n"
+        "    L = quotient(*args)\n"
+        "    gram = GramForm(tuple(row[1:] for row in L.gram.gram[1:]))\n"
+        "    return QuotientLattice(reps=L.reps[1:], gram=gram)\n"
+        "rc.quotient_by_isotropic = shrunk\n"
+        "attempt(lambda: rc.script_L(m))\n"
+    )
+    done = run_python_O(["-c", code], timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "ValueError: gram must be symmetric",
+        "ValueError: gram must be square",
+        "UnclassifiableError: h-perp in xi-perp has rank 17, expected 18",
+        "UnclassifiableError: L has rank 16, expected 17",
+    ]
+
+
 def test_generalized_roots_match_brute_force():
     # diagonals -1..-4, so odd forms with roots of norm -1 and -3 occur
     rng = random.Random(20261018)
@@ -330,10 +425,10 @@ def test_enumerate_short_matches_rational_oracle_on_models(models):
     # the three searches of generalized_roots at bound 4: L, M_3 and M_2
     for m in list(models.values()) + [swap_components(m) for m in models.values()]:
         gram = script_L(m).gram.gram
-        smith = snf(gram)
         forms = [(gram, 2)]
         for d, bound in ((3, 3), (2, 4)):
-            basis = reflective_basis(smith, d)
+            basis = reflective_basis(gram, d)
+            assert basis == snf_reflective_basis(gram, d)
             forms.append((matmul(matmul(basis, gram), transpose(basis)), bound))
         for form, bound in forms:
             assert enumerate_short(GramForm(form), bound) == rational_short_vectors(form, bound)
@@ -342,24 +437,39 @@ def test_enumerate_short_matches_rational_oracle_on_models(models):
 @pytest.mark.parametrize(
     "gram,searches,other",
     [
-        ([[-2, 0], [0, -2]], 1, []),  # even: no search in M_3, no Smith form
+        ([[-2, 0], [0, -2]], 1, []),  # even: no search in M_3
         ([[-2, 1], [1, -3]], 2, []),  # odd: M_3 is searched; (0, 1), (1, 1) are not roots
         ([[-6, 3], [3, -3]], 2, [(0, 1), (1, 1)]),  # odd with an even first diagonal entry
     ],
 )
 def test_odd_norms_are_searched_only_on_odd_lattices(monkeypatch, gram, searches, other):
+    # `searches` counts the searches at bound 3; at no bound does the root
+    # search take a Smith or Hermite form
     calls = []
 
     def counted(name, fn):
         return lambda *args: calls.append(name) or fn(*args)
 
     monkeypatch.setattr(root_classifier, "enumerate_short", counted("search", enumerate_short))
-    monkeypatch.setattr(root_classifier, "snf", counted("snf", snf))
-    got = _roots_of(gram, 3)
-    assert got == filtered_generalized_roots(gram, 3)
-    assert got[2] == other
-    assert calls.count("search") == searches
-    assert calls.count("snf") == searches - 1
+    monkeypatch.setattr(exact_lattice, "snf", counted("snf", snf))
+    monkeypatch.setattr(exact_lattice, "hnf", counted("hnf", hnf))
+    odd = searches == 2
+    for bound in range(2, 8):
+        calls.clear()
+        got = _roots_of(gram, bound)
+        assert got == filtered_generalized_roots(gram, bound)
+        assert calls.count("search") == 1 + sum(odd or k % 2 == 0 for k in range(3, bound + 1))
+        assert calls.count("snf") == calls.count("hnf") == 0
+        if bound == 3:
+            assert got[2] == other
+
+
+def test_bound_8_is_rejected():
+    # M_4 is no F_p-kernel; bound 8 would need it for the norm -8 roots
+    with pytest.raises(ValueError, match="^bound must be between 2 and 7$"):
+        _roots_of([[-2]], 8)
+    with pytest.raises(ValueError, match="^d = 4 is not a prime$"):
+        reflective_basis(((-2,),), 4)
 
 
 @pytest.mark.parametrize(
@@ -382,11 +492,12 @@ def test_norm_minus3_and_minus4_roots_are_the_primitive_vectors_of_M_d(gram, v, 
 
 
 def _basis_checks(gram, divisors):
-    """M_2 and M_3 bases from snf(gram): rows in M_d, the right index, and
-    entries between 0 and d (the Hermite re-basing)."""
-    smith = snf(mat(gram))
-    for d in (2, 3):
-        basis = reflective_basis(smith, d)
+    """M_d bases over F_d for d = 2, 3, 5, 7: equal to the Smith-form
+    oracle's, rows in M_d, the right index, and entries between 0 and d
+    (the Hermite re-basing)."""
+    for d in (2, 3, 5, 7):
+        basis = reflective_basis(mat(gram), d)
+        assert basis == snf_reflective_basis(gram, d)
         assert len(basis) == len(gram)
         for row in basis:
             assert all(sum(g * x for g, x in zip(grow, row)) % d == 0 for grow in gram)
@@ -407,8 +518,23 @@ def test_reflective_basis_on_random_forms():
     # elementary divisors from gcds of minors, not from snf
     rng = random.Random(20261019)
     for _ in range(30):
-        gram = random_negative_definite(rng, rng.randint(1, 4))
+        gram = random_negative_definite(rng, rng.randint(1, 6))
         _basis_checks(gram, minor_gcd_divisors(gram))
+
+
+@st.composite
+def integer_matrices(draw):
+    """Square integer matrices of size 1..6, symmetric or not, singular ones
+    included; M_d is defined for any of them."""
+    n = draw(st.integers(1, 6))
+    return mat(draw(st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                             min_size=n, max_size=n)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(integer_matrices(), st.sampled_from((2, 3, 5, 7)))
+def test_reflective_basis_matches_the_smith_oracle(gram, d):
+    assert reflective_basis(gram, d) == snf_reflective_basis(gram, d)
 
 
 @pytest.mark.parametrize(
