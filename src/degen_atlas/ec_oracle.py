@@ -5,11 +5,11 @@ group of an actual short Weierstrass curve over a small prime field.  Point
 configurations are sampled in discrete-log coordinates with respect to a
 generator G of the group's largest cyclic subgroup: the imposed relations
 become linear congruences mod N, solved exactly by Smith normal form, so
-sampling never needs point division.  The curve is re-entered at the end.
-Each drawn point k*G is summed from a per-curve table of d*128^j*G
-(d = 1..127), built once by the group law, and every generator and target
-is then re-evaluated point by point with honest chord-tangent group-law
-code before a verdict is returned.
+sampling never needs point division; the Smith transform is kept sparse
+mod N.  The curve is re-entered at the end: each drawn point k*G is summed
+from a per-curve table of d*128^j*G (d = 1..127), built once by the group
+law, and every generator and target is re-evaluated with honest chord-tangent
+group-law code, adding points of equal coefficient before one multiplication.
 
 SUPPORTED verdicts are evidence modulo N-torsion artifacts; the formal
 certificate from the relation module is the authoritative proof.
@@ -25,7 +25,7 @@ from importlib import resources
 from math import gcd, isqrt
 from typing import Optional, Sequence
 
-from .exact_lattice import mat, matvec, snf
+from .exact_lattice import mat, snf
 from .period_relations import Divisor, RelationSystem
 
 Point = Optional[tuple[int, int]]  # None is the point at infinity
@@ -278,44 +278,47 @@ class PointAssignment:
     curve: Curve
     dlogs: tuple[tuple[str, int], ...]
 
-    def dlog(self, symbol: str) -> int:
-        return dict(self.dlogs)[symbol]
-
     def points(self) -> dict[str, Point]:
         return {s: self.curve.multiple_of_generator(k) for s, k in self.dlogs}
 
 
 def evaluate_divisor(c: Curve, d: Divisor, points: dict[str, Point]) -> Point:
-    total: Point = None
+    """sum c_i P_i by the group law: the points of each distinct coefficient
+    are added into one bucket, which starts from its first point, and each
+    bucket is multiplied once.  No discrete log stands in for an addition."""
+    buckets: dict[int, Point] = {}
     for sym, coeff in d.coeffs:
-        total = group_law(c, total, scalar_mul(c, coeff, points[sym]))
+        pt = points[sym]
+        buckets[coeff] = group_law(c, buckets[coeff], pt) if coeff in buckets else pt
+    total: Point = None
+    for coeff, bucket in buckets.items():
+        total = group_law(c, total, scalar_mul(c, coeff, bucket))
     return total
 
 
 def _solution_sampler(generators: Sequence[Divisor], symbols: Sequence[str], n_mod: int):
-    """Uniform sampler for {x : A x = 0 mod N}, via Smith normal form."""
-    index = {s: i for i, s in enumerate(symbols)}
-    rows = []
-    for g in generators:
-        row = [0] * len(symbols)
-        for s, cf in g.coeffs:
-            row[index[s]] = cf
-        rows.append(row)
-    if not rows:
-        rows = [[0] * len(symbols)]
-    d, _, v = snf(mat(rows))
+    """Uniform sampler for {x : A x = 0 mod N}: with D = U A V in Smith form,
+    x = V y, y_j = (N/g_j) r_j, g_j = gcd(D_jj, N), r_j uniform in range(g_j),
+    and V's columns kept sparse mod N.  Every r_j is drawn, in order, even
+    when g_j == 1: randrange(1) still consumes the generator's state, so
+    skipping it would shift every later draw and witness."""
+    rows = [[coeffs.get(s, 0) for s in symbols] for coeffs in map(Divisor.as_dict, generators)]
+    d, _, v = snf(mat(rows or [[0] * len(symbols)]))
     k = len(symbols)
-    r = min(len(rows), k)
-    moduli = []
-    for i in range(k):
-        di = d[i][i] if i < r else 0
-        g = gcd(di, n_mod)
-        # y_i must be a multiple of N/g; there are g choices mod N
-        moduli.append((n_mod // g if g else 1, g if g else n_mod))
+    columns = []
+    for j in range(k):
+        count = gcd(d[j][j] if j < len(d) else 0, n_mod)  # y_j is a multiple of N/count
+        column = [(i, n_mod // count * v[i][j] % n_mod) for i in range(k)]
+        columns.append((count, [(i, e) for i, e in column if e]))
 
     def sample(rng: random.Random) -> list[int]:
-        y = [step * rng.randrange(count) % n_mod for step, count in moduli]
-        return [x % n_mod for x in matvec(v, tuple(y))]
+        x = [0] * k
+        for count, column in columns:
+            rj = rng.randrange(count)
+            if rj:
+                for i, e in column:
+                    x[i] += e * rj
+        return [xi % n_mod for xi in x]
 
     return sample
 

@@ -84,9 +84,6 @@ class Divisor:
     def __neg__(self) -> "Divisor":
         return (-1) * self
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def symbols(self) -> tuple[str, ...]:
         return tuple(s for s, _ in self.coeffs)
 

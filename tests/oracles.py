@@ -4,7 +4,8 @@ These deliberately avoid the code paths they check: short vectors come from
 an exhaustive coefficient box, a floating-point Fincke-Pohst walk or one
 over an exact rational LDL^T, determinants from permutation expansion,
 elementary divisors from gcds of minors, and elliptic-curve points from the
-affine group law with the Fermat inverse and plain double-and-add.
+affine group law with the Fermat inverse and plain double-and-add, summed
+term by term.  The oracle's congruence sampler keeps its dense form here.
 """
 
 import os
@@ -446,6 +447,49 @@ def double_and_add(c, k, P):
         P = affine_group_law(c, P, P)
         k >>= 1
     return acc
+
+
+def termwise_divisor_sum(c, d, points):
+    """sum c_i P_i for a Divisor d, one `double_and_add` per term, added up
+    by `affine_group_law`."""
+    total = None
+    for sym, coeff in d.coeffs:
+        total = affine_group_law(c, total, double_and_add(c, coeff, points[sym]))
+    return total
+
+
+def dense_solution_sampler(generators, symbols, n_mod):
+    """Uniform sampler for {x : A x = 0 mod N}, via Smith normal form.
+
+    The reference for `ec_oracle._solution_sampler`: it draws y with one
+    `rng.randrange` per coordinate and returns the dense product V y mod N.
+    """
+    from degen_atlas.exact_lattice import mat, matvec, snf
+
+    index = {s: i for i, s in enumerate(symbols)}
+    rows = []
+    for g in generators:
+        row = [0] * len(symbols)
+        for s, cf in g.coeffs:
+            row[index[s]] = cf
+        rows.append(row)
+    if not rows:
+        rows = [[0] * len(symbols)]
+    d, _, v = snf(mat(rows))
+    k = len(symbols)
+    r = min(len(rows), k)
+    moduli = []
+    for i in range(k):
+        di = d[i][i] if i < r else 0
+        g = gcd(di, n_mod)
+        # y_i must be a multiple of N/g; there are g choices mod N
+        moduli.append((n_mod // g if g else 1, g if g else n_mod))
+
+    def sample(rng):
+        y = [step * rng.randrange(count) % n_mod for step, count in moduli]
+        return [x % n_mod for x in matvec(v, tuple(y))]
+
+    return sample
 
 
 # The fan of each catalogue model, written out independently of the

@@ -1,8 +1,11 @@
 import json
 import random
 from importlib import resources
+from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from degen_atlas import ec_oracle
 from degen_atlas.ec_oracle import (
@@ -22,7 +25,13 @@ from degen_atlas.period_relations import (
     relation_rows,
 )
 from degen_atlas.surface_pair import catalogue
-from oracles import affine_group_law, double_and_add, run_python_O
+from oracles import (
+    affine_group_law,
+    dense_solution_sampler,
+    double_and_add,
+    run_python_O,
+    termwise_divisor_sum,
+)
 
 SMALL_CURVES = ((5, 0, 1), (5, 1, 0))  # orders 6 and 4: one-row tables
 
@@ -247,11 +256,84 @@ def test_sample_config_two_torsion(curves):
     )
     seen_nontrivial = False
     for seed in range(20):
-        a = sample_config(system, even, seed=seed)
-        k = (a.dlog("q") - a.dlog("q'")) % even.exponent
+        dlogs = dict(sample_config(system, even, seed=seed).dlogs)
+        k = (dlogs["q"] - dlogs["q'"]) % even.exponent
         assert 2 * k % even.exponent == 0
         seen_nontrivial |= k != 0
     assert seen_nontrivial  # the 2-torsion coset really is explored
+
+
+def _sampler_cases():
+    """(generators, symbols) of the 11 row systems, the 2-torsion system of
+    test_sample_config_two_torsion, and two empty systems, one of them with
+    free symbols."""
+    cases = []
+    for row in relation_rows():
+        generators = imposed_relations(row.prepare()).generators()
+        cases.append((generators, sorted({s for g in generators for s in g.symbols()})))
+    two_torsion = RelationSystem(r_h=Divisor.of({"q": 2, "q'": -2}), r_xi=Divisor.of({}), aux=())
+    cases.append((two_torsion.generators(), ["q", "q'"]))
+    cases += [((), []), ((), ["p1", "q"])]
+    return cases
+
+
+def test_sparse_sampler_draws_what_the_dense_one_did(curves):
+    # gcd(2, N) is 1 on one pinned curve and 2 on the others, so the
+    # 2-torsion system has a coordinate with a single choice on the first
+    assert sorted(gcd(2, c.exponent) for c in curves) == [1, 2, 2]
+    cases = _sampler_cases()
+    assert len(cases) == 14
+    for c in curves:
+        n = c.exponent
+        pairs = [(ec_oracle._solution_sampler(gens, syms, n), dense_solution_sampler(gens, syms, n),
+                  gens, syms) for gens, syms in cases]
+        for seed in range(5):
+            fast_rng, dense_rng = random.Random(seed), random.Random(seed)
+            for fast, dense, gens, syms in pairs:
+                for _ in range(20):
+                    x = fast(fast_rng)
+                    assert x == dense(dense_rng), (c.p, seed, syms)
+                    point = dict(zip(syms, x))
+                    assert all(sum(cf * point[s] for s, cf in g.coeffs) % n == 0 for g in gens)
+            assert fast_rng.getstate() == dense_rng.getstate()
+
+
+_TERM_KINDS = ("free", "negated", "torsion", "infinity")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 2),
+    st.lists(st.tuples(st.sampled_from((-3, -2, -1, 1, 2, 3)), st.sampled_from(_TERM_KINDS),
+                       st.integers(0, 2**20)), min_size=1, max_size=12),
+    st.integers(0, 2**20),
+)
+# a bucket P + (-P) of coefficient 2, a -2 bucket holding the 2-torsion
+# point, and the +-3 pair of buckets summing to infinity
+@example(1, [(2, "free", 5), (2, "negated", 0), (-2, "torsion", 0), (-2, "free", 9)], 1)
+@example(2, [(3, "free", 77), (-3, "free", 77), (1, "infinity", 0), (1, "torsion", 0)], 3)
+def test_bucketed_divisor_sum_matches_the_termwise_sum(curves, which, terms, k_last):
+    c = curves[which]
+    n = c.exponent
+    coeffs, dlogs = {}, {}
+    for i, (coeff, kind, k) in enumerate(terms):
+        sym = f"p{i + 1}"
+        coeffs[sym] = coeff
+        if kind == "free":
+            dlogs[sym] = k % n
+        elif kind == "negated":  # the inverse of an earlier point
+            dlogs[sym] = -dlogs[f"p{k % i + 1}"] % n if i else 0
+        elif kind == "torsion":
+            dlogs[sym] = n // 2 if n % 2 == 0 else 0
+        else:
+            dlogs[sym] = 0
+    coeffs["q"], dlogs["q"] = -sum(coeffs.values()), k_last % n
+    d = Divisor.of(coeffs)
+    assert d.degree() == 0
+    points = {s: double_and_add(c, k, c.generator) for s, k in dlogs.items()}
+    expected = termwise_divisor_sum(c, d, points)
+    assert evaluate_divisor(c, d, points) == expected
+    assert expected == double_and_add(c, sum(cf * dlogs[s] for s, cf in d.coeffs) % n, c.generator)
 
 
 def test_membership_supported_and_refuted(models, curves):
@@ -397,6 +479,8 @@ def test_verdicts_match_the_reference_arithmetic(curves, monkeypatch):
     monkeypatch.setattr(ec_oracle, "scalar_mul", double_and_add)
     monkeypatch.setattr(ec_oracle.Curve, "multiple_of_generator",
                         lambda c, k: double_and_add(c, k, c.generator))
+    monkeypatch.setattr(ec_oracle, "evaluate_divisor", termwise_divisor_sum)
+    monkeypatch.setattr(ec_oracle, "_solution_sampler", dense_solution_sampler)
     reference = _criterion_6_verdicts(curves)
     assert fast == reference
     assert sum(v.verdict == "REFUTED" for v in fast) == 33
