@@ -33,7 +33,6 @@ from .surface_pair import (
     flop,
     flop_all,
     intersect,
-    nef_report,
     parse_class,
     surface_name,
     swap_components,
@@ -91,7 +90,6 @@ __all__ = [
     "flop",
     "flop_all",
     "intersect",
-    "nef_report",
     "parse_class",
     "surface_name",
     "swap_components",

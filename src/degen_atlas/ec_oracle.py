@@ -381,7 +381,8 @@ def randomized_membership_test(
     system: RelationSystem,
     target: Divisor,
     trials: int = 100,
-    curve: Optional[Curve] = None,
+    *,
+    curve: Curve,
     seed: int = 0,
 ) -> MembershipVerdict:
     """SUPPORTED when the target vanishes on every sampled configuration.
@@ -394,8 +395,6 @@ def randomized_membership_test(
         raise ValueError(f"trials must be at least 1, got {trials}")
     if target.degree() != 0:
         raise ValueError("targets must have degree 0")
-    if curve is None:
-        curve = pinned_curves()[0]
     generators = system.generators()
     extra = [s for s in target.symbols()
              if not any(s in g.symbols() for g in generators)]

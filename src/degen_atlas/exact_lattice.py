@@ -338,11 +338,11 @@ def solve_integer(
 
 
 def solve_rational(columns: Sequence[Vector], target: Vector) -> bool:
-    """True when target lies in the rational span of the columns."""
+    """True when target lies in the rational span of the columns, that is
+    when it is orthogonal to every vector orthogonal to all the columns."""
     if not columns:
         return all(x == 0 for x in target)
-    stacked = mat(list(columns))
-    return rank(stacked) == rank(mat(list(columns) + [list(target)]))
+    return not any(sum(x * y for x, y in zip(k, target)) for k in kernel_basis(mat(columns)))
 
 
 def in_span_many(
@@ -369,11 +369,6 @@ def in_span(target: Vector, generators: Sequence[Vector]) -> Optional[Vector]:
     return in_span_many([target], generators)[0]
 
 
-def rank(m: Matrix) -> int:
-    h, _ = hnf(m)
-    return sum(1 for row in h if any(row))
-
-
 @dataclass(frozen=True)
 class GramForm:
     """A symmetric integer bilinear form."""
@@ -396,10 +391,6 @@ class GramForm:
 
     def norm(self, v: Vector) -> int:
         return self.pairing(v, v)
-
-    def is_negative_definite(self) -> bool:
-        """Sylvester's criterion, read off the Bareiss minors of -gram."""
-        return _bareiss(self.gram)[0][-1] > 0
 
 
 @dataclass(frozen=True)

@@ -25,13 +25,10 @@ from typing import Mapping, Optional
 
 from .exact_lattice import Vector, in_span, solve_rational
 from .surface_pair import (
-    P2,
     SurfaceModel,
     catalogue_model,
     flop_all,
     intersect,
-    is_exceptional,
-    point_symbol,
     surface_name,
     swap_components,
 )
@@ -172,18 +169,6 @@ def imposed_relations(m: SurfaceModel) -> RelationSystem:
     r_xi = _sign_normalized(-1 * psi(m, m.xi))
     aux = tuple(Divisor.of(terms) for terms in m.aux_relations)
     return RelationSystem(r_h=r_h, r_xi=r_xi, aux=aux)
-
-
-def d_semistability_relation(m: SurfaceModel) -> Divisor:
-    """k0 q + k1 q' minus the sum of all blown-up points (from home names)."""
-    terms: dict[str, int] = {}
-    for comp, base in ((0, m.lattice.base0), (1, m.lattice.base1)):
-        tick = "'" if comp == 1 else ""
-        terms[f"q{tick}"] = 9 if base == P2 else 8
-    for name in m.lattice.names:
-        if is_exceptional(name):
-            terms[point_symbol(name)] = -1
-    return Divisor.of(terms)
 
 
 @dataclass(frozen=True)

@@ -32,21 +32,7 @@ from .exact_lattice import (
     transpose,
     vecmat,
 )
-from .surface_pair import SurfaceModel, check_model_invariants
-
-#: Expected generalized types of the nine catalogue models.
-EXPECTED_TYPES = {
-    "A15": (("A", 15), ("A", 1), ("A", 1)),
-    "A11E6": (("A", 11), ("E", 6)),
-    "D12D5": (("D", 12), ("D", 5)),
-    "D8D8": (("D", 8), ("D", 8), ("<-4>", 1)),
-    "D16": (("D", 16), ("<-4>", 1)),
-    "D17": (("D", 17),),
-    "E8D9": (("E", 8), ("D", 9)),
-    "E7E7A3": (("E", 7), ("E", 7), ("A", 3)),
-    "E8E8": (("E", 8), ("E", 8), ("<-4>", 1)),
-}
-
+from .surface_pair import SurfaceModel, catalogue, check_model_invariants, expected_type
 
 ScriptL = QuotientLattice  # L = h-perp in xi-perp / Z xi, lifted by its reps
 
@@ -133,16 +119,12 @@ class LatticeType:
     def rank(self) -> int:
         return sum(r for _, r in self.components) + self.minus4_count
 
-    def as_multiset(self) -> tuple[tuple[str, int], ...]:
-        parts = sorted(self.components, key=lambda c: (-c[1], c[0]))
-        parts += [("<-4>", 1)] * self.minus4_count
-        return tuple(parts)
-
 
 _LETTER_ORDER = {"E": 0, "D": 1, "A": 2}
 
 
 def type_string(t: LatticeType) -> str:
+    """Canonical spelling: E, D, A by letter, rank descending, <-4> last."""
     parts = [f"{letter}{rank}" for letter, rank in
              sorted(t.components, key=lambda c: (_LETTER_ORDER[c[0]], -c[1]))]
     parts += ["<-4>"] * t.minus4_count
@@ -319,22 +301,18 @@ def model_type(m: SurfaceModel, bound: int = 4, seed: int = 0) -> tuple[LatticeT
 
 
 def verify_classification(models: Optional[dict] = None, seed: int = 0) -> dict:
-    """Classify all nine models and compare against the expected table.
+    """Classify all nine models and compare with the catalogue table's types.
 
     Returns a report dict with one entry per model: type, root counts, and
     whether any odd-norm generalized roots appeared (none are expected).
     """
-    from .surface_pair import catalogue
-
     if models is None:
         models = catalogue()
     results = {}
     all_pass = True
     for mid, m in models.items():
         t, roots = model_type(m, 4, seed)
-        got = tuple(sorted(t.as_multiset()))
-        want = tuple(sorted(EXPECTED_TYPES[mid]))
-        ok = got == want and not roots.other
+        ok = type_string(t) == expected_type(mid) and not roots.other
         all_pass &= ok
         results[mid] = {
             "type": type_string(t),

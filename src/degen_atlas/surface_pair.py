@@ -28,6 +28,7 @@ P1XP1 = "P1xP1"
 BASE_DEGREE = {P2: 9, P1XP1: 8}
 
 Terms = Mapping[str, int]  # name -> coefficient
+Ray = tuple[int, int]  # (m, n), the class m*h + n*xi
 
 
 def _base_names(base: str, primed: bool) -> list[str]:
@@ -219,13 +220,16 @@ def _default_restrictions(lattice: PairLattice) -> dict[str, Terms]:
 
 _CATALOGUE_TABLE = {
     # id: (base0, n0, base1, n1, h terms, fiber class names, annotation,
-    #      overrides: None or (restriction images, auxiliary relations))
+    #      overrides: None or (restriction images, auxiliary relations),
+    #      expected lattice type in type_string spelling,
+    #      expected fan: (boundary rays, interior walls), a ray (m, n) = m*h + n*xi)
     "A15": (
         P1XP1, 16, P1XP1, 0,
         {"s": 1, "f": 1, "s'": 1, "f'": 1},
         (),
         "two quadrics intersecting transversally",
         None,
+        "A15+A1+A1", (((2, 1), (2, -1)), ((1, 0),)),
     ),
     "A11E6": (
         P2, 12, P2, 6,
@@ -233,6 +237,7 @@ _CATALOGUE_TABLE = {
         (),
         "a plane intersecting a cubic surface",
         None,
+        "E6+A11", (((3, 1), (1, -1)), ((1, 0),)),
     ),
     "D12D5": (
         P2, 13, P2, 5,
@@ -240,6 +245,7 @@ _CATALOGUE_TABLE = {
         ({"l": 1, "e1": -1},),
         None,
         None,
+        "D12+D5", (((1, 0), (1, -1)), ()),
     ),
     "D8D8": (
         P2, 9, P2, 9,
@@ -248,6 +254,7 @@ _CATALOGUE_TABLE = {
         ({"l": 1, "e1": -1}, {"l'": 1, "e'1": -1}),
         None,
         None,
+        "D8+D8+<-4>", (((1, 0), (1, -1)), ()),
     ),
     "D16": (
         P2, 17, P1XP1, 0,
@@ -261,6 +268,7 @@ _CATALOGUE_TABLE = {
             {"s'": {"q'": 3, "pf": -1}, "f'": {"q'": 1, "pf": 1}},
             ({"pf": 4, "q'": -4},),
         ),
+        "D16+<-4>", (((1, 0), (2, -1)), ()),
     ),
     "D17": (
         P2, 18, P2, 0,
@@ -268,6 +276,7 @@ _CATALOGUE_TABLE = {
         ({"l": 1, "e1": -1},),
         None,
         None,
+        "D17", (((1, 0), (3, -2)), ()),
     ),
     "E8D9": (
         P2, 8, P2, 10,
@@ -275,6 +284,7 @@ _CATALOGUE_TABLE = {
         ({"l'": 1, "e'1": -1},),
         None,
         None,
+        "E8+D9", (((1, 0), (1, -2)), ()),
     ),
     "E7E7A3": (
         P2, 7, P2, 11,
@@ -283,6 +293,7 @@ _CATALOGUE_TABLE = {
         (),
         None,
         None,
+        "E7+E7+A3", (((1, 0), (1, -2)), ((1, -1),)),
     ),
     "E8E8": (
         P2, 8, P2, 10,
@@ -291,6 +302,7 @@ _CATALOGUE_TABLE = {
         (),
         None,
         None,
+        "E8+E8+<-4>", (((1, 0), (1, -3)), ((1, -1), (1, -2))),
     ),
 }
 
@@ -303,7 +315,7 @@ def catalogue_ids() -> tuple[str, ...]:
 
 def _make_model(model_id: str) -> SurfaceModel:
     (base0, n0, base1, n1, h_terms, fiber_terms, annotation,
-     overrides) = _CATALOGUE_TABLE[model_id]
+     overrides, _, _) = _CATALOGUE_TABLE[model_id]
     image_overrides, aux_relations = overrides or ({}, ())
     lat = make_pair_lattice(base0, n0, base1, n1)
     tags = tuple(home_component(n) for n in lat.names)
@@ -333,6 +345,16 @@ def catalogue_model(model_id: str) -> SurfaceModel:
             f"unknown model {model_id!r}; known: {', '.join(CATALOGUE_IDS)}"
         )
     return _make_model(model_id)
+
+
+def expected_type(model_id: str) -> str:
+    """The root lattice type the paper gives a catalogue model, as type_string spells it."""
+    return _CATALOGUE_TABLE[model_id][8]
+
+
+def expected_fan(model_id: str) -> tuple[tuple[Ray, Ray], tuple[Ray, ...]]:
+    """The (boundary rays, interior walls) the paper gives a catalogue model's fan."""
+    return _CATALOGUE_TABLE[model_id][9]
 
 
 def check_model_invariants(m: SurfaceModel) -> None:
@@ -510,25 +532,6 @@ def curve_catalogue(m: SurfaceModel) -> tuple[CurveEntry, ...]:
             curves.append((fname, fvec, "moving"))
     rows = (matvec(lat.gram_form.gram, m.h), matvec(lat.gram_form.gram, m.xi))
     return tuple(CurveEntry(name, cls, kind, *matvec(rows, cls)) for name, cls, kind in curves)
-
-
-@dataclass(frozen=True)
-class NefReport:
-    is_nonnegative: bool
-    zero: tuple[CurveEntry, ...]
-    negative: tuple[CurveEntry, ...]
-
-
-def nef_report(m: SurfaceModel, c: Vector) -> NefReport:
-    zero = []
-    negative = []
-    for entry in curve_catalogue(m):
-        val = intersect(m, c, entry.cls)
-        if val == 0:
-            zero.append(entry)
-        elif val < 0:
-            negative.append(entry)
-    return NefReport(not negative, tuple(zero), tuple(negative))
 
 
 def surface_name(m: SurfaceModel, comp: int) -> str:

@@ -5,7 +5,8 @@ an exhaustive coefficient box, a floating-point Fincke-Pohst walk or one
 over an exact rational LDL^T, determinants from permutation expansion,
 elementary divisors from gcds of minors, and elliptic-curve points from the
 affine group law with the Fermat inverse and plain double-and-add, summed
-term by term.  The oracle's congruence sampler keeps its dense form here.
+term by term.  The oracle's congruence sampler keeps its dense form here,
+and the d-semistability relation is read straight off the basis names.
 """
 
 import os
@@ -336,6 +337,23 @@ def _is_neg_def(g):
     return True
 
 
+def d_semistability_relation(m):
+    """k0 q + k1 q' minus every blown-up point, read off the basis names.
+
+    The reference for `imposed_relations(m).r_xi` on a model whose
+    exceptional classes still sit on their home components: k_i is 9 for a
+    P2 base and 8 for P1xP1, and e3 (e'3) lies over the point p3 (p'3).
+    """
+    from degen_atlas.period_relations import Divisor
+
+    terms = {"q": 9 if m.lattice.base0 == "P2" else 8,
+             "q'": 9 if m.lattice.base1 == "P2" else 8}
+    for name in m.lattice.names:
+        if name.startswith("e"):
+            terms["p" + name[1:]] = -1
+    return Divisor.of(terms)
+
+
 def snf_reflective_basis(gram, d):
     """Hermite basis rows of M_d = {v : G.v = 0 mod d}, from a Smith form.
 
@@ -356,7 +374,7 @@ def snf_reflective_basis(gram, d):
     return tuple(row for row in h if any(row))
 
 
-def run_python(args, timeout):
+def run_python(args, timeout, cwd=None):
     """`python *args` in a subprocess, with the package under test importable."""
     import degen_atlas
 
@@ -364,7 +382,7 @@ def run_python(args, timeout):
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=path), timeout=timeout,
+        env=dict(os.environ, PYTHONPATH=path), timeout=timeout, cwd=cwd,
     )
 
 

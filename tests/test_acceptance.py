@@ -29,6 +29,7 @@ from degen_atlas.root_classifier import (
 from degen_atlas.surface_pair import catalogue, flop_all, intersect
 from oracles import (
     EXPECTED_FANS,
+    _is_neg_def,
     box_short_vectors,
     classical_root_count,
     random_negative_definite,
@@ -88,9 +89,8 @@ def test_criterion_1_nine_lattice_types(classification):
     results, elapsed = classification
     for mid, (_, roots, t) in results.items():
         assert type_string(t) == EXPECTED_TYPE_STRINGS[mid], mid
-        assert tuple(sorted(t.as_multiset())) == tuple(
-            sorted(list(EXPECTED_TYPE_MULTISETS[mid]))
-        ), mid
+        multiset = list(t.components) + [("<-4>", 1)] * t.minus4_count
+        assert sorted(multiset) == sorted(EXPECTED_TYPE_MULTISETS[mid]), mid
         assert not roots.other, f"{mid} has odd-norm generalized roots"
         assert t.rank == 17
     assert elapsed < 60, f"classification took {elapsed:.1f}s (budget 60s)"
@@ -166,7 +166,7 @@ def test_criterion_5_structural_invariants(models):
             assert intersect(state, e0, e0) + intersect(state, e1, e1) == 0
             L = script_L(state)
             assert L.rank == 17
-            assert L.gram.is_negative_definite()
+            assert _is_neg_def(L.gram.gram)
             states += 1
     report("criterion 5", f"invariants hold on {states} reachable states")
 

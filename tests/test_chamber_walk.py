@@ -18,7 +18,6 @@ from degen_atlas.surface_pair import (
     flop,
     flop_all,
     intersect,
-    nef_report,
     swap_components,
 )
 from oracles import EXPECTED_FANS, run_python_O
@@ -143,7 +142,8 @@ def test_boundary_rays_are_nef(models, fans):
     # (1, 0) is nef on the initial state of every model; each walk endpoint
     # was additionally checked inside stable_model_at during fan assembly.
     for mid, m in models.items():
-        assert not nef_report(m, class_at(m, (1, 0))).negative
+        h = class_at(m, (1, 0))
+        assert all(intersect(m, h, e.cls) >= 0 for e in curve_catalogue(m)), mid
 
 
 def test_flops_preserve_ray_squares(models):
@@ -279,7 +279,6 @@ def test_whitelist_degrees_are_the_pairings(models, fans):
                     assert e.h_degree == intersect(state, state.h, e.cls)
                     assert e.xi_degree == intersect(state, state.xi, e.cls)
                 for a, b in (chamber.upper, chamber.lower):
-                    report = nef_report(state, class_at(state, (a, b)))
-                    degrees = [(e, a * e.h_degree + b * e.xi_degree) for e in curves]
-                    assert [e for e, d in degrees if d == 0] == list(report.zero)
-                    assert [e for e, d in degrees if d < 0] == list(report.negative)
+                    c = class_at(state, (a, b))
+                    for e in curves:
+                        assert a * e.h_degree + b * e.xi_degree == intersect(state, c, e.cls)

@@ -3,9 +3,11 @@ import json
 import pytest
 
 import degen_atlas.cli as cli
-from degen_atlas import ec_oracle
+from degen_atlas import ec_oracle, surface_pair
+from degen_atlas.chamber_walk import verify_fans
 from degen_atlas.cli import run
-from degen_atlas.root_classifier import UnclassifiableError
+from degen_atlas.root_classifier import UnclassifiableError, verify_classification
+from degen_atlas.surface_pair import expected_fan, expected_type
 from oracles import run_python_O
 from test_ec_oracle import _relation_blind_sampler
 
@@ -170,6 +172,33 @@ def test_verify_aggregation_and_exit_codes(capsys, monkeypatch):
     assert code == 1
     assert "FAIL" in out.out
     assert "failed" in out.err
+
+
+def test_verify_reads_the_catalogue_table(capsys, monkeypatch):
+    # a wrong expected type or fan in the table must fail verify, for that
+    # model only
+    table = surface_pair._CATALOGUE_TABLE
+    d17 = list(table["D17"])
+    d17[d17.index(expected_type("D17"))] = "D16+A1"
+    e8e8 = list(table["E8E8"])
+    boundary, walls = expected_fan("E8E8")
+    e8e8[e8e8.index((boundary, walls))] = (boundary, walls[:1])
+    monkeypatch.setitem(table, "D17", tuple(d17))
+    monkeypatch.setitem(table, "E8E8", tuple(e8e8))
+
+    types, fans = verify_classification(), verify_fans()
+    assert not types["pass"] and not fans["pass"]
+    assert [mid for mid, r in types["models"].items() if not r["ok"]] == ["D17"]
+    assert types["models"]["D17"]["type"] == "D17"
+    assert [mid for mid, r in fans["models"].items() if not r["ok"]] == ["E8E8"]
+    assert fans["models"]["E8E8"]["walls"] == [[1, -1], [1, -2]]
+
+    assert run(["verify", "--all"]) == 1
+    out = capsys.readouterr()
+    assert "[FAIL] root-lattice classification: D17" in out.out
+    assert "[FAIL] chamber fans: E8E8" in out.out
+    assert "27/29 checks passed" in out.out
+    assert "verification failed" in out.err
 
 
 def test_verify_all_under_python_O():

@@ -388,6 +388,12 @@ def test_membership_needs_a_trial(models, curves, trials):
         randomized_membership_test(system, system.r_h, trials=trials, curve=curves[0])
 
 
+def test_membership_needs_a_curve(models):
+    system = imposed_relations(models["D17"])
+    with pytest.raises(TypeError, match="curve"):
+        randomized_membership_test(system, system.r_h, trials=1)
+
+
 def test_membership_rejects_a_target_of_nonzero_degree(models, curves):
     system = imposed_relations(models["D17"])
     with pytest.raises(ValueError, match="degree 0"):
@@ -411,8 +417,9 @@ def test_degree_checks_hold_under_python_O():
         "system = imposed_relations(catalogue_model('D17'))\n"
         "q = Divisor.of({'q': 1})\n"
         "bad = RelationSystem(system.r_h, system.r_xi, system.aux + (q,))\n"
-        "for call in (lambda: randomized_membership_test(system, q, trials=10),\n"
-        "             lambda: sample_config(bad, pinned_curves()[0])):\n"
+        "curve = pinned_curves()[0]\n"
+        "for call in (lambda: randomized_membership_test(system, q, trials=10, curve=curve),\n"
+        "             lambda: sample_config(bad, curve)):\n"
         "    try:\n"
         "        print('accepted:', type(call()).__name__)\n"
         "    except ValueError as exc:\n"
@@ -446,8 +453,9 @@ def test_membership_rejects_a_draw_off_the_relations_under_python_O():
         "ec_oracle._solution_sampler = (\n"
         "    lambda gens, symbols, n: lambda rng: [rng.randrange(n) for _ in symbols])\n"
         "system = imposed_relations(catalogue_model('D17'))\n"
+        "curve = ec_oracle.pinned_curves()[0]\n"
         "try:\n"
-        "    v = ec_oracle.randomized_membership_test(system, system.r_h, trials=10)\n"
+        "    v = ec_oracle.randomized_membership_test(system, system.r_h, trials=10, curve=curve)\n"
         "    print('accepted:', v.verdict)\n"
         "except AssertionError as exc:\n"
         "    print('rejected:', exc)\n"

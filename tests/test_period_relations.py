@@ -7,7 +7,6 @@ from degen_atlas.period_relations import (
     ZERO,
     Divisor,
     RelationSystem,
-    d_semistability_relation,
     derive,
     hirzebruch_relation,
     imposed_relations,
@@ -25,7 +24,7 @@ from degen_atlas.surface_pair import (
     flop_all,
     swap_components,
 )
-from oracles import run_python_O
+from oracles import d_semistability_relation, run_python_O
 
 
 @pytest.fixture(scope="module")

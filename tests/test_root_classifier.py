@@ -37,6 +37,7 @@ from degen_atlas.surface_pair import (
     swap_components,
 )
 from oracles import (
+    _is_neg_def,
     brute_generalized_roots,
     classical_root_count,
     filtered_generalized_roots,
@@ -75,7 +76,7 @@ def test_script_L_rank_and_definiteness(models):
     for m in list(models.values()) + [swap_components(m) for m in models.values()]:
         L = script_L(m)
         assert L.rank == 17
-        assert L.gram.is_negative_definite()
+        assert _is_neg_def(L.gram.gram)
         amb = m.lattice.gram_form
         assert L.gram.gram == tuple(
             tuple(amb.pairing(a, b) for b in L.reps) for a in L.reps
@@ -196,7 +197,7 @@ def test_classification_invariant_under_swap(models):
     m = models["E7E7A3"]
     t1, _ = model_type(m)
     t2, _ = model_type(swap_components(m))
-    assert t1.as_multiset() == t2.as_multiset()
+    assert type_string(t1) == type_string(t2) == "E7+E7+A3"
 
 
 def test_custom_model_matches_d8d8(models):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from degen_atlas.exact_lattice import add_vec, scale_vec
 from degen_atlas.surface_pair import (
     build_model,
     catalogue,
@@ -13,7 +14,6 @@ from degen_atlas.surface_pair import (
     flop_all,
     format_class,
     intersect,
-    nef_report,
     parse_class,
     surface_name,
     swap_components,
@@ -157,26 +157,27 @@ def test_curve_catalogue_contents(models):
     assert {c.name for c in floppables} == {f"e{i}" for i in range(1, 17)}
 
 
-def test_nef_report_examples(models):
+def test_whitelist_degree_examples(models):
+    # h is nef on A15's whitelist and has degree 0 exactly on e1..e16
     a15 = models["A15"]
-    rep = nef_report(a15, a15.h)
-    assert rep.is_nonnegative
-    assert {c.name for c in rep.zero} == {f"e{i}" for i in range(1, 17)}
+    curves = curve_catalogue(a15)
+    assert all(e.h_degree >= 0 for e in curves)
+    assert {e.name for e in curves if e.h_degree == 0} == {f"e{i}" for i in range(1, 17)}
+    for e in curves:
+        assert e.h_degree == intersect(a15, a15.h, e.cls)
+        # linearity: doubling h doubles every pairing, so the partition agrees
+        assert intersect(a15, scale_vec(2, a15.h), e.cls) == 2 * e.h_degree
 
+    # on D8D8, h - xi has degree 0 on e'2..e'9 and on l'-e'1
     d8 = models["D8D8"]
-    import degen_atlas.surface_pair as sp
-
-    c = sp.add_vec(d8.h, sp.scale_vec(-1, d8.xi))
-    rep = nef_report(d8, c)
-    zero_names = {e.name for e in rep.zero}
+    c = add_vec(d8.h, scale_vec(-1, d8.xi))
+    zero_names = set()
+    for e in curve_catalogue(d8):
+        assert e.h_degree - e.xi_degree == intersect(d8, c, e.cls)
+        if e.h_degree == e.xi_degree:
+            zero_names.add(e.name)
     assert {f"e'{i}" for i in range(2, 10)} <= zero_names
     assert "l'-e'1" in zero_names
-
-    # linearity: doubling h doubles every pairing, so the partition agrees
-    rep1 = nef_report(a15, a15.h)
-    rep2 = nef_report(a15, sp.scale_vec(2, a15.h))
-    assert {c.name for c in rep2.zero} == {c.name for c in rep1.zero}
-    assert not rep2.negative
 
 
 def test_surface_names(models):
