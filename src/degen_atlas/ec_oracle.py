@@ -6,10 +6,12 @@ configurations are sampled in discrete-log coordinates with respect to a
 generator G of the group's largest cyclic subgroup: the imposed relations
 become linear congruences mod N, solved exactly by Smith normal form, so
 sampling never needs point division; the Smith transform is kept sparse
-mod N.  The curve is re-entered at the end: each drawn point k*G is summed
-from a per-curve table of d*128^j*G (d = 1..127), built once by the group
-law, and every generator and target is re-evaluated with honest chord-tangent
-group-law code, adding points of equal coefficient before one multiplication.
+mod N.  The curve is re-entered at the end: each drawn point k*G is read
+from a per-curve table of every multiple of G, built once by adding G with
+the group law, and every generator and target is re-evaluated with honest
+chord-tangent group-law code, adding points of equal coefficient before one
+multiplication.  The group law reads its inverses mod p from a per-curve
+table that it fills as denominators first occur.
 
 SUPPORTED verdicts are evidence modulo N-torsion artifacts; the formal
 certificate from the relation module is the authoritative proof.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import json
 import random
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -29,7 +32,6 @@ from .exact_lattice import mat, snf
 from .period_relations import Divisor, RelationSystem
 
 Point = Optional[tuple[int, int]]  # None is the point at infinity
-_RADIX = 128  # each row of a curve's generator table serves one base-128 digit of k
 
 
 def _is_prime(n: int) -> bool:
@@ -72,38 +74,49 @@ class Curve:
         return (y * y - (x * x * x + self.a * x + self.b)) % self.p == 0
 
     @cached_property
-    def _generator_table(self) -> tuple[tuple[Point, ...], ...]:
-        """Row j holds d*128^j*G for d = 1..127, built by the group law; one
-        row per base-128 digit of exponent - 1."""
-        rows = []
-        base: Point = self.generator
-        top = self.exponent - 1
-        while top:
-            row = [base]
-            for _ in range(_RADIX - 2):
-                row.append(group_law(self, row[-1], base))
-            rows.append(tuple(row))
-            base = group_law(self, row[-1], base)
-            top //= _RADIX
-        return tuple(rows)
+    def _inverses(self) -> array:
+        """inv[d] = d^-1 mod p, filled by group_law as each d first occurs;
+        0 marks an entry not filled yet (0 itself has no inverse)."""
+        return array("I", bytes(4 * self.p))
+
+    @cached_property
+    def _multiples(self) -> tuple[array, array]:
+        """The x and y of k*G for k = 1..exponent-1, at index k - 1, built by
+        adding G with the group law.  Raises ValueError unless G has order
+        exactly the exponent."""
+        xs, ys = array("I"), array("I")
+        point: Point = self.generator
+        g = point
+        for k in range(1, self.exponent):
+            if point is None:
+                raise ValueError(
+                    f"curve p={self.p}, a={self.a}, b={self.b}: {k}*G is the identity, "
+                    f"so G has order below the exponent {self.exponent}"
+                )
+            xs.append(point[0])
+            ys.append(point[1])
+            point = group_law(self, point, g)
+        if point is not None:
+            raise ValueError(
+                f"curve p={self.p}, a={self.a}, b={self.b}: exponent*G is not the "
+                f"identity (exponent {self.exponent})"
+            )
+        return xs, ys
 
     def multiple_of_generator(self, k: int) -> Point:
-        """k*G for 0 <= k < exponent: one table addition per nonzero
-        base-128 digit of k.  k is not reduced mod the exponent, which would
-        trust that G has that order."""
+        """k*G for 0 <= k < exponent, read from the table of multiples.  k is
+        not reduced mod the exponent, which would trust that G has that order."""
         if not 0 <= k < self.exponent:
             raise ValueError(f"k = {k} is not in [0, {self.exponent})")
-        acc: Point = None
-        for row in self._generator_table:
-            k, digit = divmod(k, _RADIX)
-            if digit:
-                acc = group_law(self, acc, row[digit - 1])
-        return acc
+        if not k:
+            return None
+        xs, ys = self._multiples
+        return (xs[k - 1], ys[k - 1])
 
 
 def group_law(c: Curve, P: Point, Q: Point) -> Point:
     """Chord-tangent addition with the identity at infinity; coordinates
-    are compared mod p."""
+    are compared mod p.  Inverses come from the curve's inverse table."""
     if P is None:
         return Q
     if Q is None:
@@ -112,11 +125,19 @@ def group_law(c: Curve, P: Point, Q: Point) -> Point:
     x1, y1 = P
     x2, y2 = Q
     if (x1 - x2) % p:
-        slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
+        num, den = y2 - y1, (x2 - x1) % p
     elif (y1 + y2) % p == 0:
         return None
     else:  # on the curve, the same x and not opposite: P = Q
-        slope = (3 * x1 * x1 + c.a) * pow(2 * y1, -1, p) % p
+        num, den = 3 * x1 * x1 + c.a, 2 * y1 % p
+    # den is never 0 for points on the curve: the chord branch has distinct
+    # x, and a point with 2*y1 = 0 mod p is its own opposite, so the test
+    # above returned None
+    inv = c._inverses
+    inverse = inv[den]
+    if not inverse:
+        inverse = inv[den] = pow(den, -1, p)
+    slope = num * inverse % p
     x3 = (slope * slope - x1 - x2) % p
     y3 = (slope * (x1 - x3) - y1) % p
     return (x3, y3)

@@ -432,16 +432,23 @@ def quotient_by_isotropic(ambient: GramForm, rows: Matrix, xi: Vector) -> Quotie
     k = len(rows)
     _, _, v = snf(mat([coords]))
     first = vecmat(coords, v)
-    assert first[0] in (1, -1) and all(x == 0 for x in first[1:])
+    if first[0] not in (1, -1) or any(first[1:]):
+        raise AssertionError(f"quotient_by_isotropic: snf maps xi's coordinates to {first}, "
+                             "not (+-1, 0, ...)")
     w, wu = hnf(v)  # wu = V^-1 since V is unimodular and hnf(V) = I
-    assert w == identity(k)
+    if w != identity(k):
+        raise AssertionError("quotient_by_isotropic: snf's V is not unimodular, hnf(V) != I")
     basis_rows = wu
     if first[0] == -1:
         basis_rows = mat([[-x for x in basis_rows[0]]] + [list(r) for r in basis_rows[1:]])
-    assert tuple(basis_rows[0]) == coords
+    if tuple(basis_rows[0]) != coords:
+        raise AssertionError("quotient_by_isotropic: the completed basis does not start "
+                             "with xi's coordinates")
 
     new_rows = matmul(basis_rows, rows)  # rows in ambient; row 0 = xi
-    assert new_rows[0] == tuple(xi)
+    if new_rows[0] != tuple(xi):
+        raise AssertionError(f"quotient_by_isotropic: the first basis row is {new_rows[0]}, "
+                             "not xi")
     full = matmul(matmul(new_rows, ambient.gram), transpose(new_rows))
     if any(full[0]):  # new_rows is a basis of S
         raise ValueError("xi is not isotropic on the sublattice")

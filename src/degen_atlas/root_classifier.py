@@ -311,8 +311,9 @@ def verify_classification(models: Optional[dict] = None, seed: int = 0) -> dict:
     results = {}
     all_pass = True
     for mid, m in models.items():
+        want = expected_type(mid)  # an unknown id fails before any classification
         t, roots = model_type(m, 4, seed)
-        ok = type_string(t) == expected_type(mid) and not roots.other
+        ok = type_string(t) == want and not roots.other
         all_pass &= ok
         results[mid] = {
             "type": type_string(t),

@@ -313,9 +313,17 @@ def catalogue_ids() -> tuple[str, ...]:
     return CATALOGUE_IDS
 
 
-def _make_model(model_id: str) -> SurfaceModel:
+def _catalogue_row(model_id: str) -> tuple:
+    """The catalogue table's row for a model id, else a KeyError naming the known ids."""
+    if model_id not in _CATALOGUE_TABLE:
+        raise KeyError(f"unknown model {model_id!r}; known: {', '.join(CATALOGUE_IDS)}")
+    return _CATALOGUE_TABLE[model_id]
+
+
+def catalogue_model(model_id: str) -> SurfaceModel:
+    """A catalogue model built from its table row."""
     (base0, n0, base1, n1, h_terms, fiber_terms, annotation,
-     overrides, _, _) = _CATALOGUE_TABLE[model_id]
+     overrides, _, _) = _catalogue_row(model_id)
     image_overrides, aux_relations = overrides or ({}, ())
     lat = make_pair_lattice(base0, n0, base1, n1)
     tags = tuple(home_component(n) for n in lat.names)
@@ -336,25 +344,17 @@ def _make_model(model_id: str) -> SurfaceModel:
 
 def catalogue() -> dict[str, SurfaceModel]:
     """The nine standard models, keyed by their root-lattice id."""
-    return {mid: _make_model(mid) for mid in CATALOGUE_IDS}
-
-
-def catalogue_model(model_id: str) -> SurfaceModel:
-    if model_id not in _CATALOGUE_TABLE:
-        raise KeyError(
-            f"unknown model {model_id!r}; known: {', '.join(CATALOGUE_IDS)}"
-        )
-    return _make_model(model_id)
+    return {mid: catalogue_model(mid) for mid in CATALOGUE_IDS}
 
 
 def expected_type(model_id: str) -> str:
     """The root lattice type the paper gives a catalogue model, as type_string spells it."""
-    return _CATALOGUE_TABLE[model_id][8]
+    return _catalogue_row(model_id)[8]
 
 
 def expected_fan(model_id: str) -> tuple[tuple[Ray, Ray], tuple[Ray, ...]]:
     """The (boundary rays, interior walls) the paper gives a catalogue model's fan."""
-    return _CATALOGUE_TABLE[model_id][9]
+    return _catalogue_row(model_id)[9]
 
 
 def check_model_invariants(m: SurfaceModel) -> None:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from importlib import resources
@@ -33,7 +34,7 @@ from oracles import (
     termwise_divisor_sum,
 )
 
-SMALL_CURVES = ((5, 0, 1), (5, 1, 0))  # orders 6 and 4: one-row tables
+SMALL_CURVES = ((5, 0, 1), (5, 1, 0))  # Z/6 and Z/2 x Z/2: tables of 5 and 1 multiples
 
 
 @pytest.fixture(scope="module")
@@ -192,14 +193,29 @@ def test_scalar_mul_matches_double_and_add(curves):
 def test_generator_table_draws_match_double_and_add(curves):
     rng = random.Random(9)
     for c in curves:
-        assert [len(row) for row in c._generator_table] == [127, 127]
+        xs, ys = c._multiples
+        assert len(xs) == len(ys) == c.exponent - 1
         for k in [0, 1, 127, 128, c.exponent - 1] + [rng.randrange(c.exponent) for _ in range(300)]:
             assert c.multiple_of_generator(k) == double_and_add(c, k, c.generator), (c.p, k)
     for abc in SMALL_CURVES:
         c = curve_setup(*abc)
-        assert [len(row) for row in c._generator_table] == [127]
+        xs, ys = c._multiples
+        assert len(xs) == len(ys) == c.exponent - 1
         for k in range(c.exponent):
             assert c.multiple_of_generator(k) == double_and_add(c, k, c.generator), (abc, k)
+
+
+@pytest.mark.parametrize("exponent, message", [
+    (12, "curve p=5, a=0, b=1: 6*G is the identity, so G has order below the exponent 12"),
+    (3, "curve p=5, a=0, b=1: exponent*G is not the identity (exponent 3)"),
+])
+def test_generator_table_checks_the_exponent(exponent, message):
+    c = curve_setup(5, 0, 1)
+    assert c.exponent == 6
+    wrong = dataclasses.replace(c, exponent=exponent)
+    with pytest.raises(ValueError) as exc:
+        wrong.multiple_of_generator(1)
+    assert str(exc.value) == message
 
 
 def test_generator_table_rejects_k_out_of_range(curves):
@@ -207,6 +223,27 @@ def test_generator_table_rejects_k_out_of_range(curves):
         for k in (-1, c.exponent):
             with pytest.raises(ValueError, match=rf"k = {k} is not in \[0, {c.exponent}\)"):
                 c.multiple_of_generator(k)
+
+
+_PAIR_KINDS = ("free", "equal", "opposite", "P is None", "Q is None")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, len(SMALL_CURVES) + 2), st.sampled_from(_PAIR_KINDS),
+       st.integers(0, 2**20), st.integers(0, 2**20))
+def test_group_law_matches_the_reference(curves, which, kind, k1, k2):
+    c = (*curves, *(curve_setup(*abc) for abc in SMALL_CURVES))[which]
+    n, g = c.exponent, c.generator
+    k2 = {"equal": k1, "opposite": -k1}.get(kind, k2)
+    P, Q = double_and_add(c, k1 % n, g), double_and_add(c, k2 % n, g)
+    if kind == "P is None":
+        P = None
+    elif kind == "Q is None":
+        Q = None
+    assert group_law(c, P, Q) == affine_group_law(c, P, Q)
+    inv = c._inverses
+    assert len(inv) == c.p and inv[0] == 0
+    assert all(x * e % c.p == 1 for x, e in enumerate(inv) if e)
 
 
 def test_group_law_homomorphism(curves):

@@ -252,6 +252,31 @@ def test_corrupted_span_solve_is_rejected_under_python_O():
     ]
 
 
+NON_UNIMODULAR_SNF = """
+from degen_atlas import exact_lattice
+snf = exact_lattice.snf
+def doubled_last_column(m):
+    d, u, v = snf(m)
+    return d, u, exact_lattice.mat([list(row[:-1]) + [2 * row[-1]] for row in v])
+exact_lattice.snf = doubled_last_column
+amb = exact_lattice.GramForm(exact_lattice.mat([[0, 0], [0, 0]]))
+try:
+    print("accepted:", exact_lattice.quotient_by_isotropic(amb, exact_lattice.identity(2), (1, 0)))
+except AssertionError as exc:
+    print("rejected:", exc)
+"""
+
+
+def test_quotient_checks_its_basis_completion_under_python_O():
+    # a V that still maps xi's coordinates to (1, 0) but has determinant 2
+    # must be caught by a raise, not by an assert that -O strips
+    done = run_python_O(["-c", NON_UNIMODULAR_SNF], timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "rejected: quotient_by_isotropic: snf's V is not unimodular, hnf(V) != I",
+    ]
+
+
 def test_quotient_by_isotropic_rank1_zero_form():
     amb = GramForm(mat([[0, 0], [0, 0]]))
     q = quotient_by_isotropic(amb, identity(2), (1, 0))

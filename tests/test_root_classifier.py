@@ -33,6 +33,7 @@ from degen_atlas.root_classifier import (
 from degen_atlas.surface_pair import (
     build_model,
     catalogue,
+    catalogue_model,
     class_vector,
     swap_components,
 )
@@ -556,3 +557,13 @@ def test_odd_norm_roots_are_rejected_before_the_rank_checks(gram, named):
     with pytest.raises(UnclassifiableError) as exc:
         classify(roots)
     assert str(exc.value) == f"roots of odd norm do not span ADE + <-4>: {named}"
+
+
+def test_verify_classification_rejects_an_unknown_id_before_classifying(monkeypatch):
+    calls = []
+    monkeypatch.setattr(root_classifier, "model_type", lambda *args: calls.append(args))
+    with pytest.raises(KeyError) as exc:
+        root_classifier.verify_classification({"custom": catalogue_model("D17")})
+    assert exc.value.args == (
+        "unknown model 'custom'; known: A15, A11E6, D12D5, D8D8, D16, D17, E8D9, E7E7A3, E8E8",)
+    assert calls == []

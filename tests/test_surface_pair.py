@@ -7,8 +7,11 @@ from degen_atlas.surface_pair import (
     build_model,
     catalogue,
     catalogue_ids,
+    catalogue_model,
     class_vector,
     curve_catalogue,
+    expected_fan,
+    expected_type,
     export_model,
     flop,
     flop_all,
@@ -49,6 +52,14 @@ def test_specific_intersections(models):
         class_vector(m.lattice, {"l": 1}),
         class_vector(m.lattice, {"e1": 1}),
     ) == 0
+
+
+@pytest.mark.parametrize("lookup", [catalogue_model, expected_type, expected_fan])
+def test_catalogue_lookups_name_the_known_ids(lookup):
+    with pytest.raises(KeyError) as exc:
+        lookup("custom")
+    assert exc.value.args == (
+        "unknown model 'custom'; known: A15, A11E6, D12D5, D8D8, D16, D17, E8D9, E7E7A3, E8E8",)
 
 
 def test_build_model_d_values():
