@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exact_lattice import Vector, add_vec, scale_vec
+from .exact_lattice import InvariantError, Vector, add_vec, scale_vec
 from .surface_pair import (
     CurveEntry,
     SurfaceModel,
@@ -72,10 +72,11 @@ def next_wall(
         if slope >= 0:
             continue
         eps = Fraction(entry.h_degree, -slope)
-        assert eps >= start, (
-            f"curve {entry.name} already negative before eps={start} "
-            f"(threshold {eps}); walk state is inconsistent"
-        )
+        if eps < start:
+            raise InvariantError(
+                f"curve {entry.name} already negative before eps={start} "
+                f"(threshold {eps}); walk state is inconsistent"
+            )
         if best is None or eps < best:
             best, hits = eps, [entry]
         elif eps == best:
@@ -155,7 +156,11 @@ def stable_model_at(
             )
             fates.append(ComponentFate("birational", square, restricted, contracted))
     total = sum(f.restricted_square for f in fates)
-    assert total == intersect(m, c, c) == 4 * ray[0] * ray[0]
+    if not total == intersect(m, c, c) == 4 * ray[0] * ray[0]:
+        raise InvariantError(
+            f"restricted squares at {ray} sum to {total}; c.c = {intersect(m, c, c)} "
+            f"and 4 m^2 = {4 * ray[0] * ray[0]}"
+        )
     annotation = None
     if ray == (1, 0) and m.annotation:
         annotation = m.annotation
@@ -237,7 +242,8 @@ def _walk(model: SurfaceModel, curves: tuple[CurveEntry, ...], direction: int):
         events.append(WallEvent(ray, kind, names, stable, note))
         if kind != "interior_flop":
             return events, states
-        assert all(n in m.lattice.names for n in names), "interior walls flop basis classes"
+        if not all(n in m.lattice.names for n in names):
+            raise InvariantError(f"interior wall at {ray} flops {names}, not basis classes")
         m = flop_all(m, names)
         curves = curve_catalogue(m)
         states.append(m)

@@ -15,6 +15,7 @@ import sys
 
 from .chamber_walk import fan_diagram, lift_fan, verify_fans
 from .ec_oracle import pinned_curves, randomized_membership_test
+from .exact_lattice import InvariantError
 from .period_relations import (
     derive,
     imposed_relations,
@@ -22,7 +23,6 @@ from .period_relations import (
     verify_relations,
 )
 from .root_classifier import (
-    UnclassifiableError,
     classify,
     generalized_roots,
     script_L,
@@ -243,7 +243,11 @@ def cmd_build(args) -> int:
 def cmd_oracle(args) -> int:
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("DEGEN_ATLAS_SEED", "0"))
+        raw = os.environ.get("DEGEN_ATLAS_SEED", "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise ValueError(f"DEGEN_ATLAS_SEED must be an integer, got {raw!r}") from None
     row = _row_for(args.model)
     m = row.prepare()
     system = imposed_relations(m)
@@ -316,7 +320,7 @@ def run(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (AssertionError, UnclassifiableError) as exc:  # a broken invariant
+    except InvariantError as exc:  # a broken invariant, UnclassifiableError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError) as exc:  # a usage error

@@ -28,7 +28,7 @@ from importlib import resources
 from math import gcd, isqrt
 from typing import Optional, Sequence
 
-from .exact_lattice import mat, snf
+from .exact_lattice import InvariantError, mat, snf
 from .period_relations import Divisor, RelationSystem
 
 Point = Optional[tuple[int, int]]  # None is the point at infinity
@@ -352,7 +352,7 @@ def _checked_draw(
     pts = assignment.points()
     for g in generators:
         if evaluate_divisor(curve, g, pts) is not None:
-            raise AssertionError(
+            raise InvariantError(
                 f"sampled configuration violates {g} on the curve; "
                 "the congruence solver is inconsistent"
             )

@@ -21,11 +21,15 @@ Vector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
 
 
+class InvariantError(AssertionError):
+    """A check the program makes on its own results failed."""
+
+
 def mat(rows: Iterable[Iterable[int]]) -> Matrix:
     """Freeze an iterable of iterables of ints into a Matrix."""
     m = tuple(tuple(int(x) for x in row) for row in rows)
-    if m:
-        assert all(len(row) == len(m[0]) for row in m), "ragged matrix"
+    if m and any(len(row) != len(m[0]) for row in m):
+        raise ValueError("ragged matrix")
     return m
 
 
@@ -77,7 +81,8 @@ def canonical_sign(v: Vector) -> Vector:
 def det(m: Matrix) -> int:
     """Exact determinant by fraction-free Bareiss elimination."""
     n = len(m)
-    assert all(len(row) == n for row in m), "det of a non-square matrix"
+    if any(len(row) != n for row in m):
+        raise ValueError("det of a non-square matrix")
     a = [list(row) for row in m]
     sign = 1
     prev = 1
@@ -318,7 +323,8 @@ def solve_integer(
     if not columns:
         return [() if all(x == 0 for x in t) else None for t in targets]
     n = len(columns[0])
-    assert all(len(c) == n for c in list(columns) + list(targets)), "dimension mismatch"
+    if any(len(c) != n for c in list(columns) + list(targets)):
+        raise ValueError("dimension mismatch")
     m = transpose(mat(columns))  # n x k, generators as columns
     d, u, v = snf(m)
     k = len(columns)
@@ -360,7 +366,7 @@ def in_span_many(
         for c, g in zip(coeffs, gens):
             acc = add_vec(acc, scale_vec(c, g))
         if acc != tuple(target):
-            raise AssertionError(f"span coefficients {coeffs} do not re-expand to {tuple(target)}")
+            raise InvariantError(f"span coefficients {coeffs} do not re-expand to {tuple(target)}")
     return found
 
 
@@ -433,21 +439,21 @@ def quotient_by_isotropic(ambient: GramForm, rows: Matrix, xi: Vector) -> Quotie
     _, _, v = snf(mat([coords]))
     first = vecmat(coords, v)
     if first[0] not in (1, -1) or any(first[1:]):
-        raise AssertionError(f"quotient_by_isotropic: snf maps xi's coordinates to {first}, "
+        raise InvariantError(f"quotient_by_isotropic: snf maps xi's coordinates to {first}, "
                              "not (+-1, 0, ...)")
     w, wu = hnf(v)  # wu = V^-1 since V is unimodular and hnf(V) = I
     if w != identity(k):
-        raise AssertionError("quotient_by_isotropic: snf's V is not unimodular, hnf(V) != I")
+        raise InvariantError("quotient_by_isotropic: snf's V is not unimodular, hnf(V) != I")
     basis_rows = wu
     if first[0] == -1:
         basis_rows = mat([[-x for x in basis_rows[0]]] + [list(r) for r in basis_rows[1:]])
     if tuple(basis_rows[0]) != coords:
-        raise AssertionError("quotient_by_isotropic: the completed basis does not start "
+        raise InvariantError("quotient_by_isotropic: the completed basis does not start "
                              "with xi's coordinates")
 
     new_rows = matmul(basis_rows, rows)  # rows in ambient; row 0 = xi
     if new_rows[0] != tuple(xi):
-        raise AssertionError(f"quotient_by_isotropic: the first basis row is {new_rows[0]}, "
+        raise InvariantError(f"quotient_by_isotropic: the first basis row is {new_rows[0]}, "
                              "not xi")
     full = matmul(matmul(new_rows, ambient.gram), transpose(new_rows))
     if any(full[0]):  # new_rows is a basis of S

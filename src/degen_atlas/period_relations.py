@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .exact_lattice import Vector, in_span, solve_rational
+from .exact_lattice import InvariantError, Vector, in_span, solve_rational
 from .surface_pair import (
     SurfaceModel,
     catalogue_model,
@@ -37,14 +37,15 @@ from .surface_pair import (
 def _symbol_key(sym: str) -> tuple:
     if sym == "q":
         return (0, 0)
-    if sym.startswith("p'"):
+    if sym.startswith("p'") and sym[2:].isdigit():
         return (3, int(sym[2:]))
     if sym == "q'":
         return (2, 0)
     if sym == "pf":
         return (4, 0)
-    assert sym.startswith("p")
-    return (1, int(sym[1:]))
+    if sym.startswith("p") and sym[1:].isdigit():
+        return (1, int(sym[1:]))
+    raise ValueError(f"unknown point symbol {sym!r}")
 
 
 @dataclass(frozen=True)
@@ -138,7 +139,8 @@ def psi(m: SurfaceModel, c: Vector) -> Divisor:
             continue
         sign = 1 if m.tags[i] == 0 else -1
         total = total + (coeff * sign) * images[name]
-    assert total.degree() == 0
+    if total.degree() != 0:
+        raise InvariantError(f"psi of {c} has degree {total.degree()}, not 0")
     return total
 
 
@@ -222,7 +224,8 @@ def derive(system: RelationSystem, target: Divisor) -> DeriveResult:
         check = ZERO
         for c, g in zip(coeffs, gens):
             check = check + c * g
-        assert check == target
+        if check != target:
+            raise InvariantError(f"certificate {tuple(coeffs)} re-expands to {check}, not {target}")
         return DeriveResult("certified", tuple(coeffs), gens, target)
     if solve_rational(gen_vecs, tvec):
         return DeriveResult("rational_only", None, gens, target)
@@ -241,7 +244,8 @@ def hirzebruch_relation(n: int) -> Divisor:
     for i in range(2, 2 * n + 10):
         terms[f"p{i}"] = -1
     d = Divisor.of(terms)
-    assert d.degree() == 0
+    if d.degree() != 0:
+        raise InvariantError(f"F_{n} relation has degree {d.degree()}, not 0")
     return d
 
 
@@ -423,7 +427,8 @@ def verify_relations() -> dict:
     Each row is checked in the stated surface configuration (flopping and
     swapping components where the row requires it), the target must be an
     exact integer combination of {R_h, R_xi} plus the model's auxiliaries,
-    and the certificate re-expansion is asserted inside derive().
+    and derive() re-expands each certificate, raising InvariantError unless
+    it gives the target.
     """
     results = {}
     all_pass = True

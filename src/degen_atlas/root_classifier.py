@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 from .exact_lattice import (
     GramForm,
+    InvariantError,
     QuotientLattice,
     Vector,
     canonical_sign,
@@ -47,9 +48,11 @@ def script_L(m: SurfaceModel) -> QuotientLattice:
     check_model_invariants(m)
     g, xi, r = m.lattice.gram_form, m.xi, m.lattice.rank
     perp = mat(orthogonal_complement(g, [m.h, xi]))
-    _require(len(perp) == r - 2, f"h-perp in xi-perp has rank {len(perp)}, expected {r - 2}")
+    if len(perp) != r - 2:
+        raise UnclassifiableError(f"h-perp in xi-perp has rank {len(perp)}, expected {r - 2}")
     out = quotient_by_isotropic(g, perp, xi)  # validates xi in S, isotropy
-    _require(out.rank == r - 3, f"L has rank {out.rank}, expected {r - 3}")
+    if out.rank != r - 3:
+        raise UnclassifiableError(f"L has rank {out.rank}, expected {r - 3}")
     return out
 
 
@@ -141,14 +144,8 @@ def classical_root_count(letter: str, rank: int) -> int:
     raise ValueError(letter)
 
 
-class UnclassifiableError(ValueError):
-    pass
-
-
-def _require(ok: bool, message: str) -> None:
-    """A check that `python -O` keeps, unlike an assert."""
-    if not ok:
-        raise UnclassifiableError(message)
+class UnclassifiableError(InvariantError):
+    """L or its generalized roots fail a check of the ADE + <-4> classification."""
 
 
 def _classify_tree(adj: Sequence[Sequence[int]], comp: Sequence[int]) -> tuple[str, int]:
@@ -243,11 +240,13 @@ def classify(roots: GeneralizedRootSet, seed: int = 0) -> LatticeType:
     rows = [matvec(gram.gram, s) for s in simples]
     for s, row in zip(simples, rows):
         norm = sum(x * y for x, y in zip(row, s))
-        _require(norm == -2, f"simple root {s} has norm {norm}, not -2")
+        if norm != -2:
+            raise UnclassifiableError(f"simple root {s} has norm {norm}, not -2")
     adj: list[list[int]] = [[] for _ in simples]
     for (i, s), (j, t) in combinations(enumerate(simples), 2):
         p = sum(x * y for x, y in zip(rows[i], t))
-        _require(p in (-1, 0, 1), f"simple roots {s} and {t} pair to {p}, not +-1")
+        if p not in (-1, 0, 1):
+            raise UnclassifiableError(f"simple roots {s} and {t} pair to {p}, not +-1")
         if p:
             adj[i].append(j)
             adj[j].append(i)
@@ -273,19 +272,20 @@ def classify(roots: GeneralizedRootSet, seed: int = 0) -> LatticeType:
     # their span can mix two orthogonal <-4> roots into a vector of norm -8.
     perp4 = [v for v in roots.roots4
              if not any(sum(x * y for x, y in zip(v, row)) for row in rows) and gram.norm(v) == -4]
-    _require(all(gram.pairing(a, b) == 0 for a, b in combinations(perp4, 2)),
-             "<-4> generators are not orthogonal")
+    if any(gram.pairing(a, b) for a, b in combinations(perp4, 2)):
+        raise UnclassifiableError("<-4> generators are not orthogonal")
     # Every -2 root is a sum of simple roots by construction, and gens is
     # independent, so it is a basis of Span(Phi) once it spans the rest.
     gens = simples + perp4
-    _require(all(c is not None for c in in_span_many(roots.roots4 + roots.other, gens)),
-             "Span(Phi) is a proper overlattice of roots + <-4>")
+    if None in in_span_many(roots.roots4 + roots.other, gens):
+        raise UnclassifiableError("Span(Phi) is a proper overlattice of roots + <-4>")
 
     for (letter, rank_), count in zip(named, per_comp_counts):
         want = classical_root_count(letter, rank_)
-        _require(count == want, f"{letter}{rank_}: found {count} roots, expected {want}")
-    _require(sum(per_comp_counts) == 2 * len(roots.roots2),
-             "some -2 roots lie in no single Dynkin component")
+        if count != want:
+            raise UnclassifiableError(f"{letter}{rank_}: found {count} roots, expected {want}")
+    if sum(per_comp_counts) != 2 * len(roots.roots2):
+        raise UnclassifiableError("some -2 roots lie in no single Dynkin component")
     return LatticeType(
         components=tuple(named),
         minus4_count=len(perp4),
@@ -322,7 +322,6 @@ def verify_classification(models: Optional[dict] = None, seed: int = 0) -> dict:
             "roots2_count": 2 * len(roots.roots2),
             "roots4_count": 2 * len(roots.roots4),
             "odd_norm_members": 2 * len(roots.other),
-            "negative_definite": True,
             "discriminant_order": discriminant_group_order(roots.gram),
         }
     return {"suite": "root-lattice classification", "pass": all_pass, "models": results}

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .exact_lattice import GramForm, Vector, add_vec, mat, matvec, scale_vec
+from .exact_lattice import GramForm, InvariantError, Vector, add_vec, mat, matvec, scale_vec
 
 P2 = "P2"
 P1XP1 = "P1xP1"
@@ -68,7 +68,8 @@ def _toggle_terms(terms: Terms) -> dict[str, int]:
 
 def point_symbol(basis_name: str) -> str:
     """Symbol of the blown-up point under an exceptional class, e'3 -> p'3."""
-    assert is_exceptional(basis_name)
+    if not is_exceptional(basis_name):
+        raise ValueError(f"{basis_name} is not an exceptional class")
     return "p" + basis_name[1:]
 
 
@@ -151,10 +152,13 @@ class SurfaceModel:
     aux_relations: tuple[Terms, ...] = field(default=(), hash=False)
 
     def __post_init__(self) -> None:
-        assert len(self.tags) == self.lattice.rank
+        if len(self.tags) != self.lattice.rank:
+            raise ValueError(f"{len(self.tags)} tags for a lattice of rank {self.lattice.rank}")
         for i, name in enumerate(self.lattice.names):
-            if not is_exceptional(name):
-                assert self.tags[i] == home_component(name), "base classes never move"
+            if not is_exceptional(name) and self.tags[i] != home_component(name):
+                raise ValueError(
+                    f"base class {name} is tagged {self.tags[i]}; base classes never move"
+                )
 
     @property
     def xi(self) -> Vector:
@@ -400,9 +404,11 @@ def build_model(
         restrictions=dictionary,
     )
     xi = model.xi
-    assert intersect(model, xi, xi) == 0
+    if intersect(model, xi, xi) != 0:
+        raise InvariantError(f"xi has square {intersect(model, xi, xi)}, not 0")
     e0 = model.double_curve_class(0)
-    assert intersect(model, e0, e0) == -(n - k0)
+    if intersect(model, e0, e0) != k0 - n:
+        raise InvariantError(f"E0 has square {intersect(model, e0, e0)}, not {k0 - n}")
     if h is not None:
         if intersect(model, h, h) != 4:
             raise ValueError("h.h must be 4")
@@ -416,7 +422,8 @@ def reflect(m: SurfaceModel, e: Vector, c: Vector) -> Vector:
     ee = intersect(m, e, e)
     ce = intersect(m, c, e)
     num = 2 * ce
-    assert num % ee == 0
+    if num % ee:
+        raise ValueError(f"reflection in a class of square {ee} is not integral on c.e = {ce}")
     return add_vec(c, scale_vec(-(num // ee), e))
 
 
@@ -433,8 +440,10 @@ def flop(m: SurfaceModel, name: str) -> SurfaceModel:
     e = tuple(1 if i == idx else 0 for i in range(m.lattice.rank))
     tag = m.tags[idx]
     e_comp = m.double_curve_class(tag)
-    assert intersect(m, e, e) == -1
-    assert intersect(m, e, e_comp) == 1, "exceptional must meet the double curve once"
+    if intersect(m, e, e) != -1:
+        raise InvariantError(f"exceptional {name} has square {intersect(m, e, e)}, not -1")
+    if intersect(m, e, e_comp) != 1:
+        raise InvariantError(f"exceptional {name} must meet the double curve once")
     xi_before = m.xi
     new_tags = tuple(
         (1 - t) if i == idx else t for i, t in enumerate(m.tags)
@@ -443,7 +452,8 @@ def flop(m: SurfaceModel, name: str) -> SurfaceModel:
     out = replace(
         m, tags=new_tags, h=new_h, flop_history=m.flop_history + (name,)
     )
-    assert out.xi == reflect(m, e, xi_before), "tag-recomputed xi must match transport"
+    if out.xi != reflect(m, e, xi_before):
+        raise InvariantError(f"flop of {name}: tag-recomputed xi must match transport")
     check_model_invariants(out)
     return out
 

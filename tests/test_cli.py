@@ -112,7 +112,7 @@ def test_broken_invariant_exits_1_with_one_line(capsys, monkeypatch):
 
 
 def test_unclassifiable_lattice_exits_1_with_one_line(capsys, monkeypatch):
-    # UnclassifiableError is a ValueError, but not a usage error
+    # UnclassifiableError is an InvariantError, not a usage error
     def unclassifiable(roots, seed=0):
         raise UnclassifiableError("node of degree > 3")
 
@@ -131,6 +131,14 @@ def test_oracle_seed_env_override(capsys, monkeypatch):
     monkeypatch.delenv("DEGEN_ATLAS_SEED")
     code, rep = run_json(capsys, ["oracle", "A15", "--trials", "5", "--seed", "9"])
     assert rep["seed"] == 9
+
+
+def test_oracle_seed_env_not_an_integer_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("DEGEN_ATLAS_SEED", "abc")
+    assert run(["oracle", "D17", "--trials", "5"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: DEGEN_ATLAS_SEED must be an integer, got 'abc'\n"
 
 
 @pytest.mark.parametrize("trials", ["0", "-5"])
@@ -207,3 +215,31 @@ def test_verify_all_under_python_O():
     assert done.returncode == 0, done.stderr
     rep = json.loads(done.stdout)
     assert (rep["passed"], rep["failed"]) == (29, 0)
+
+
+@pytest.mark.parametrize(
+    "patch, argv, message",
+    [
+        # reflect fixes every class, so xi recomputed from the flopped tags
+        # differs from the transported xi at E8E8's first interior wall
+        ("surface_pair.reflect = lambda m, e, c: c", ["chambers", "E8E8"],
+         "error: flop of e'10: tag-recomputed xi must match transport"),
+        # in_span answers zero coefficients, which re-expand to 0, not the target
+        ("period_relations.in_span = lambda t, gens: (0,) * len(gens)", ["relation", "D17"],
+         "error: certificate (0, 0) re-expands to 0, not 45q - 11p1 - 2p2"),
+    ],
+    ids=["flop-xi-transport", "derive-re-expansion"],
+)
+def test_load_bearing_checks_exit_1_under_python_O(patch, argv, message):
+    code = (
+        "import sys\n"
+        "from degen_atlas import cli, period_relations, surface_pair\n"
+        f"{patch}\n"
+        f"sys.exit(cli.run({argv!r}))\n"
+    )
+    done = run_python_O(["-c", code], timeout=120)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith(message)
+    assert "Traceback" not in done.stderr

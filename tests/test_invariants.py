@@ -1,0 +1,92 @@
+"""One way to fail a check.
+
+A failed check on the program's own results raises `InvariantError`
+(`UnclassifiableError` is one); a bad argument raises `ValueError`.  Neither
+may be an `assert`, which `python -O` strips.
+"""
+
+import ast
+from pathlib import Path
+
+import degen_atlas
+from oracles import run_python_O
+
+SRC = Path(degen_atlas.__file__).resolve().parent
+
+
+def _second_mechanisms(tree):
+    """Line and text of each assert, AssertionError or _require in `tree`,
+    except the one base class of InvariantError."""
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "InvariantError":
+            allowed.update(id(base) for base in node.bases)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            found.append((node.lineno, "assert"))
+        elif isinstance(node, ast.Name) and node.id == "AssertionError" and id(node) not in allowed:
+            found.append((node.lineno, "AssertionError"))
+        elif "_require" in (getattr(node, key, None) for key in ("id", "attr", "name")):
+            found.append((node.lineno, "_require"))
+    return found
+
+
+def test_src_has_one_invariant_mechanism():
+    modules = sorted(SRC.glob("*.py"))
+    assert "exact_lattice.py" in {path.name for path in modules}
+    found = {
+        path.name: hits
+        for path in modules
+        if (hits := _second_mechanisms(ast.parse(path.read_text(), str(path))))
+    }
+    assert found == {}
+
+
+def test_the_scan_sees_each_second_mechanism():
+    code = (
+        "class InvariantError(AssertionError):\n"
+        "    pass\n"
+        "def _require(ok):\n"
+        "    assert ok\n"
+        "    raise AssertionError('x')\n"
+        "try:\n"
+        "    checks._require(0)\n"
+        "except (AssertionError, ValueError):\n"
+        "    pass\n"
+        "from checks import _require\n"
+    )
+    assert sorted(_second_mechanisms(ast.parse(code))) == [
+        (3, "_require"), (4, "assert"), (5, "AssertionError"),
+        (7, "_require"), (8, "AssertionError"), (10, "_require"),
+    ]
+
+
+def test_bad_arguments_raise_value_error_under_python_O():
+    # each call was accepted when its check was an assert that -O strips
+    code = (
+        "from degen_atlas.exact_lattice import det, mat, solve_integer\n"
+        "from degen_atlas.period_relations import Divisor\n"
+        "from degen_atlas.surface_pair import point_symbol\n"
+        "calls = [\n"
+        "    lambda: mat([[1, 2], [3]]),\n"
+        "    lambda: det(((1, 2, 3), (4, 5, 6))),\n"
+        "    lambda: solve_integer([(1, 0, 0), (0, 1)], [(1, 1, 0)]),\n"
+        "    lambda: Divisor.of({'x5': 1, 'q': -1}),\n"
+        "    lambda: point_symbol('l'),\n"
+        "]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        print('accepted:', call())\n"
+        "    except ValueError as exc:\n"
+        "        print(f'{type(exc).__name__}: {exc}')\n"
+    )
+    done = run_python_O(["-c", code], timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "ValueError: ragged matrix",
+        "ValueError: det of a non-square matrix",
+        "ValueError: dimension mismatch",
+        "ValueError: unknown point symbol 'x5'",
+        "ValueError: l is not an exceptional class",
+    ]

@@ -330,11 +330,11 @@ def test_gram_and_script_L_checks_raise_under_python_O():
     # and with one coordinate dropped from L
     code = (
         "from degen_atlas import catalogue_model, root_classifier as rc\n"
-        "from degen_atlas.exact_lattice import GramForm, QuotientLattice\n"
+        "from degen_atlas.exact_lattice import GramForm, InvariantError, QuotientLattice\n"
         "def attempt(fn):\n"
         "    try:\n"
         "        print('accepted:', fn())\n"
-        "    except ValueError as exc:\n"
+        "    except (ValueError, InvariantError) as exc:\n"
         "        print(f'{type(exc).__name__}: {exc}')\n"
         "attempt(lambda: GramForm(((-2, 1), (0, -2))))\n"
         "attempt(lambda: GramForm(((-2, 1),)))\n"
