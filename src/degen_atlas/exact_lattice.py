@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 Vector = tuple[int, ...]
@@ -43,15 +44,18 @@ def transpose(m: Matrix) -> Matrix:
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(ra, cb)) for cb in bt) for ra in a)
+    return tuple([tuple([sum(map(mul, ra, cb)) for cb in bt]) for ra in a])
 
 
 def matvec(m: Matrix, v: Vector) -> Vector:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+    return tuple([sum(map(mul, row, v)) for row in m])
 
 
 def vecmat(v: Vector, m: Matrix) -> Vector:
-    return tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0])))
+    """The row vector v times m; v needs one entry per row of m."""
+    if len(v) != len(m):
+        raise ValueError(f"vecmat: a vector of length {len(v)} against {len(m)} rows")
+    return tuple([sum(map(mul, v, col)) for col in zip(*m)])
 
 
 def add_vec(a: Vector, b: Vector) -> Vector:
@@ -318,13 +322,15 @@ def solve_integer(
     or None.
 
     Membership is tested over the integers, not the rationals, from one
-    Smith form of the columns for all the targets.
+    Smith form of the columns for all the targets (none without targets).
     """
     if not columns:
         return [() if all(x == 0 for x in t) else None for t in targets]
     n = len(columns[0])
     if any(len(c) != n for c in list(columns) + list(targets)):
         raise ValueError("dimension mismatch")
+    if not targets:
+        return []
     m = transpose(mat(columns))  # n x k, generators as columns
     d, u, v = snf(m)
     k = len(columns)
@@ -393,7 +399,7 @@ class GramForm:
         return len(self.gram)
 
     def pairing(self, v: Vector, w: Vector) -> int:
-        return sum(x * y for x, y in zip(v, matvec(self.gram, w)))
+        return sum(map(mul, v, matvec(self.gram, w)))
 
     def norm(self, v: Vector) -> int:
         return self.pairing(v, v)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from operator import mul, sub
 from typing import Optional, Sequence
 
 from .exact_lattice import (
@@ -192,12 +193,20 @@ def classify(roots: GeneralizedRootSet, seed: int = 0) -> LatticeType:
     simple roots keep the order of the positives; each has norm -2 and each
     Dynkin edge pairs to +-1.  Each component is named from its tree shape
     and must hold the classical number of roots whose support stays in it.
+    The functional is linear, so a - s is looked up only when value(a) -
+    value(s) is the value of some positive root; the test drops no
+    candidate, so the simple roots and supports do not depend on it.
     The <-4> generators are the norm -4 roots orthogonal to every simple
     root, pairwise orthogonal.  With the simple roots they have Gram matrix
-    -Cartan + -4I, which is nonsingular, so one span check of the other
-    roots certifies Span(Phi) = Z.gens, of rank len(gens).  Roots of odd
-    norm are rejected first: ADE and <-4> lattices are even, so their sum
-    holds no such root.
+    -Cartan + -4I, which is nonsingular, so Span(Phi) = Z.gens, of rank
+    len(gens), once the other roots lie in Z.gens.  The generators are
+    roots, so they lie in L, which is Z^dim in these coordinates.  When
+    there are dim of them and |det(gens)| = 1, Z.gens is all of L and
+    holds every root: that certifies the span with one Bareiss determinant
+    and no solve.  Otherwise (fewer than dim generators, or an index
+    greater than 1) one Smith form decides whether the other roots lie in
+    Z.gens.  Roots of odd norm are rejected first: ADE and <-4> lattices
+    are even, so their sum holds no such root.
     """
     if not roots.all_roots():
         raise ValueError("empty root set")
@@ -211,7 +220,7 @@ def classify(roots: GeneralizedRootSet, seed: int = 0) -> LatticeType:
     positives: list[Vector] = []
     for _ in range(1000):
         functional = tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in range(dim))
-        values = [sum(f * x for f, x in zip(functional, v)) for v in roots.roots2]
+        values = [sum(map(mul, functional, v)) for v in roots.roots2]
         if all(val != 0 for val in values):
             positives = [
                 v if val > 0 else tuple(-x for x in v)
@@ -222,29 +231,31 @@ def classify(roots: GeneralizedRootSet, seed: int = 0) -> LatticeType:
         raise UnclassifiableError("could not separate roots with a functional")
 
     pos_set = set(positives)
-    found: list[Vector] = []
+    pos_values = set(map(abs, values))
+    found: list[tuple[int, Vector]] = []  # (value, simple root)
     support: dict[Vector, frozenset[Vector]] = {}
-    for _, a in sorted(zip(map(abs, values), positives)):
-        for s in found:
-            b = tuple(x - y for x, y in zip(a, s))
-            if b in pos_set:
-                support[a] = support[b] | {s}
-                break
+    for va, a in sorted(zip(map(abs, values), positives)):
+        for vs, s in found:
+            if va - vs in pos_values:
+                b = tuple(map(sub, a, s))
+                if b in pos_set:
+                    support[a] = support[b] | {s}
+                    break
         else:
-            found.append(a)
+            found.append((va, a))
             support[a] = frozenset((a,))
-    simples = sorted(found, key=positives.index)
+    simples = sorted((a for _, a in found), key=positives.index)
 
     # The Dynkin graph (an edge where two simple roots pair nonzero), split
     # into its connected components.
     rows = [matvec(gram.gram, s) for s in simples]
     for s, row in zip(simples, rows):
-        norm = sum(x * y for x, y in zip(row, s))
+        norm = sum(map(mul, row, s))
         if norm != -2:
             raise UnclassifiableError(f"simple root {s} has norm {norm}, not -2")
     adj: list[list[int]] = [[] for _ in simples]
     for (i, s), (j, t) in combinations(enumerate(simples), 2):
-        p = sum(x * y for x, y in zip(rows[i], t))
+        p = sum(map(mul, rows[i], t))
         if p not in (-1, 0, 1):
             raise UnclassifiableError(f"simple roots {s} and {t} pair to {p}, not +-1")
         if p:
@@ -271,13 +282,15 @@ def classify(roots: GeneralizedRootSet, seed: int = 0) -> LatticeType:
     # <-4> part: the roots themselves are the generators; a reduced basis of
     # their span can mix two orthogonal <-4> roots into a vector of norm -8.
     perp4 = [v for v in roots.roots4
-             if not any(sum(x * y for x, y in zip(v, row)) for row in rows) and gram.norm(v) == -4]
+             if not any(sum(map(mul, v, row)) for row in rows) and gram.norm(v) == -4]
     if any(gram.pairing(a, b) for a, b in combinations(perp4, 2)):
         raise UnclassifiableError("<-4> generators are not orthogonal")
     # Every -2 root is a sum of simple roots by construction, and gens is
-    # independent, so it is a basis of Span(Phi) once it spans the rest.
+    # independent, so it is a basis of Span(Phi) once it spans the rest:
+    # always when it is a basis of L (index 1), else by the Smith form.
     gens = simples + perp4
-    if None in in_span_many(roots.roots4 + roots.other, gens):
+    if (len(gens) != dim or abs(det(gens)) != 1) and None in in_span_many(
+            roots.roots4 + roots.other, gens):
         raise UnclassifiableError("Span(Phi) is a proper overlattice of roots + <-4>")
 
     for (letter, rank_), count in zip(named, per_comp_counts):

@@ -420,6 +420,8 @@ def build_model(
 def reflect(m: SurfaceModel, e: Vector, c: Vector) -> Vector:
     """Reflection of c in the (-1)-class e: c - 2 (c.e)/(e.e) e."""
     ee = intersect(m, e, e)
+    if ee == 0:
+        raise ValueError("cannot reflect in a class of square 0")
     ce = intersect(m, c, e)
     num = 2 * ce
     if num % ee:
@@ -578,7 +580,8 @@ _TERM_RE = re.compile(r"([+-]?)\s*(\d*)\s*(e'\d+|e\d+|l'|l|s'|s|f'|f)")
 def parse_class(lattice: PairLattice, text: str) -> Vector:
     """Parse basis-name syntax like '3l-e1-e2' or "2e'3+f'".
 
-    Rejects symbols outside the lattice's alphabet.
+    Rejects symbols outside the lattice's alphabet, and a term after the
+    first without its sign ('e1e1', 'le1'); spaces are ignored.
     """
     stripped = text.replace(" ", "")
     pos = 0
@@ -591,6 +594,10 @@ def parse_class(lattice: PairLattice, text: str) -> Vector:
                 f"alphabet: {', '.join(lattice.names)}"
             )
         sign, digits, name = match.groups()
+        if pos and not sign:
+            at = [i for i, ch in enumerate(text) if ch != " "][pos]
+            raise ValueError(f"cannot parse {text!r}: the term at position {at} "
+                             f"({stripped[pos:]!r}) needs a sign, + or -")
         if name not in lattice.names:
             raise ValueError(
                 f"unknown class {name!r} for this model; "

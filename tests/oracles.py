@@ -3,6 +3,7 @@
 These deliberately avoid the code paths they check: short vectors come from
 an exhaustive coefficient box, a floating-point Fincke-Pohst walk or one
 over an exact rational LDL^T, determinants from permutation expansion,
+matrix products from the textbook loops,
 elementary divisors from gcds of minors, and elliptic-curve points from the
 affine group law with the Fermat inverse and plain double-and-add, summed
 term by term.  The oracle's congruence sampler keeps its dense form here,
@@ -13,7 +14,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from math import ceil, floor, gcd, isqrt, lcm
 from pathlib import Path
 
@@ -232,20 +233,60 @@ def _invert(a):
 
 
 def perm_det(m):
-    """Determinant by permutation expansion (tiny matrices only)."""
-    n = len(m)
+    """Determinant by permutation expansion: the signed sum, over every
+    permutation p, of the products m[0][p(0)] ... m[n-1][p(n-1)].
+
+    The partial products over rows 0..k-1 are summed by the set of columns
+    they use, so each set is expanded once, and zero entries are skipped:
+    a sparse 17 x 17 matrix takes milliseconds.  Giving row k the column c
+    adds one inversion per earlier row in a column after c.
+    """
+    partial = {0: 1}  # bit set of the columns used -> signed sum of products
+    for row in m:
+        grown = {}
+        for used, total in partial.items():
+            for c, x in enumerate(row):
+                if x and not used >> c & 1:
+                    term = -total * x if bin(used >> (c + 1)).count("1") % 2 else total * x
+                    grown[used | 1 << c] = grown.get(used | 1 << c, 0) + term
+        partial = grown
+    return sum(partial.values())
+
+
+def loop_matmul(a, b):
+    """a @ b by the textbook triple loop (a is n x k, b is k x p)."""
+    out = [[0] * len(b[0]) for _ in a]
+    for i in range(len(a)):
+        for j in range(len(b[0])):
+            for k in range(len(b)):
+                out[i][j] += a[i][k] * b[k][j]
+    return tuple(map(tuple, out))
+
+
+def loop_matvec(m, v):
+    """m @ v, the column vector v, by the textbook double loop."""
+    out = [0] * len(m)
+    for i in range(len(m)):
+        for k in range(len(v)):
+            out[i] += m[i][k] * v[k]
+    return tuple(out)
+
+
+def loop_vecmat(v, m):
+    """v @ m, the row vector v, by the textbook double loop."""
+    out = [0] * len(m[0])
+    for j in range(len(m[0])):
+        for k in range(len(v)):
+            out[j] += v[k] * m[k][j]
+    return tuple(out)
+
+
+def loop_pairing(gram, v, w):
+    """sum_ij v_i gram_ij w_j by the textbook double loop."""
     total = 0
-    for perm in permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        term = 1
-        for i in range(n):
-            term *= m[i][perm[i]]
-        total += sign * term
+    for i in range(len(v)):
+        for j in range(len(w)):
+            total += v[i] * gram[i][j] * w[j]
     return total
 
 

@@ -101,6 +101,13 @@ def test_build_rejects_unknown_symbol(capsys):
     assert "alphabet" in capsys.readouterr().err
 
 
+def test_build_rejects_terms_without_signs(capsys):
+    code = run(["build", "--v0", "P2", "--v1", "P2", "--n", "9", "--h", "e1e1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: cannot parse 'e1e1': the term at position 2 ('e1') needs a sign, + or -\n"
+
+
 def test_broken_invariant_exits_1_with_one_line(capsys, monkeypatch):
     monkeypatch.setattr(ec_oracle, "_solution_sampler", _relation_blind_sampler)
     code = run(["oracle", "D17", "--trials", "10"])

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degen_atlas import exact_lattice
@@ -19,14 +19,21 @@ from degen_atlas.exact_lattice import (
     kernel_basis,
     mat,
     matmul,
+    matvec,
     quotient_by_isotropic,
     scale_vec,
     snf,
+    solve_integer,
     solve_rational,
+    vecmat,
 )
 from oracles import (
     _is_neg_def,
     box_short_vectors,
+    loop_matmul,
+    loop_matvec,
+    loop_pairing,
+    loop_vecmat,
     minor_gcd_divisors,
     perm_det,
     random_negative_definite,
@@ -433,3 +440,53 @@ def test_definiteness_and_short_vectors_match_the_oracles(gram, bound):
     else:
         with pytest.raises(ValueError, match="not negative definite"):
             enumerate_short(g, bound)
+
+
+def _int_matrix(n, k):
+    return st.lists(st.lists(st.integers(-50, 50), min_size=k, max_size=k),
+                    min_size=n, max_size=n).map(mat)
+
+
+@st.composite
+def kernel_operands(draw):
+    """a (n x k), b (k x p), v (length k), w (length n) and a symmetric
+    n x n gram; every side runs from 1 to 5, so 1 x n and n x 1 occur."""
+    n, k, p = (draw(st.integers(1, 5)) for _ in range(3))
+    a, b = draw(_int_matrix(n, k)), draw(_int_matrix(k, p))
+    v = tuple(draw(st.lists(st.integers(-50, 50), min_size=k, max_size=k)))
+    w = tuple(draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n)))
+    upper = draw(_int_matrix(n, n))
+    gram = mat([[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
+    return a, b, v, w, gram
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(kernel_operands())
+@example((((1, 2, 3),), ((4,), (5,), (6,)), (1, 0, -1), (7,), ((3,),)))  # 1 x 3 times 3 x 1
+@example((((4,), (5,), (6,)), ((1, 2, 3),), (2,), (1, 0, -1),
+          ((1, 0, 2), (0, -1, 0), (2, 0, 3))))  # 3 x 1 times 1 x 3
+def test_product_kernels_match_the_textbook_loops(operands):
+    a, b, v, w, gram = operands
+    assert matmul(a, b) == loop_matmul(a, b)
+    assert matvec(a, v) == loop_matvec(a, v)
+    assert vecmat(w, a) == loop_vecmat(w, a)
+    assert GramForm(gram).pairing(w, w[::-1]) == loop_pairing(gram, w, w[::-1])
+
+
+def test_vecmat_needs_one_entry_per_row():
+    m = ((1, 2), (3, 4), (5, 6))
+    assert vecmat((1, 0, -1), m) == (-4, -4)
+    for v in [(1, 0), (1, 0, -1, 2)]:
+        with pytest.raises(ValueError, match=f"a vector of length {len(v)} against 3 rows"):
+            vecmat(v, m)
+
+
+def test_solve_integer_takes_no_smith_form_without_targets(monkeypatch):
+    def no_snf(m):
+        raise AssertionError("snf called")
+
+    monkeypatch.setattr(exact_lattice, "snf", no_snf)
+    assert solve_integer([(1, 2), (3, 4)], []) == []
+    assert in_span_many([], [(1, 2), (3, 4)]) == []
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        solve_integer([(1, 2), (3, 4, 5)], [])

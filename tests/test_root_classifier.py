@@ -13,6 +13,7 @@ from degen_atlas.exact_lattice import (
     enumerate_short,
     hnf,
     identity,
+    in_span_many,
     mat,
     matmul,
     reflective_basis,
@@ -43,6 +44,7 @@ from oracles import (
     classical_root_count,
     filtered_generalized_roots,
     minor_gcd_divisors,
+    perm_det,
     planted_gram,
     random_negative_definite,
     rational_short_vectors,
@@ -567,3 +569,92 @@ def test_verify_classification_rejects_an_unknown_id_before_classifying(monkeypa
     assert exc.value.args == (
         "unknown model 'custom'; known: A15, A11E6, D12D5, D8D8, D16, D17, E8D9, E7E7A3, E8E8",)
     assert calls == []
+
+
+def _recorded_span_checks(patch):
+    """Make classify's in_span_many record the targets of each call."""
+    calls = []
+
+    def recorded(targets, gens):
+        calls.append(targets)
+        return in_span_many(targets, gens)
+
+    patch.setattr(root_classifier, "in_span_many", recorded)
+    return calls
+
+
+def _classify_both_ways(monkeypatch, roots):
+    """classify(roots), whether it solved for the span, and the type from the
+    path that always solves (no index shortcut)."""
+    with monkeypatch.context() as patch:
+        calls = _recorded_span_checks(patch)
+        t = classify(roots)
+        solved = bool(calls)
+        patch.setattr(root_classifier, "det", lambda m: 0)
+        always_solved = classify(roots)
+    return t, solved, always_solved
+
+
+def _span_index(t, roots):
+    """|det| of the generators by permutation expansion, None when there
+    are fewer generators than coordinates."""
+    gens = [s for comp in t.simple_roots for s in comp] + list(t.minus4_generators)
+    if len(gens) != roots.gram.dim:
+        return None, gens
+    return abs(perm_det(gens)), gens
+
+
+def _check_span_index_choice(monkeypatch, roots):
+    t, solved, always_solved = _classify_both_ways(monkeypatch, roots)
+    assert t == always_solved
+    index, gens = _span_index(t, roots)
+    if index == 1:
+        assert not solved
+        assert None not in in_span_many(roots.roots4 + roots.other, gens)
+    else:
+        assert solved
+    return index
+
+
+def _planted_cases():
+    rng = random.Random(16)
+    menu = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4), ("D", 5),
+            ("D", 6), ("E", 6), ("E", 7), ("E", 8)]
+    for rank in range(6, 13):
+        for minus4 in range(3):
+            blocks, left = [], rank - minus4
+            while left:
+                blocks.append(rng.choice([b for b in menu if b[1] <= left]))
+                left -= blocks[-1][1]
+            name = "+".join(f"{x}{r}" for x, r in blocks) + "+<-4>" * minus4
+            yield pytest.param(rank, tuple(blocks), minus4, id=name)
+
+
+@pytest.mark.parametrize("rank,blocks,minus4", list(_planted_cases()))
+def test_span_is_certified_by_index_on_planted_lattices(monkeypatch, rank, blocks, minus4):
+    rng = random.Random(f"index/{blocks}/{minus4}")
+    gram = planted_gram(rng, blocks, minus4, moves=2 * rank)
+    roots = generalized_roots(ScriptL(gram=GramForm(mat(gram)), reps=identity(rank)))
+    # a planted lattice is its own root span, so the generators are a basis
+    assert _check_span_index_choice(monkeypatch, roots) == 1
+
+
+def test_span_index_choice_on_models_and_swaps(monkeypatch, models):
+    unit = set()
+    for mid, m in models.items():
+        for model in (m, swap_components(m)):
+            index = _check_span_index_choice(monkeypatch, generalized_roots(script_L(model)))
+            assert index is not None and index >= 1
+            if index == 1:
+                unit.add(mid)
+    assert unit == {"D17", "E8D9", "E8E8"}
+
+
+def test_glued_a1x8_reaches_the_smith_form_and_is_rejected(monkeypatch):
+    roots = _a1x8_glued()
+    assert abs(perm_det(roots.roots2)) == 2  # Z.e1 + ... + Z.e8 has index 2
+    calls = _recorded_span_checks(monkeypatch)
+    with pytest.raises(UnclassifiableError) as exc:
+        classify(roots)
+    assert str(exc.value) == "Span(Phi) is a proper overlattice of roots + <-4>"
+    assert calls == [roots.roots4]

@@ -18,6 +18,7 @@ from degen_atlas.surface_pair import (
     format_class,
     intersect,
     parse_class,
+    reflect,
     surface_name,
     swap_components,
 )
@@ -112,8 +113,6 @@ def test_flop_is_involution_and_isometry(models):
     for _ in range(10):
         a = tuple(rng.randint(-2, 2) for _ in range(20))
         b = tuple(rng.randint(-2, 2) for _ in range(20))
-        from degen_atlas.surface_pair import reflect
-
         e = class_vector(m.lattice, {"e'10": 1})
         assert intersect(m, a, b) == intersect(m2, reflect(m, e, a), reflect(m, e, b))
 
@@ -224,6 +223,31 @@ def test_export_and_parse(models):
         parse_class(m.lattice, "2x+1")
     with pytest.raises(ValueError):
         parse_class(models["A15"].lattice, "l-e1")  # no l on a quadric model
+
+
+@pytest.mark.parametrize("text,position", [
+    ("e1e1", 2),
+    ("le1", 1),
+    ("3l-e1e2", 5),
+    ("l - e1 e2", 7),  # positions count the spaces of the text
+])
+def test_parse_class_needs_a_sign_before_every_later_term(models, text, position):
+    with pytest.raises(ValueError) as exc:
+        parse_class(models["D17"].lattice, text)
+    assert f"the term at position {position} " in str(exc.value)
+    assert "needs a sign" in str(exc.value)
+
+
+def test_parse_class_allows_a_sign_on_the_first_term(models):
+    lattice = models["D17"].lattice
+    assert parse_class(lattice, "-e1+e2") == class_vector(lattice, {"e1": -1, "e2": 1})
+    assert parse_class(lattice, "+2l - e1") == class_vector(lattice, {"l": 2, "e1": -1})
+
+
+def test_reflect_rejects_a_class_of_square_0(models):
+    m = models["D17"]
+    with pytest.raises(ValueError, match="cannot reflect in a class of square 0"):
+        reflect(m, m.xi, m.h)
 
 
 def test_pair_lattices_are_unimodular_of_signature_2_18(models):
