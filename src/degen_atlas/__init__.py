@@ -63,7 +63,6 @@ from .chamber_walk import (
     verify_fans,
 )
 from .ec_oracle import (
-    curve_setup,
     group_law,
     pinned_curves,
     randomized_membership_test,
@@ -112,7 +111,6 @@ __all__ = [
     "next_wall",
     "stable_model_at",
     "verify_fans",
-    "curve_setup",
     "group_law",
     "pinned_curves",
     "randomized_membership_test",

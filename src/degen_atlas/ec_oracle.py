@@ -5,13 +5,18 @@ group of an actual short Weierstrass curve over a small prime field.  Point
 configurations are sampled in discrete-log coordinates with respect to a
 generator G of the group's largest cyclic subgroup: the imposed relations
 become linear congruences mod N, solved exactly by Smith normal form, so
-sampling never needs point division; the Smith transform is kept sparse
-mod N.  The curve is re-entered at the end: each drawn point k*G is read
-from a per-curve table of every multiple of G, built once by adding G with
-the group law, and every generator and target is re-evaluated with honest
-chord-tangent group-law code, adding points of equal coefficient before one
-multiplication.  The group law reads its inverses mod p from a per-curve
-table that it fills as denominators first occur.
+sampling never needs point division.  The Smith form of a generator matrix
+is taken once and reused by every call and curve; only its transform's
+columns, kept sparse mod N, depend on the curve.
+
+A call compiles each generator and the target once into a plan: buckets of
+symbol indices of equal coefficient, over one symbol order (a target equal
+to a generator shares its plan).  A trial reads each drawn point k*G from a
+per-curve table of every multiple of G and sums every plan with honest
+chord-tangent group-law code, adding the points of a bucket before one
+multiplication.  Each curve has one adder, with p, a and a table of
+inverses mod p bound in; the table of multiples, `group_law`, `scalar_mul`
+and `evaluate_divisor` all go through it.
 
 SUPPORTED verdicts are evidence modulo N-torsion artifacts; the formal
 certificate from the relation module is the authoritative proof.
@@ -23,24 +28,16 @@ import json
 import random
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from importlib import resources
-from math import gcd, isqrt
-from typing import Optional, Sequence
+from math import gcd
+from typing import Callable, Optional, Sequence
 
-from .exact_lattice import InvariantError, mat, snf
+from .exact_lattice import InvariantError, Matrix, mat, snf
 from .period_relations import Divisor, RelationSystem
 
 Point = Optional[tuple[int, int]]  # None is the point at infinity
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in range(2, isqrt(n) + 1):
-        if n % q == 0:
-            return False
-    return True
+Plan = tuple[tuple[int, tuple[int, ...]], ...]  # (coefficient, symbol indices) buckets
 
 
 def _trial_factor(n: int) -> dict[int, int]:
@@ -75,15 +72,75 @@ class Curve:
 
     @cached_property
     def _inverses(self) -> array:
-        """inv[d] = d^-1 mod p, filled by group_law as each d first occurs;
+        """inv[d] = d^-1 mod p, filled by the adder as each d first occurs;
         0 marks an entry not filled yet (0 itself has no inverse)."""
         return array("I", bytes(4 * self.p))
 
     @cached_property
+    def _arithmetic(self) -> tuple[Callable, Callable, Callable]:
+        """(add, mul, total): the curve's one chord-tangent adder, double-and-
+        add over it, and the sum of a plan, with p, a and the inverse table
+        bound in."""
+        p, a, inv = self.p, self.a, self._inverses
+
+        def add(P: Point, Q: Point) -> Point:
+            """P + Q with the identity at infinity; coordinates are compared
+            mod p."""
+            if P is None:
+                return Q
+            if Q is None:
+                return P
+            x1, y1 = P
+            x2, y2 = Q
+            if (x1 - x2) % p:
+                num, den = y2 - y1, (x2 - x1) % p
+            elif (y1 + y2) % p == 0:
+                return None
+            else:  # on the curve, the same x and not opposite: P = Q
+                num, den = 3 * x1 * x1 + a, 2 * y1 % p
+            # den is never 0 for points on the curve: the chord branch has
+            # distinct x, and a point with 2*y1 = 0 mod p is its own opposite,
+            # so the test above returned None
+            inverse = inv[den]
+            if not inverse:
+                inverse = inv[den] = pow(den, -1, p)
+            slope = num * inverse % p
+            x3 = (slope * slope - x1 - x2) % p
+            return (x3, (slope * (x1 - x3) - y1) % p)
+
+        def mul(k: int, P: Point) -> Point:
+            """k*P, with no doubling after the top bit; negative k multiplies
+            -P."""
+            if k < 0:
+                k, P = -k, None if P is None else (P[0], -P[1] % p)
+            acc: Point = None
+            while k:
+                if k & 1:
+                    acc = add(acc, P)
+                k >>= 1
+                if k:
+                    P = add(P, P)
+            return acc
+
+        def total(plan: Plan, points: Sequence[Point]) -> Point:
+            """The plan's sum at the points: each bucket starts from its first
+            point, adds the others and is multiplied once."""
+            acc: Point = None
+            for coeff, indices in plan:
+                bucket = points[indices[0]]
+                for i in indices[1:]:
+                    bucket = add(bucket, points[i])
+                acc = add(acc, mul(coeff, bucket))
+            return acc
+
+        return add, mul, total
+
+    @cached_property
     def _multiples(self) -> tuple[array, array]:
         """The x and y of k*G for k = 1..exponent-1, at index k - 1, built by
-        adding G with the group law.  Raises ValueError unless G has order
+        adding G with the curve's adder.  Raises ValueError unless G has order
         exactly the exponent."""
+        add = self._arithmetic[0]
         xs, ys = array("I"), array("I")
         point: Point = self.generator
         g = point
@@ -95,7 +152,7 @@ class Curve:
                 )
             xs.append(point[0])
             ys.append(point[1])
-            point = group_law(self, point, g)
+            point = add(point, g)
         if point is not None:
             raise ValueError(
                 f"curve p={self.p}, a={self.a}, b={self.b}: exponent*G is not the "
@@ -115,32 +172,8 @@ class Curve:
 
 
 def group_law(c: Curve, P: Point, Q: Point) -> Point:
-    """Chord-tangent addition with the identity at infinity; coordinates
-    are compared mod p.  Inverses come from the curve's inverse table."""
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    p = c.p
-    x1, y1 = P
-    x2, y2 = Q
-    if (x1 - x2) % p:
-        num, den = y2 - y1, (x2 - x1) % p
-    elif (y1 + y2) % p == 0:
-        return None
-    else:  # on the curve, the same x and not opposite: P = Q
-        num, den = 3 * x1 * x1 + c.a, 2 * y1 % p
-    # den is never 0 for points on the curve: the chord branch has distinct
-    # x, and a point with 2*y1 = 0 mod p is its own opposite, so the test
-    # above returned None
-    inv = c._inverses
-    inverse = inv[den]
-    if not inverse:
-        inverse = inv[den] = pow(den, -1, p)
-    slope = num * inverse % p
-    x3 = (slope * slope - x1 - x2) % p
-    y3 = (slope * (x1 - x3) - y1) % p
-    return (x3, y3)
+    """P + Q by the curve's chord-tangent adder."""
+    return c._arithmetic[0](P, Q)
 
 
 def negate(c: Curve, P: Point) -> Point:
@@ -150,107 +183,28 @@ def negate(c: Curve, P: Point) -> Point:
 
 
 def scalar_mul(c: Curve, k: int, P: Point) -> Point:
-    """Double-and-add, with no doubling after the top bit; negative k uses
-    the inverse point."""
-    if k < 0:
-        k, P = -k, negate(c, P)
-    acc: Point = None
-    while k:
-        if k & 1:
-            acc = group_law(c, acc, P)
-        k >>= 1
-        if k:
-            P = group_law(c, P, P)
-    return acc
+    """k*P by double-and-add over the curve's adder, with no doubling after
+    the top bit; negative k multiplies -P."""
+    return c._arithmetic[1](k, P)
 
 
-def _point_order(c: Curve, P: Point, group_order: int) -> int:
-    order = group_order
-    for q in _trial_factor(group_order):
-        while order % q == 0 and scalar_mul(c, order // q, P) is None:
-            order //= q
-    return order
+def _plan(d: Divisor, index: dict[str, int]) -> Plan:
+    """d as (coefficient, symbol indices) buckets, one per distinct
+    coefficient in the order it first occurs; index gives each symbol's
+    position in the symbol order."""
+    buckets: dict[int, list[int]] = {}
+    for sym, coeff in d.coeffs:
+        buckets.setdefault(coeff, []).append(index[sym])
+    return tuple((coeff, tuple(indices)) for coeff, indices in buckets.items())
 
 
-def curve_setup(p: int, a: int, b: int) -> Curve:
-    """Count the group exactly and pick a generator of maximal order.
-
-    Intended for small p (the count is a full x-scan with Euler's
-    criterion).  Raises on composite p or a singular curve.
-    """
-    if not _is_prime(p) or p == 2:
-        raise ValueError(f"{p} is not an odd prime")
-    a %= p
-    b %= p
-    if (4 * a * a * a + 27 * b * b) % p == 0:
-        raise ValueError("singular curve: discriminant is zero")
-    order = 1  # infinity
-    first_points: list[tuple[int, int]] = []
-    for x in range(p):
-        rhs = (x * x * x + a * x + b) % p
-        if rhs == 0:
-            order += 1
-            if len(first_points) < 60:
-                first_points.append((x, 0))
-            continue
-        chi = pow(rhs, (p - 1) // 2, p)
-        if chi == 1:
-            order += 2
-            if len(first_points) < 60:
-                y = _sqrt_mod(rhs, p)
-                first_points.append((x, y))
-    stub = Curve(p, a, b, order, order, first_points[0])
-    exponent = 1
-    orders = []
-    for pt in first_points:
-        o = _point_order(stub, pt, order)
-        orders.append((pt, o))
-        exponent = exponent * o // gcd(exponent, o)
-    generator = next(pt for pt, o in orders if o == exponent)
-    # For an elliptic curve group Z_m x Z_n (m | n) the scan above finds a
-    # point of maximal order n as long as enough points are sampled; verify
-    # the structural constraint n | order and order | n^2.
-    if order % exponent or (exponent * exponent) % order:
-        raise ValueError(
-            f"largest point order {exponent} found does not fit the group order "
-            f"{order} (it must divide it, and its square must be a multiple)"
-        )
-    return Curve(p, a, b, order, exponent, generator)
-
-
-def _sqrt_mod(n: int, p: int) -> int:
-    """Square root mod an odd prime (Tonelli-Shanks; p is small here).
-    Raises ValueError when n has none."""
-    n %= p
-    if p % 4 == 3:
-        r = pow(n, (p + 1) // 4, p)
-    elif pow(n, (p - 1) // 2, p) != 1:  # Tonelli-Shanks needs a nonzero square
-        raise ValueError(f"{n} has no square root mod {p}")
-    else:
-        r = _tonelli_shanks(n, p)
-    if r * r % p != n:
-        raise ValueError(f"{n} has no square root mod {p}")
-    return r
-
-
-def _tonelli_shanks(n: int, p: int) -> int:
-    """A root of a nonzero square n mod an odd prime p = 1 mod 4."""
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, cc, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
-    while t != 1:
-        i, temp = 0, t
-        while temp != 1:
-            temp = temp * temp % p
-            i += 1
-        bexp = pow(cc, 1 << (m - i - 1), p)
-        m, cc, t, r = i, bexp * bexp % p, t * bexp * bexp % p, r * bexp % p
-    return r
+def evaluate_divisor(c: Curve, d: Divisor, points: dict[str, Point]) -> Point:
+    """sum c_i P_i by the group law: the points of each distinct coefficient
+    are added into one bucket, which starts from its first point, and each
+    bucket is multiplied once.  No discrete log stands in for an addition."""
+    symbols = d.symbols()
+    plan = _plan(d, {s: i for i, s in enumerate(symbols)})
+    return c._arithmetic[2](plan, [points[s] for s in symbols])
 
 
 def pinned_curves() -> tuple[Curve, ...]:
@@ -303,18 +257,11 @@ class PointAssignment:
         return {s: self.curve.multiple_of_generator(k) for s, k in self.dlogs}
 
 
-def evaluate_divisor(c: Curve, d: Divisor, points: dict[str, Point]) -> Point:
-    """sum c_i P_i by the group law: the points of each distinct coefficient
-    are added into one bucket, which starts from its first point, and each
-    bucket is multiplied once.  No discrete log stands in for an addition."""
-    buckets: dict[int, Point] = {}
-    for sym, coeff in d.coeffs:
-        pt = points[sym]
-        buckets[coeff] = group_law(c, buckets[coeff], pt) if coeff in buckets else pt
-    total: Point = None
-    for coeff, bucket in buckets.items():
-        total = group_law(c, total, scalar_mul(c, coeff, bucket))
-    return total
+@lru_cache(maxsize=64)
+def _smith_form(rows: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+    """snf(rows), kept for the next call: a relation system's generator
+    matrix is the same on every curve, and only the reduction mod N is not."""
+    return snf(rows)
 
 
 def _solution_sampler(generators: Sequence[Divisor], symbols: Sequence[str], n_mod: int):
@@ -324,7 +271,7 @@ def _solution_sampler(generators: Sequence[Divisor], symbols: Sequence[str], n_m
     when g_j == 1: randrange(1) still consumes the generator's state, so
     skipping it would shift every later draw and witness."""
     rows = [[coeffs.get(s, 0) for s in symbols] for coeffs in map(Divisor.as_dict, generators)]
-    d, _, v = snf(mat(rows or [[0] * len(symbols)]))
+    d, _, v = _smith_form(mat(rows or [[0] * len(symbols)]))
     k = len(symbols)
     columns = []
     for j in range(k):
@@ -344,19 +291,39 @@ def _solution_sampler(generators: Sequence[Divisor], symbols: Sequence[str], n_m
     return sample
 
 
+def _compiled(curve: Curve, divisors: Sequence[Divisor], symbols: Sequence[str]):
+    """The divisors compiled once into plans over the symbol order: the
+    returned function takes the discrete logs of the symbols, in that order,
+    and returns each divisor's sum at the points k*G."""
+    index = {s: i for i, s in enumerate(symbols)}
+    plans = [_plan(d, index) for d in divisors]
+    xs, ys = curve._multiples
+    total = curve._arithmetic[2]
+
+    def sums(values: Sequence[int]) -> list[Point]:
+        # every k is the sampler's value reduced mod N or a randrange(N)
+        # draw, so 0 <= k < N: the range check of multiple_of_generator holds
+        # by construction and k - 1 indexes the table
+        points = [(xs[k - 1], ys[k - 1]) if k else None for k in values]
+        return [total(plan, points) for plan in plans]
+
+    return sums
+
+
 def _checked_draw(
-    curve: Curve, generators: Sequence[Divisor], dlogs: tuple[tuple[str, int], ...]
-) -> tuple[PointAssignment, dict[str, Point]]:
-    """The assignment and its points, once every generator vanishes on them."""
-    assignment = PointAssignment(curve, dlogs)
-    pts = assignment.points()
-    for g in generators:
-        if evaluate_divisor(curve, g, pts) is not None:
+    sums: Callable[[Sequence[int]], list[Point]],
+    generators: Sequence[Divisor],
+    values: Sequence[int],
+) -> list[Point]:
+    """The sums at a draw, once every generator (the first sums) vanishes."""
+    out = sums(values)
+    for g, point in zip(generators, out):
+        if point is not None:
             raise InvariantError(
                 f"sampled configuration violates {g} on the curve; "
                 "the congruence solver is inconsistent"
             )
-    return assignment, pts
+    return out
 
 
 def sample_config(
@@ -375,9 +342,9 @@ def sample_config(
     if not symbols:
         return PointAssignment(curve, ())
     rng = random.Random(seed)
-    sampler = _solution_sampler(generators, symbols, curve.exponent)
-    assignment, _ = _checked_draw(curve, generators, tuple(zip(symbols, sampler(rng))))
-    return assignment
+    values = _solution_sampler(generators, symbols, curve.exponent)(rng)
+    _checked_draw(_compiled(curve, generators, symbols), generators, values)
+    return PointAssignment(curve, tuple(zip(symbols, values)))
 
 
 @dataclass(frozen=True)
@@ -417,17 +384,20 @@ def randomized_membership_test(
     if target.degree() != 0:
         raise ValueError("targets must have degree 0")
     generators = system.generators()
-    extra = [s for s in target.symbols()
-             if not any(s in g.symbols() for g in generators)]
+    constrained = {s for g in generators for s in g.symbols()}
+    sys_symbols = sorted(constrained)
+    extra = [s for s in target.symbols() if s not in constrained]
+    symbols = sys_symbols + extra
+    n = curve.exponent
+    sampler = _solution_sampler(generators, sys_symbols, n)
+    # the last sum is the target's; a target equal to a generator vanishes
+    # once that generator's check passes, so it is summed only once
+    divisors = generators if target in generators else (*generators, target)
+    sums = _compiled(curve, divisors, symbols)
     rng = random.Random(seed)
-    sys_symbols = sorted({s for g in generators for s in g.symbols()})
-    sampler = _solution_sampler(generators, sys_symbols, curve.exponent)
     for trial in range(trials):
-        dlogs = dict(zip(sys_symbols, sampler(rng)))
-        for s in extra:
-            dlogs[s] = rng.randrange(curve.exponent)
-        assignment, pts = _checked_draw(curve, generators, tuple(sorted(dlogs.items())))
-        if evaluate_divisor(curve, target, pts) is not None:
-            return MembershipVerdict("REFUTED", trial + 1, assignment)
+        values = sampler(rng) + [rng.randrange(n) for _ in extra]
+        if _checked_draw(sums, generators, values)[-1] is not None:
+            witness = PointAssignment(curve, tuple(sorted(zip(symbols, values))))
+            return MembershipVerdict("REFUTED", trial + 1, witness)
     return MembershipVerdict("SUPPORTED", trials)
-

@@ -517,6 +517,17 @@ def termwise_divisor_sum(c, d, points):
     return total
 
 
+def textbook_divisor_sums(c, divisors, symbols):
+    """The reference for `ec_oracle._compiled`: for discrete logs of the
+    symbols, in order, each divisor's sum by `termwise_divisor_sum` at the
+    points k*G, each found by `double_and_add`."""
+    def sums(values):
+        points = {s: double_and_add(c, k, c.generator) for s, k in zip(symbols, values)}
+        return [termwise_divisor_sum(c, d, points) for d in divisors]
+
+    return sums
+
+
 def dense_solution_sampler(generators, symbols, n_mod):
     """Uniform sampler for {x : A x = 0 mod N}, via Smith normal form.
 

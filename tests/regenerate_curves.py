@@ -11,7 +11,9 @@ import json
 import sys
 from typing import Iterable
 
-from degen_atlas.ec_oracle import Curve, _is_prime, curve_setup
+from degen_atlas.ec_oracle import Curve
+
+from curve_setup import _is_prime, curve_setup
 
 
 def scan_distinct_curves(

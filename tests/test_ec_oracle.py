@@ -1,8 +1,10 @@
 import dataclasses
 import json
 import random
+from collections import Counter
 from importlib import resources
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +12,6 @@ from hypothesis import strategies as st
 
 from degen_atlas import ec_oracle
 from degen_atlas.ec_oracle import (
-    curve_setup,
     evaluate_divisor,
     group_law,
     negate,
@@ -19,6 +20,7 @@ from degen_atlas.ec_oracle import (
     sample_config,
     scalar_mul,
 )
+from degen_atlas.exact_lattice import snf
 from degen_atlas.period_relations import (
     Divisor,
     RelationSystem,
@@ -26,6 +28,10 @@ from degen_atlas.period_relations import (
     relation_rows,
 )
 from degen_atlas.surface_pair import catalogue
+
+import curve_setup as setup
+import oracles
+from curve_setup import curve_setup
 from oracles import (
     affine_group_law,
     dense_solution_sampler,
@@ -106,7 +112,7 @@ def _short_point_order(c, P, group_order):
 
 
 def test_curve_setup_checks_the_group_structure(monkeypatch):
-    monkeypatch.setattr(ec_oracle, "_point_order", _short_point_order)
+    monkeypatch.setattr(setup, "_point_order", _short_point_order)
     with pytest.raises(ValueError, match="largest point order 3 found does not fit the group order 6"):
         curve_setup(5, 0, 1)
 
@@ -115,26 +121,28 @@ def test_sqrt_mod():
     for p in (7, 13, 17, 10007, 10009, 10037):
         for n in range(1, min(p, 400)):
             if pow(n, (p - 1) // 2, p) == 1:
-                r = ec_oracle._sqrt_mod(n, p)
+                r = setup._sqrt_mod(n, p)
                 assert r * r % p == n
             else:
                 with pytest.raises(ValueError, match=f"^{n} has no square root mod {p}$"):
-                    ec_oracle._sqrt_mod(n, p)
-    assert ec_oracle._sqrt_mod(0, 7) == 0
+                    setup._sqrt_mod(n, p)
+    assert setup._sqrt_mod(0, 7) == 0
     with pytest.raises(ValueError, match="^0 has no square root mod 13$"):
-        ec_oracle._sqrt_mod(0, 13)  # Tonelli-Shanks would never end
+        setup._sqrt_mod(0, 13)  # Tonelli-Shanks would never end
 
 
 def test_oracle_checks_hold_under_python_O():
     # the fixture, group-structure and square-root checks are not asserts
     code = (
         "import json, sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "import curve_setup as setup\n"
         "from degen_atlas import ec_oracle\n"
         "calls = [lambda text=text: ec_oracle._checked_curves(json.loads(text))\n"
         "         for text in sys.argv[1:]]\n"
-        "calls += [lambda: ec_oracle._sqrt_mod(3, 7), lambda: ec_oracle._sqrt_mod(2, 13)]\n"
-        "ec_oracle._point_order = lambda c, P, group_order: group_order // 2\n"
-        "calls.append(lambda: ec_oracle.curve_setup(5, 0, 1))\n"
+        "calls += [lambda: setup._sqrt_mod(3, 7), lambda: setup._sqrt_mod(2, 13)]\n"
+        "setup._point_order = lambda c, P, group_order: group_order // 2\n"
+        "calls.append(lambda: setup.curve_setup(5, 0, 1))\n"
         "for call in calls:\n"
         "    try:\n"
         "        print('accepted:', call())\n"
@@ -394,6 +402,20 @@ def test_membership_supported_and_refuted(models, curves):
         assert evaluate_divisor(curves[0], g, pts) is None
 
 
+def test_membership_sums_the_target_as_given(curves):
+    # 2q - 2q' = 0 leaves q - q' free to be the 2-torsion point, so q - q'
+    # is refuted while its double, a generator, is supported
+    even = next(c for c in curves if c.exponent % 2 == 0)
+    system = RelationSystem(r_h=Divisor.of({"q": 2, "q'": -2}), r_xi=Divisor.of({}), aux=())
+    half = Divisor.of({"q": 1, "q'": -1})
+    verdict = randomized_membership_test(system, half, trials=20, curve=even)
+    assert verdict.verdict == "REFUTED"
+    dlogs = dict(verdict.witness.dlogs)
+    assert (dlogs["q"] - dlogs["q'"]) % even.exponent == even.exponent // 2
+    supported = randomized_membership_test(system, 2 * half, trials=20, curve=even)
+    assert supported == ec_oracle.MembershipVerdict("SUPPORTED", 20)
+
+
 def test_imposed_generator_always_supported(models, curves):
     system = imposed_relations(models["D12D5"])
     verdict = randomized_membership_test(
@@ -518,14 +540,43 @@ def _criterion_6_verdicts(curves):
     return verdicts
 
 
+def _counted(calls, fn):
+    def wrapper(*args):
+        calls[fn.__name__] += 1
+        return fn(*args)
+
+    return wrapper
+
+
 def test_verdicts_match_the_reference_arithmetic(curves, monkeypatch):
     fast = _criterion_6_verdicts(curves)
-    monkeypatch.setattr(ec_oracle, "group_law", affine_group_law)
-    monkeypatch.setattr(ec_oracle, "scalar_mul", double_and_add)
-    monkeypatch.setattr(ec_oracle.Curve, "multiple_of_generator",
-                        lambda c, k: double_and_add(c, k, c.generator))
-    monkeypatch.setattr(ec_oracle, "evaluate_divisor", termwise_divisor_sum)
-    monkeypatch.setattr(ec_oracle, "_solution_sampler", dense_solution_sampler)
+    # the reference run draws through the dense sampler and sums every
+    # divisor term by term from points found by double-and-add, all over the
+    # Fermat-inverse affine law; the names are patched in oracles so that the
+    # calls between them are counted too
+    calls = Counter()
+    for name in ("affine_group_law", "double_and_add", "termwise_divisor_sum",
+                 "dense_solution_sampler"):
+        monkeypatch.setattr(oracles, name, _counted(calls, getattr(oracles, name)))
+    monkeypatch.setattr(ec_oracle, "_compiled", oracles.textbook_divisor_sums)
+    monkeypatch.setattr(ec_oracle, "_solution_sampler", oracles.dense_solution_sampler)
     reference = _criterion_6_verdicts(curves)
     assert fast == reference
     assert sum(v.verdict == "REFUTED" for v in fast) == 33
+    assert set(calls) == {"affine_group_law", "double_and_add", "termwise_divisor_sum",
+                          "dense_solution_sampler"}
+    assert calls["dense_solution_sampler"] == 66
+
+
+def test_one_smith_form_per_relation_system(curves, monkeypatch):
+    # the 66 calls of an oracle pass (11 rows x 3 curves x target and
+    # perturbation) take one Smith form per relation system: 10, since
+    # E8E8-d0 and E8E8-d1 are two targets of one system
+    systems = {imposed_relations(row.prepare()).generators() for row in relation_rows()}
+    ec_oracle._smith_form.cache_clear()
+    calls = Counter()
+    monkeypatch.setattr(ec_oracle, "snf", _counted(calls, snf))
+    verdicts = _criterion_6_verdicts(curves)
+    ec_oracle._smith_form.cache_clear()
+    assert len(verdicts) == 66
+    assert calls["snf"] == len(systems) == 10

@@ -336,6 +336,13 @@ def test_enumerate_short_d4_and_e8_root_counts():
     assert len(enumerate_short(GramForm(neg(E8_GRAM)), 2)) == 120  # 240 roots
 
 
+@pytest.mark.parametrize("bound", [0, -2])
+def test_enumerate_short_needs_a_positive_bound(bound):
+    with pytest.raises(ValueError) as exc:
+        enumerate_short(GramForm(mat([[-2]])), bound)
+    assert str(exc.value) == "bound must be a positive integer"
+
+
 def test_enumerate_short_rejects_indefinite():
     with pytest.raises(ValueError):
         enumerate_short(GramForm(mat([[0, 1], [1, 0]])), 2)

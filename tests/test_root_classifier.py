@@ -166,6 +166,12 @@ def test_e8e8_extra_minus4_root(models):
     assert type_string(classify(roots)) == "E8+E8+<-4>"
 
 
+def test_classify_rejects_an_empty_root_set():
+    with pytest.raises(ValueError) as exc:
+        classify(GeneralizedRootSet((), (), (), GramForm(mat([[-2]]))))
+    assert str(exc.value) == "empty root set"
+
+
 def test_single_root_is_a1():
     g = GramForm(mat([[-2]]))
     roots = GeneralizedRootSet(((1,),), (), (), g)
