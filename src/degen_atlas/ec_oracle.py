@@ -9,14 +9,17 @@ sampling never needs point division.  The Smith form of a generator matrix
 is taken once and reused by every call and curve; only its transform's
 columns, kept sparse mod N, depend on the curve.
 
-A call compiles each generator and the target once into a plan: buckets of
-symbol indices of equal coefficient, over one symbol order (a target equal
-to a generator shares its plan).  A trial reads each drawn point k*G from a
-per-curve table of every multiple of G and sums every plan with honest
-chord-tangent group-law code, adding the points of a bucket before one
-multiplication.  Each curve has one adder, with p, a and a table of
-inverses mod p bound in; the table of multiples, `group_law`, `scalar_mul`
-and `evaluate_divisor` all go through it.
+A call compiles its generators and target once into one straight-line
+program over one symbol order.  The distinct coefficient buckets of all the
+divisors are summed once per trial, smallest first, each from the largest
+buckets already summed that it contains plus the points left; coefficients
+1 and -1 cost no multiplication, and equal divisors are summed once.  A
+trial draws its discrete logs with getrandbits, exactly as randrange draws
+them, reads each point k*G from a per-curve table of every multiple of G
+and runs the program with honest chord-tangent group-law code.  Each curve
+has one adder, with p, a and a table of inverses mod p bound in; the table
+of multiples, `group_law`, `scalar_mul` and every program go through it,
+`evaluate_divisor` included.
 
 SUPPORTED verdicts are evidence modulo N-torsion artifacts; the formal
 certificate from the relation module is the authoritative proof.
@@ -37,7 +40,6 @@ from .exact_lattice import InvariantError, Matrix, mat, snf
 from .period_relations import Divisor, RelationSystem
 
 Point = Optional[tuple[int, int]]  # None is the point at infinity
-Plan = tuple[tuple[int, tuple[int, ...]], ...]  # (coefficient, symbol indices) buckets
 
 
 def _trial_factor(n: int) -> dict[int, int]:
@@ -77,10 +79,9 @@ class Curve:
         return array("I", bytes(4 * self.p))
 
     @cached_property
-    def _arithmetic(self) -> tuple[Callable, Callable, Callable]:
-        """(add, mul, total): the curve's one chord-tangent adder, double-and-
-        add over it, and the sum of a plan, with p, a and the inverse table
-        bound in."""
+    def _arithmetic(self) -> tuple[Callable, Callable]:
+        """(add, mul): the curve's one chord-tangent adder and double-and-add
+        over it, with p, a and the inverse table bound in."""
         p, a, inv = self.p, self.a, self._inverses
 
         def add(P: Point, Q: Point) -> Point:
@@ -122,18 +123,7 @@ class Curve:
                     P = add(P, P)
             return acc
 
-        def total(plan: Plan, points: Sequence[Point]) -> Point:
-            """The plan's sum at the points: each bucket starts from its first
-            point, adds the others and is multiplied once."""
-            acc: Point = None
-            for coeff, indices in plan:
-                bucket = points[indices[0]]
-                for i in indices[1:]:
-                    bucket = add(bucket, points[i])
-                acc = add(acc, mul(coeff, bucket))
-            return acc
-
-        return add, mul, total
+        return add, mul
 
     @cached_property
     def _multiples(self) -> tuple[array, array]:
@@ -188,23 +178,76 @@ def scalar_mul(c: Curve, k: int, P: Point) -> Point:
     return c._arithmetic[1](k, P)
 
 
-def _plan(d: Divisor, index: dict[str, int]) -> Plan:
-    """d as (coefficient, symbol indices) buckets, one per distinct
-    coefficient in the order it first occurs; index gives each symbol's
-    position in the symbol order."""
-    buckets: dict[int, list[int]] = {}
-    for sym, coeff in d.coeffs:
-        buckets.setdefault(coeff, []).append(index[sym])
-    return tuple((coeff, tuple(indices)) for coeff, indices in buckets.items())
+def _program(
+    curve: Curve, divisors: Sequence[Divisor], symbols: Sequence[str]
+) -> Callable[[Sequence[Point]], list[Point]]:
+    """The divisors compiled into one program over the symbol order: the
+    returned function takes the points of the symbols, in that order, and
+    returns each divisor's sum by the group law.  No discrete log stands in
+    for an addition.
+
+    Slots hold the points, the identity, then the result of each step; a
+    step (coeff, first, rest) adds the slots of rest to slot first and
+    multiplies by coeff, and equal steps are made once.  A bucket is the set
+    of a divisor's symbols of one coefficient.  The distinct buckets of all
+    the divisors are summed smallest first, each from the largest buckets
+    already summed that it contains, disjoint from one another, plus the
+    points left.  A term of coefficient 1 is its bucket's slot, -1 negates
+    it and any other coefficient is one multiplication; a divisor's sum
+    starts from its first term."""
+    p, (add, mul) = curve.p, curve._arithmetic
+    index = {s: i for i, s in enumerate(symbols)}
+    plans = []  # per divisor: (coefficient, bucket) in the order each first occurs
+    for d in divisors:
+        buckets: dict[int, set[int]] = {}
+        for sym, coeff in d.coeffs:
+            buckets.setdefault(coeff, set()).add(index[sym])
+        plans.append([(coeff, frozenset(bucket)) for coeff, bucket in buckets.items()])
+    identity = len(symbols)
+    steps: list[tuple[int, int, tuple[int, ...]]] = []
+    made: dict[tuple[int, int, tuple[int, ...]], int] = {}  # step -> its slot
+
+    def step(coeff: int, parts: list[int]) -> int:
+        if coeff == 1 and len(parts) == 1:
+            return parts[0]
+        key = (coeff, parts[0], tuple(parts[1:]))
+        if key not in made:
+            made[key] = identity + 1 + len(steps)
+            steps.append(key)
+        return made[key]
+
+    summed: dict[frozenset, int] = {}  # bucket -> its slot, smallest first
+    distinct = {bucket for plan in plans for _, bucket in plan}
+    for bucket in sorted(distinct, key=lambda b: (len(b), sorted(b))):
+        parts, left = [], bucket
+        for done, slot in reversed(summed.items()):
+            if done <= left:
+                parts.append(slot)
+                left = left - done
+        summed[bucket] = step(1, parts + sorted(left))
+    outputs = [step(1, [step(c, [summed[b]]) for c, b in plan]) if plan else identity
+               for plan in plans]
+
+    def run(points: Sequence[Point]) -> list[Point]:
+        vals = [*points, None]
+        for coeff, first, rest in steps:
+            acc = vals[first]
+            for i in rest:
+                acc = add(acc, vals[i])
+            if coeff == -1:
+                acc = None if acc is None else (acc[0], -acc[1] % p)
+            elif coeff != 1:
+                acc = mul(coeff, acc)
+            vals.append(acc)
+        return [vals[i] for i in outputs]
+
+    return run
 
 
 def evaluate_divisor(c: Curve, d: Divisor, points: dict[str, Point]) -> Point:
-    """sum c_i P_i by the group law: the points of each distinct coefficient
-    are added into one bucket, which starts from its first point, and each
-    bucket is multiplied once.  No discrete log stands in for an addition."""
+    """sum c_i P_i by the group law, through the program of `_program`."""
     symbols = d.symbols()
-    plan = _plan(d, {s: i for i, s in enumerate(symbols)})
-    return c._arithmetic[2](plan, [points[s] for s in symbols])
+    return _program(c, [d], symbols)([points[s] for s in symbols])[0]
 
 
 def pinned_curves() -> tuple[Curve, ...]:
@@ -264,25 +307,40 @@ def _smith_form(rows: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     return snf(rows)
 
 
+def _draws(rng: random.Random, bounds: Sequence[tuple[int, int]]) -> list[int]:
+    """A draw in range(count) for each (count, count.bit_length()), made as
+    CPython 3.11's rng.randrange(count) makes it, so the values and the
+    generator's state are the same: getrandbits of that many bits until the
+    value is below count.  A count of 1 still consumes state."""
+    getrandbits = rng.getrandbits
+    out = []
+    for count, bits in bounds:
+        r = getrandbits(bits)
+        while r >= count:
+            r = getrandbits(bits)
+        out.append(r)
+    return out
+
+
 def _solution_sampler(generators: Sequence[Divisor], symbols: Sequence[str], n_mod: int):
     """Uniform sampler for {x : A x = 0 mod N}: with D = U A V in Smith form,
     x = V y, y_j = (N/g_j) r_j, g_j = gcd(D_jj, N), r_j uniform in range(g_j),
-    and V's columns kept sparse mod N.  Every r_j is drawn, in order, even
-    when g_j == 1: randrange(1) still consumes the generator's state, so
-    skipping it would shift every later draw and witness."""
+    and V's columns kept sparse mod N.  Every r_j is drawn by `_draws`, in
+    order, even when g_j == 1: that draw still consumes the generator's
+    state, so skipping it would shift every later draw and witness."""
     rows = [[coeffs.get(s, 0) for s in symbols] for coeffs in map(Divisor.as_dict, generators)]
     d, _, v = _smith_form(mat(rows or [[0] * len(symbols)]))
     k = len(symbols)
-    columns = []
+    bounds, columns = [], []
     for j in range(k):
         count = gcd(d[j][j] if j < len(d) else 0, n_mod)  # y_j is a multiple of N/count
         column = [(i, n_mod // count * v[i][j] % n_mod) for i in range(k)]
-        columns.append((count, [(i, e) for i, e in column if e]))
+        bounds.append((count, count.bit_length()))
+        columns.append([(i, e) for i, e in column if e])
 
     def sample(rng: random.Random) -> list[int]:
         x = [0] * k
-        for count, column in columns:
-            rj = rng.randrange(count)
+        for rj, column in zip(_draws(rng, bounds), columns):
             if rj:
                 for i, e in column:
                     x[i] += e * rj
@@ -292,20 +350,17 @@ def _solution_sampler(generators: Sequence[Divisor], symbols: Sequence[str], n_m
 
 
 def _compiled(curve: Curve, divisors: Sequence[Divisor], symbols: Sequence[str]):
-    """The divisors compiled once into plans over the symbol order: the
-    returned function takes the discrete logs of the symbols, in that order,
-    and returns each divisor's sum at the points k*G."""
-    index = {s: i for i, s in enumerate(symbols)}
-    plans = [_plan(d, index) for d in divisors]
+    """The divisors compiled once by `_program`: the returned function takes
+    the discrete logs of the symbols, in that order, and returns each
+    divisor's sum at the points k*G."""
+    run = _program(curve, divisors, symbols)
     xs, ys = curve._multiples
-    total = curve._arithmetic[2]
 
     def sums(values: Sequence[int]) -> list[Point]:
-        # every k is the sampler's value reduced mod N or a randrange(N)
-        # draw, so 0 <= k < N: the range check of multiple_of_generator holds
-        # by construction and k - 1 indexes the table
-        points = [(xs[k - 1], ys[k - 1]) if k else None for k in values]
-        return [total(plan, points) for plan in plans]
+        # every k is the sampler's value reduced mod N or a draw below N, so
+        # 0 <= k < N: the range check of multiple_of_generator holds by
+        # construction and k - 1 indexes the table
+        return run([(xs[k - 1], ys[k - 1]) if k else None for k in values])
 
     return sums
 
@@ -390,13 +445,13 @@ def randomized_membership_test(
     symbols = sys_symbols + extra
     n = curve.exponent
     sampler = _solution_sampler(generators, sys_symbols, n)
-    # the last sum is the target's; a target equal to a generator vanishes
-    # once that generator's check passes, so it is summed only once
-    divisors = generators if target in generators else (*generators, target)
-    sums = _compiled(curve, divisors, symbols)
+    free = [(n, n.bit_length())] * len(extra)
+    # the last sum is the target's; the program sums a target equal to a
+    # generator only once
+    sums = _compiled(curve, (*generators, target), symbols)
     rng = random.Random(seed)
     for trial in range(trials):
-        values = sampler(rng) + [rng.randrange(n) for _ in extra]
+        values = sampler(rng) + _draws(rng, free)
         if _checked_draw(sums, generators, values)[-1] is not None:
             witness = PointAssignment(curve, tuple(sorted(zip(symbols, values))))
             return MembershipVerdict("REFUTED", trial + 1, witness)

@@ -381,6 +381,65 @@ def test_bucketed_divisor_sum_matches_the_termwise_sum(curves, which, terms, k_l
     assert expected == double_and_add(c, sum(cf * dlogs[s] for s, cf in d.coeffs) % n, c.generator)
 
 
+_SUM_SYMBOLS = ("q", "q'", *(f"p{i}" for i in range(1, 9)))
+_DLOG_KINDS = ("free", "zero", "torsion", "negated")
+_SEGMENTS = st.lists(st.tuples(st.sampled_from((-3, -2, -1, 1, 2, 9)), st.integers(0, 10),
+                               st.integers(0, 10)), max_size=3)
+
+
+def _segment_divisor(segments):
+    """The divisor giving each symbol of _SUM_SYMBOLS[start:stop] the
+    coefficient of the last segment that covers it: intervals of one symbol
+    order make nested, overlapping and equal buckets."""
+    coeffs = {}
+    for coeff, start, stop in segments:
+        coeffs.update(dict.fromkeys(_SUM_SYMBOLS[start:stop], coeff))
+    return Divisor.of(coeffs)
+
+
+# A: 9(q+q') - (p1+...+p8), -2(p1+p2+p3) + 6q', -(p1+...+p4) + 4q and the
+# empty divisor, so {p1,p2,p3} < {p1..p4} < {p1..p8}, with p2 = -p1 inside all
+# three, p3 the 2-torsion point and p4 at infinity.  B: 2(p1+p2+p3) - 3q,
+# -(p3+p4+p5) + 3q', -2(p1+p2+p3) + 9q' and -(p3+p4+p5) + (p6+p7+p8) + 2q, so
+# {p1,p2,p3} and {p3,p4,p5} overlap, each is in two plans, and p4 = -p3.
+_NESTED = [[(9, 0, 2), (-1, 2, 10)], [(-2, 2, 5), (6, 1, 2)], [(-1, 2, 6), (4, 0, 1)], []]
+_NESTED_DLOGS = [("free", 11), ("free", 4000), ("free", 12345), ("negated", 2), ("torsion", 0),
+                 ("zero", 0), ("free", 5), ("free", 77), ("free", 901), ("free", 3)]
+_OVERLAPPING = [[(2, 2, 5), (-3, 0, 1)], [(-1, 4, 7), (3, 1, 2)], [(-2, 2, 5), (9, 1, 2)],
+                [(-1, 4, 7), (1, 7, 10), (2, 0, 1)]]
+_OVERLAPPING_DLOGS = [("free", 8), ("free", 600), ("free", 9001), ("free", 31), ("free", 2024),
+                      ("negated", 4), ("free", 17), ("free", 256), ("free", 5555), ("free", 42)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, len(SMALL_CURVES) + 2),
+    st.lists(_SEGMENTS, min_size=1, max_size=4),
+    st.lists(st.tuples(st.sampled_from(_DLOG_KINDS), st.integers(0, 2**20)),
+             min_size=len(_SUM_SYMBOLS), max_size=len(_SUM_SYMBOLS)),
+)
+@example(1, _NESTED, _NESTED_DLOGS)
+@example(3, _NESTED, _NESTED_DLOGS)
+@example(0, _OVERLAPPING, _OVERLAPPING_DLOGS)
+@example(2, _OVERLAPPING, _OVERLAPPING_DLOGS)
+def test_shared_program_matches_the_textbook_sums(curves, which, families, kinds):
+    c = (*curves, *(curve_setup(*abc) for abc in SMALL_CURVES))[which]
+    n = c.exponent
+    values = []
+    for kind, k in kinds:
+        if kind == "free":
+            values.append(k % n)
+        elif kind == "zero":
+            values.append(0)
+        elif kind == "torsion":
+            values.append(n // 2 if n % 2 == 0 else 0)
+        else:  # the inverse of an earlier point
+            values.append(-values[k % len(values)] % n if values else 0)
+    divisors = [_segment_divisor(segments) for segments in families]
+    want = oracles.textbook_divisor_sums(c, divisors, _SUM_SYMBOLS)(values)
+    assert ec_oracle._compiled(c, divisors, _SUM_SYMBOLS)(values) == want
+
+
 def test_membership_supported_and_refuted(models, curves):
     system = imposed_relations(models["E8D9"])
     target = Divisor.of(
@@ -438,6 +497,44 @@ def test_certificate_implies_supported(models, curves):
                 system, row.target(), trials=40, curve=c, seed=1
             )
             assert verdict.verdict == "SUPPORTED"
+
+
+def _stream_cases(curves):
+    """(key, system, target, trials, curve, seed) of the verdicts pinned in
+    membership_stream.json: the perturbed targets of three rows on every
+    pinned curve, A15's target plus p17 - q, where p17 is a symbol the
+    system leaves free, and the 2-torsion half target, refuted after several
+    trials."""
+    rows = {row.key: row for row in relation_rows()}
+    cases = []
+    for key in ("E8E8-d0", "A11E6-d3", "D16"):
+        row = rows[key]
+        system, target = imposed_relations(row.prepare()), row.target()
+        point_syms = [s for s in target.symbols() if s.startswith("p")]
+        perturbed = target + Divisor.of({point_syms[1]: 1, point_syms[2]: -1})
+        cases += [(f"{key}/{c.p}", system, perturbed, 100, c, 7) for c in curves]
+    a15 = rows["A15"]
+    free = a15.target() + Divisor.of({"p17": 1, "q": -1})
+    cases += [(f"A15+p17/{c.p}", imposed_relations(a15.prepare()), free, 100, c, 7)
+              for c in curves]
+    two_torsion = RelationSystem(r_h=Divisor.of({"q": 2, "q'": -2}), r_xi=Divisor.of({}), aux=())
+    half = Divisor.of({"q": 1, "q'": -1})
+    cases += [(f"half/{c.p}/{seed}", two_torsion, half, 20, c, seed)
+              for c in curves if c.exponent % 2 == 0 for seed in (1, 3)]
+    return cases
+
+
+def test_membership_verdicts_pin_the_random_stream(curves):
+    # the expected verdicts were recorded when every draw was a
+    # rng.randrange call: trials and witness dlogs, the free symbol's
+    # included, depend on every value drawn and on how many words each draw
+    # consumed
+    want = json.loads(Path(__file__).with_name("membership_stream.json").read_text())
+    got = {key: randomized_membership_test(system, target, trials=trials, curve=c, seed=seed).as_json()
+           for key, system, target, trials, c, seed in _stream_cases(curves)}
+    assert got == want
+    assert all(len(want[f"A15+p17/{c.p}"]["witness"]) == 19 for c in curves)
+    assert sorted(want[f"half/{c.p}/{seed}"]["trials"] for c in curves[1:] for seed in (1, 3)) == [3, 3, 4, 4]
 
 
 @pytest.mark.parametrize("trials", [0, -5])

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from degen_atlas.exact_lattice import orthogonal_complement
+from degen_atlas import period_relations
+from degen_atlas.exact_lattice import InvariantError, orthogonal_complement
 from degen_atlas.period_relations import (
     ZERO,
     Divisor,
@@ -70,6 +71,22 @@ def test_psi_is_additive(models):
             c2 = tuple(a + k2 * x for a, x in zip(c2, v))
         assert psi(m, c1).degree() == 0
         assert psi(m, tuple(a + b for a, b in zip(c1, c2))) == psi(m, c1) + psi(m, c2)
+
+
+def test_psi_checks_the_degree_of_its_image(models, monkeypatch):
+    # a restriction dictionary with one image of degree 1 makes psi(h)
+    # a divisor of nonzero degree, which psi must refuse to return
+    m = models["D17"]
+    i = next(i for i, x in enumerate(m.h) if x)
+    name = m.lattice.names[i]
+    images = restriction_dictionary(m)
+    bent = {**images, name: images[name] + Divisor.of({"q": 1})}
+    monkeypatch.setattr(period_relations, "restriction_dictionary", lambda model: bent)
+    degree = m.h[i] * (1 if m.tags[i] == 0 else -1)
+    assert degree != 0
+    with pytest.raises(InvariantError) as exc:
+        psi(m, m.h)
+    assert str(exc.value) == f"psi of {m.h} has degree {degree}, not 0"
 
 
 def test_psi_rejects_non_cartier(models):
