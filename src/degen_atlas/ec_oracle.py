@@ -110,14 +110,15 @@ class Curve:
             return (x3, (slope * (x1 - x3) - y1) % p)
 
         def mul(k: int, P: Point) -> Point:
-            """k*P, with no doubling after the top bit; negative k multiplies
-            -P."""
+            """k*P, with no doubling after the top bit and no addition to the
+            identity: the lowest set bit takes P itself.  Negative k
+            multiplies -P."""
             if k < 0:
                 k, P = -k, None if P is None else (P[0], -P[1] % p)
             acc: Point = None
             while k:
                 if k & 1:
-                    acc = add(acc, P)
+                    acc = P if acc is None else add(acc, P)
                 k >>= 1
                 if k:
                     P = add(P, P)

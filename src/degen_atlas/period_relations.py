@@ -21,7 +21,7 @@ auxiliary), certified by exact span membership.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .exact_lattice import InvariantError, Vector, in_span, solve_rational
 from .surface_pair import (
@@ -100,6 +100,15 @@ class Divisor:
 ZERO = Divisor.of({})
 
 
+def _linear_combination(terms: Iterable[tuple[int, Divisor]]) -> Divisor:
+    """sum k * d over the (k, d) pairs, added up in one dict and sorted once."""
+    total: dict[str, int] = {}
+    for k, d in terms:
+        for s, c in d.coeffs:
+            total[s] = total.get(s, 0) + k * c
+    return Divisor.of(total)
+
+
 def restriction_dictionary(m: SurfaceModel) -> dict[str, Divisor]:
     """Divisor image of every basis class on the double curve.
 
@@ -132,13 +141,8 @@ def psi(m: SurfaceModel, c: Vector) -> Divisor:
             f"({deg0}, {deg1}) differ"
         )
     images = restriction_dictionary(m)
-    total = ZERO
-    for i, name in enumerate(m.lattice.names):
-        coeff = c[i]
-        if coeff == 0:
-            continue
-        sign = 1 if m.tags[i] == 0 else -1
-        total = total + (coeff * sign) * images[name]
+    signed = zip(m.lattice.names, c, m.tags, strict=True)
+    total = _linear_combination((-x if tag else x, images[name]) for name, x, tag in signed if x)
     if total.degree() != 0:
         raise InvariantError(f"psi of {c} has degree {total.degree()}, not 0")
     return total
@@ -221,9 +225,7 @@ def derive(system: RelationSystem, target: Divisor) -> DeriveResult:
     tvec = vec(target)
     coeffs = in_span(tvec, gen_vecs)
     if coeffs is not None:
-        check = ZERO
-        for c, g in zip(coeffs, gens):
-            check = check + c * g
+        check = _linear_combination(zip(coeffs, gens))
         if check != target:
             raise InvariantError(f"certificate {tuple(coeffs)} re-expands to {check}, not {target}")
         return DeriveResult("certified", tuple(coeffs), gens, target)

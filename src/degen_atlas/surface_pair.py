@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from functools import cache, cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .exact_lattice import GramForm, InvariantError, Vector, add_vec, mat, matvec, scale_vec
@@ -89,10 +91,14 @@ class PairLattice:
     names: tuple[str, ...]
     gram_form: GramForm
 
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.names)}
+
     def index(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._positions[name]
+        except KeyError:
             raise KeyError(f"unknown basis class {name!r}; alphabet: {', '.join(self.names)}")
 
     @property
@@ -131,10 +137,12 @@ class CurveEntry:
 class SurfaceModel:
     """A tagged pair lattice with its polarization and restriction data.
 
-    `restrictions` maps every basis name to its divisor image on the double
-    curve, as {point symbol: coefficient}; it is None for a CUSTOM model
-    built without a dictionary.  `aux_relations` are declared degree-0 point
-    relations beyond those psi imposes.  Catalogue models get the default
+    A model is immutable: E0, E1 and xi are computed once, from its tags, on
+    first use; a flop or `replace` makes a new model.  `restrictions` maps
+    every basis name to its divisor image on the double curve, as {point
+    symbol: coefficient}; it is None for a CUSTOM model built without a
+    dictionary.  `aux_relations` are declared degree-0 point relations
+    beyond those psi imposes.  Catalogue models get the default
     images (l -> 3q, e_i -> p_i, ruling -> 2q) with the table's overrides
     applied; only D16 has overrides, which put its 4-torsion point pf on
     the quadric's rulings.
@@ -160,23 +168,28 @@ class SurfaceModel:
                     f"base class {name} is tagged {self.tags[i]}; base classes never move"
                 )
 
-    @property
+    @cached_property
     def xi(self) -> Vector:
-        """(-E0, E1) recomputed from the current tags."""
-        e0 = self.double_curve_class(0)
-        e1 = self.double_curve_class(1)
+        """(-E0, E1) from the model's tags."""
+        e0, e1 = self._double_curve_classes
         return add_vec(scale_vec(-1, e0), e1)
+
+    @cached_property
+    def _double_curve_classes(self) -> tuple[Vector, Vector]:
+        """(E0, E1), each component's anticanonical class under the tags."""
+        lat = self.lattice
+        out = []
+        for comp, base in enumerate((lat.base0, lat.base1)):
+            terms = dict.fromkeys(_base_names(base, comp == 1), 3 if base == P2 else 2)
+            for i, name in enumerate(lat.names):
+                if is_exceptional(name) and self.tags[i] == comp:
+                    terms[name] = -1
+            out.append(class_vector(lat, terms))
+        return out[0], out[1]
 
     def double_curve_class(self, comp: int) -> Vector:
         """Anticanonical class of component comp under the current tags."""
-        terms: dict[str, int] = {}
-        base = self.lattice.base0 if comp == 0 else self.lattice.base1
-        for name in _base_names(base, comp == 1):
-            terms[name] = 3 if base == P2 else 2
-        for i, name in enumerate(self.lattice.names):
-            if is_exceptional(name) and self.tags[i] == comp:
-                terms[name] = -1
-        return class_vector(self.lattice, terms)
+        return self._double_curve_classes[comp]
 
     def component_part(self, v: Vector, comp: int) -> Vector:
         return tuple(
@@ -324,8 +337,10 @@ def _catalogue_row(model_id: str) -> tuple:
     return _CATALOGUE_TABLE[model_id]
 
 
+@cache
 def catalogue_model(model_id: str) -> SurfaceModel:
-    """A catalogue model built from its table row."""
+    """A catalogue model built from its table row, once per id: a model is
+    immutable and its restriction images and relations are read-only."""
     (base0, n0, base1, n1, h_terms, fiber_terms, annotation,
      overrides, _, _) = _catalogue_row(model_id)
     image_overrides, aux_relations = overrides or ({}, ())
@@ -339,8 +354,11 @@ def catalogue_model(model_id: str) -> SurfaceModel:
     model = SurfaceModel(
         id=model_id, lattice=lat, tags=tags, h=h,
         fiber_classes=fibers, annotation=annotation,
-        restrictions={**_default_restrictions(lat), **image_overrides},
-        aux_relations=aux_relations,
+        restrictions=MappingProxyType({
+            name: MappingProxyType(terms)
+            for name, terms in {**_default_restrictions(lat), **image_overrides}.items()
+        }),
+        aux_relations=tuple(MappingProxyType(terms) for terms in aux_relations),
     )
     check_model_invariants(model)
     return model

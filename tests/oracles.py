@@ -7,7 +7,8 @@ matrix products from the textbook loops,
 elementary divisors from gcds of minors, and elliptic-curve points from the
 affine group law with the Fermat inverse and plain double-and-add, summed
 term by term.  The oracle's congruence sampler keeps its dense form here,
-and the d-semistability relation is read straight off the basis names.
+and the d-semistability relation and xi are read straight off the basis
+names and tags; psi adds its images one class at a time.
 """
 
 import os
@@ -393,6 +394,46 @@ def d_semistability_relation(m):
         if name.startswith("e"):
             terms["p" + name[1:]] = -1
     return Divisor.of(terms)
+
+
+def tag_xi(m):
+    """xi = E1 - E0 read off the basis names and the tags, with no cache.
+
+    The reference for `SurfaceModel.xi`: Ei is 3l on a P2 component or
+    2s + 2f on a quadric, minus every exceptional class tagged i.
+    """
+    xi = []
+    for name, tag in zip(m.lattice.names, m.tags):
+        sign = 1 if tag else -1
+        xi.append(-sign if name.startswith("e") else sign * (3 if name.startswith("l") else 2))
+    return tuple(xi)
+
+
+def textbook_psi(m, c):
+    """psi(c) = c0|E - c1|E, the reference for `period_relations.psi`: each
+    basis class's image from `m.restrictions`, signed by its tag, added one
+    class at a time with `Divisor.__add__`, which sorts at every step."""
+    from degen_atlas.period_relations import Divisor
+
+    total = Divisor.of({})
+    for name, coeff, tag in zip(m.lattice.names, c, m.tags):
+        if coeff:
+            total = total + (-coeff if tag else coeff) * Divisor.of(m.restrictions[name])
+    return total
+
+
+def minus_gram_of_nonsingular(rng, n):
+    """-(A^T A) for a random nonsingular integer A with entries in -2..2.
+
+    Every such form is negative definite, so no rank needs rejection
+    sampling on definiteness: A is redrawn only when it is singular, which
+    `_is_neg_def` detects as a pivot that is not positive.
+    """
+    while True:
+        a = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        g = [[-sum(a[k][i] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        if _is_neg_def(g):
+            return [tuple(r) for r in g]
 
 
 def snf_reflective_basis(gram, d):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import sys
 from collections import Counter
 from importlib import resources
 from math import gcd
@@ -196,6 +197,48 @@ def test_scalar_mul_matches_double_and_add(curves):
             point = double_and_add(c, rng.randrange(n), g)
             assert scalar_mul(c, k, g) == double_and_add(c, k, g), (c.p, k)
             assert scalar_mul(c, k, point) == double_and_add(c, k, point), (c.p, k, point)
+
+
+def _counted_scalar_mul(c, k, P):
+    """scalar_mul(c, k, P) and the number of calls of the curve's
+    chord-tangent adder it made, counted with a profile hook because mul
+    holds the adder in a closure."""
+    add = c._arithmetic[0].__code__
+    count = 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code is add:
+            count += 1
+
+    sys.setprofile(hook)
+    try:
+        result = scalar_mul(c, k, P)
+    finally:
+        sys.setprofile(None)
+    return result, count
+
+
+def test_scalar_mul_adds_nothing_to_the_identity(curves):
+    # k = +-2^j is j doublings and no addition; in general bit_length - 1
+    # doublings plus one addition per set bit after the lowest, as long as
+    # no partial sum is the identity (none is on the pinned curves, whose
+    # exponents divide no 2^j, 3*2^j or 5*2^j)
+    small = [curve_setup(*abc) for abc in SMALL_CURVES]
+    for c in (*curves, *small):
+        g = c.generator
+        for j in range(c.exponent.bit_length() + 2):
+            for k in (2 ** j, -(2 ** j), 3 * 2 ** j, -(5 * 2 ** j)):
+                got, adds = _counted_scalar_mul(c, k, g)
+                assert got == double_and_add(c, k, g), (c.p, k)
+                if c in curves:
+                    assert adds == abs(k).bit_length() - 1 + bin(k).count("1") - 1, (c.p, k)
+    # a 2-torsion point T: k*T is T for odd k and the identity for even k
+    for c in (c for c in (*curves, *small) if c.exponent % 2 == 0):
+        t = double_and_add(c, c.exponent // 2, c.generator)
+        assert t is not None and double_and_add(c, 2, t) is None
+        for k in range(-9, 10):
+            assert scalar_mul(c, k, t) == double_and_add(c, k, t) == (t if k % 2 else None)
 
 
 def test_generator_table_draws_match_double_and_add(curves):

@@ -35,6 +35,7 @@ from oracles import (
     loop_pairing,
     loop_vecmat,
     minor_gcd_divisors,
+    minus_gram_of_nonsingular,
     perm_det,
     random_negative_definite,
     random_symmetric,
@@ -360,6 +361,22 @@ def test_enumerate_short_matches_box_oracle():
         assert got == rational_short_vectors(gram, 4)
         for v, norm in got.items():
             assert norm == sum(v[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
+
+
+def test_enumerate_short_matches_the_rational_walk_at_ranks_7_to_12():
+    # random_negative_definite rejection-samples and would need tens of
+    # thousands of draws per form at these ranks; -(A^T A) needs none.  The
+    # box oracle is too slow here, so the exact rational walk is the reference.
+    rng = random.Random(20261018)
+    found = {}
+    for n in range(7, 13):
+        for _ in range(3):
+            gram = mat(minus_gram_of_nonsingular(rng, n))
+            for bound in (4, 12):
+                got = enumerate_short(GramForm(gram), bound)
+                assert got == rational_short_vectors(gram, bound), (n, bound, gram)
+                found[n] = found.get(n, 0) + len(got)
+    assert all(found[n] > 0 for n in range(7, 13)), found
 
 
 def test_enumerate_short_rejects_exactly_the_indefinite_forms():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from degen_atlas import period_relations
-from degen_atlas.exact_lattice import InvariantError, orthogonal_complement
+from degen_atlas.exact_lattice import InvariantError, add_vec, orthogonal_complement, scale_vec
 from degen_atlas.period_relations import (
     ZERO,
     Divisor,
@@ -25,7 +25,7 @@ from degen_atlas.surface_pair import (
     flop_all,
     swap_components,
 )
-from oracles import d_semistability_relation, run_python_O
+from oracles import d_semistability_relation, run_python_O, textbook_psi
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +73,13 @@ def test_psi_is_additive(models):
         assert psi(m, tuple(a + b for a, b in zip(c1, c2))) == psi(m, c1) + psi(m, c2)
 
 
+def test_psi_matches_the_textbook_sum_on_every_reachable_state(reachable_states):
+    # h, xi and 3h - 2xi, whose images add several classes into one symbol
+    for label, m in reachable_states.items():
+        for c in (m.h, m.xi, add_vec(scale_vec(3, m.h), scale_vec(-2, m.xi))):
+            assert psi(m, c) == textbook_psi(m, c), label
+
+
 def test_psi_checks_the_degree_of_its_image(models, monkeypatch):
     # a restriction dictionary with one image of degree 1 makes psi(h)
     # a divisor of nonzero degree, which psi must refuse to return
@@ -94,6 +101,12 @@ def test_psi_rejects_non_cartier(models):
     e1 = class_vector(m.lattice, {"e1": 1})
     with pytest.raises(ValueError, match="not numerically Cartier"):
         psi(m, e1)
+
+
+def test_psi_rejects_a_class_of_another_rank(models):
+    m = models["D17"]
+    with pytest.raises(ValueError, match="longer"):
+        psi(m, m.h + (0,))
 
 
 def test_imposed_relations_printed_forms(models):

@@ -1,13 +1,18 @@
+import dataclasses
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from degen_atlas.exact_lattice import add_vec, scale_vec
+from degen_atlas.exact_lattice import GramForm, InvariantError, add_vec, mat, scale_vec
 from degen_atlas.surface_pair import (
+    P2,
+    SurfaceModel,
     build_model,
     catalogue,
     catalogue_ids,
     catalogue_model,
+    check_model_invariants,
     class_vector,
     curve_catalogue,
     expected_fan,
@@ -17,11 +22,13 @@ from degen_atlas.surface_pair import (
     flop_all,
     format_class,
     intersect,
+    make_pair_lattice,
     parse_class,
     reflect,
     surface_name,
     swap_components,
 )
+from oracles import tag_xi
 
 
 @pytest.fixture(scope="module")
@@ -258,3 +265,93 @@ def test_pair_lattices_are_unimodular_of_signature_2_18(models):
         gram = m.lattice.gram_form.gram
         assert abs(det(gram)) == 1
         assert signature([list(r) for r in gram]) == (2, 18)
+
+
+def test_catalogue_models_are_built_once_and_read_only():
+    for mid in catalogue_ids():
+        m = catalogue_model(mid)
+        assert catalogue_model(mid) is m
+        with pytest.raises(TypeError):
+            m.restrictions["l'" if m.lattice.base1 == P2 else "s'"] = {"q'": 0}
+        name = m.lattice.names[-1]
+        with pytest.raises(TypeError):
+            m.restrictions[name]["q"] = 1
+        for relation in m.aux_relations:
+            with pytest.raises(TypeError):
+                relation["q"] = 1
+
+
+def test_xi_matches_the_tags_on_every_reachable_state(reachable_states):
+    assert len(reachable_states) == 28
+    for label, state in reachable_states.items():
+        e0, e1 = state.double_curve_class(0), state.double_curve_class(1)
+        assert state.xi == tag_xi(state) == add_vec(scale_vec(-1, e0), e1), label
+
+
+def test_replaced_tags_give_a_fresh_xi():
+    m = catalogue_model("E8E8")
+    xi = m.xi
+    i = m.lattice.index("e'10")
+    moved = dataclasses.replace(m, tags=tuple(1 - t if j == i else t for j, t in enumerate(m.tags)))
+    assert moved.xi == tag_xi(moved) != xi
+    assert moved.double_curve_class(0)[i] == -1 and moved.double_curve_class(1)[i] == 0
+    assert m.xi == tag_xi(m) == xi
+
+
+# An unbalanced pair: Bl9P2 (E0^2 = 0) and Bl8P2 (E1^2 = 1), so xi^2 = 1.
+# h = 2l + 3l' - 3e'1 has h^2 = 4 + 0 and h.E0 = h.E1 = 6, so h.xi = 0.
+_UNBALANCED = make_pair_lattice(P2, 9, P2, 8)
+_UNBALANCED_H = class_vector(_UNBALANCED, {"l": 2, "l'": 3, "e'1": -3})
+
+
+def _unbalanced_model() -> SurfaceModel:
+    tags = tuple(1 if "'" in n else 0 for n in _UNBALANCED.names)
+    return SurfaceModel(id="CUSTOM", lattice=_UNBALANCED, tags=tags, h=_UNBALANCED_H)
+
+
+def test_model_invariants_reject_a_polarization_that_is_not_cartier():
+    m = catalogue_model("D8D8")
+    bad = dataclasses.replace(m, h=class_vector(m.lattice, {"l": 2}))
+    assert intersect(bad, bad.h, bad.h) == 4
+    with pytest.raises(ValueError, match="^polarization must be numerically Cartier$"):
+        check_model_invariants(bad)
+
+
+def test_model_invariants_reject_a_double_curve_that_is_not_isotropic():
+    m = _unbalanced_model()
+    assert intersect(m, m.h, m.h) == 4 and intersect(m, m.h, m.xi) == 0
+    with pytest.raises(ValueError, match="^double curve class must be isotropic$"):
+        check_model_invariants(m)
+
+
+def test_model_invariants_check_the_triple_point_formula():
+    # xi^2 = E0^2 + E1^2 for xi = -E0 + E1, so only a model whose xi is
+    # not -E0 + E1 passes the isotropy check and reaches this one
+    real = _unbalanced_model()
+    bad = SimpleNamespace(lattice=real.lattice, h=real.h, xi=(0,) * real.lattice.rank,
+                          double_curve_class=real.double_curve_class)
+    with pytest.raises(ValueError, match="^triple-point formula$"):
+        check_model_invariants(bad)
+
+
+def test_flop_checks_the_square_of_the_exceptional():
+    m = catalogue_model("E8E8")
+    i = m.lattice.index("e'10")
+    gram = [list(row) for row in m.lattice.gram_form.gram]
+    gram[i][i] = -2
+    lattice = dataclasses.replace(m.lattice, gram_form=GramForm(mat(gram)))
+    with pytest.raises(InvariantError, match="^exceptional e'10 has square -2, not -1$"):
+        flop(dataclasses.replace(m, lattice=lattice), "e'10")
+
+
+def test_flop_checks_that_the_exceptional_meets_the_double_curve(monkeypatch):
+    m = catalogue_model("E8E8")
+    i = m.lattice.index("e'10")
+    real = SurfaceModel.double_curve_class
+
+    def without_e10(self, comp):
+        return tuple(0 if j == i else x for j, x in enumerate(real(self, comp)))
+
+    monkeypatch.setattr(SurfaceModel, "double_curve_class", without_e10)
+    with pytest.raises(InvariantError, match="^exceptional e'10 must meet the double curve once$"):
+        flop(m, "e'10")
