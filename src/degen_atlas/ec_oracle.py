@@ -302,7 +302,7 @@ class PointAssignment:
 
 
 @lru_cache(maxsize=64)
-def _smith_form(rows: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+def _smith_form(rows: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix]:
     """snf(rows), kept for the next call: a relation system's generator
     matrix is the same on every curve, and only the reduction mod N is not."""
     return snf(rows)
@@ -330,7 +330,7 @@ def _solution_sampler(generators: Sequence[Divisor], symbols: Sequence[str], n_m
     order, even when g_j == 1: that draw still consumes the generator's
     state, so skipping it would shift every later draw and witness."""
     rows = [[coeffs.get(s, 0) for s in symbols] for coeffs in map(Divisor.as_dict, generators)]
-    d, _, v = _smith_form(mat(rows or [[0] * len(symbols)]))
+    d, _, v, _ = _smith_form(mat(rows or [[0] * len(symbols)]))
     k = len(symbols)
     bounds, columns = [], []
     for j in range(k):

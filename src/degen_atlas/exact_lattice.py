@@ -14,6 +14,7 @@ ints, vectors are tuples of ints.  The three workhorses are
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -34,8 +35,14 @@ def mat(rows: Iterable[Iterable[int]]) -> Matrix:
     return m
 
 
+def _frozen(rows: list[list[int]]) -> Matrix:
+    """A Matrix of rows already checked to hold ints."""
+    return tuple(map(tuple, rows))
+
+
 def identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    zero = (0,) * n
+    return tuple(zero[:i] + (1,) + zero[i + 1:] for i in range(n))
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -187,14 +194,15 @@ def hnf(m: Matrix) -> tuple[Matrix, Matrix]:
         pivot_row += 1
         if pivot_row == rows:
             break
-    return mat(h), mat(u)
+    return _frozen(h), _frozen(u)
 
 
-def snf(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+def snf(m: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix]:
     """Smith normal form.
 
-    Returns (D, U, V) with D = U @ m @ V diagonal, d1 | d2 | ..., dk >= 0,
-    and U, V unimodular.
+    Returns (D, U, V, W) with D = U @ m @ V diagonal, d1 | d2 | ..., dk >= 0,
+    U, V unimodular and W = V^-1, accumulated beside V: each column step
+    V <- V E is matched by the row step W <- E^-1 W.
     """
     m = mat(m)
     rows = len(m)
@@ -202,6 +210,7 @@ def snf(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     d = [list(r) for r in m]
     u = [list(r) for r in identity(rows)]
     v = [list(r) for r in identity(cols)]
+    w = [list(r) for r in identity(cols)]
 
     def rowop(i, j, a, b, c, e):
         d[i], d[j] = (
@@ -218,6 +227,11 @@ def snf(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
             row[i], row[j] = a * row[i] + b * row[j], c * row[i] + e * row[j]
         for row in v:
             row[i], row[j] = a * row[i] + b * row[j], c * row[i] + e * row[j]
+        s = a * e - b * c  # det E = +-1, so E^-1 = s * [[e, -c], [-b, a]]
+        w[i], w[j] = (
+            [s * (e * x - c * y) for x, y in zip(w[i], w[j])],
+            [s * (a * y - b * x) for x, y in zip(w[i], w[j])],
+        )
 
     def clear_position(k: int) -> None:
         # Make d[k][k] the gcd of row k / column k and zero out the rest.
@@ -268,7 +282,7 @@ def snf(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
         if d[k][k] < 0:
             d[k] = [-x for x in d[k]]
             u[k] = [-x for x in u[k]]
-    return mat(d), mat(u), mat(v)
+    return _frozen(d), _frozen(u), _frozen(v), _frozen(w)
 
 
 def reflective_basis(gram: Matrix, d: int) -> Matrix:
@@ -304,15 +318,23 @@ def kernel_basis(m: Matrix) -> tuple[Vector, ...]:
     The basis is saturated: every integer solution is an integer combination
     of the returned vectors.
     """
+    return kernel_with_coordinates(m)[0]
+
+
+def kernel_with_coordinates(m: Matrix) -> tuple[tuple[Vector, ...], Matrix]:
+    """(basis, coords): `kernel_basis(m)`, the columns of V at the zero (or
+    missing) diagonal entries of D = U @ m @ V, and the same rows of
+    W = V^-1, which map a kernel vector v to its coordinates coords @ v in
+    that basis (Cohen, GTM 138, 2.4.3)."""
     m = mat(m)
     if not m:
-        return ()
+        return (), ()
     cols = len(m[0])
-    d, _, v = snf(m)
+    d, _, v, w = snf(m)
     diag = [d[i][i] for i in range(min(len(d), cols))]
     free = [j for j in range(cols) if j >= len(diag) or diag[j] == 0]
     vt = transpose(v)  # columns of V
-    return tuple(vt[j] for j in free)
+    return tuple(vt[j] for j in free), tuple(w[j] for j in free)
 
 
 def solve_integer(
@@ -332,7 +354,7 @@ def solve_integer(
     if not targets:
         return []
     m = transpose(mat(columns))  # n x k, generators as columns
-    d, u, v = snf(m)
+    d, u, v, _ = snf(m)
     k = len(columns)
     r = min(n, k)
     diag = [d[i][i] for i in range(r)]
@@ -381,9 +403,32 @@ def in_span(target: Vector, generators: Sequence[Vector]) -> Optional[Vector]:
     return in_span_many([target], generators)[0]
 
 
+SparseRows = tuple[tuple[tuple[int, int], ...], ...]
+
+
+def sparse_rows(m: Matrix) -> SparseRows:
+    """Each row of m as its (column, entry) pairs with a nonzero entry."""
+    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in m)
+
+
+def sparse_vecmat(v: Vector, rows: SparseRows, n: int) -> Vector:
+    """v @ m for the n-column matrix m given by its sparse rows: only v's
+    nonzero entries meet only m's nonzero entries."""
+    out = [0] * n
+    for x, row in zip(v, rows):
+        if x:
+            for j, y in row:
+                out[j] += x * y
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class GramForm:
-    """A symmetric integer bilinear form."""
+    """A symmetric integer bilinear form.
+
+    Products read the matrix through `rows`, its sparse-row view, built once
+    per form: each row of a pair lattice's Gram matrix has one nonzero entry.
+    """
 
     gram: Matrix
 
@@ -398,8 +443,34 @@ class GramForm:
     def dim(self) -> int:
         return len(self.gram)
 
+    @cached_property
+    def rows(self) -> SparseRows:
+        return sparse_rows(self.gram)
+
+    @cached_property
+    def bareiss(self) -> tuple[list[int], list[list[int]]]:
+        """`_bareiss(gram)`, computed once per form and only read: its rows
+        drive `enumerate_short`, and on a negative definite form its last
+        minor is |det|."""
+        return _bareiss(self.gram)
+
+    def times(self, v: Vector) -> Vector:
+        """G @ v, which is v @ G since G is symmetric."""
+        return sparse_vecmat(v, self.rows, len(self.gram))
+
+    def sublattice_gram(self, basis: Matrix) -> Matrix:
+        """basis @ G @ basis^T, the Gram matrix of basis' rows, from the
+        nonzero entries of G and of the basis."""
+        columns = sparse_rows(transpose(basis))
+        return tuple(sparse_vecmat(self.times(b), columns, len(basis)) for b in basis)
+
     def pairing(self, v: Vector, w: Vector) -> int:
-        return sum(map(mul, v, matvec(self.gram, w)))
+        total = 0
+        for x, row in zip(v, self.rows):
+            if x:
+                for j, y in row:
+                    total += x * y * w[j]
+        return total
 
     def norm(self, v: Vector) -> int:
         return self.pairing(v, v)
@@ -426,54 +497,46 @@ class QuotientLattice:
         return vecmat(coords, self.reps)
 
 
-def quotient_by_isotropic(ambient: GramForm, rows: Matrix, xi: Vector) -> QuotientLattice:
-    """Quotient S / Z*xi of the sublattice S spanned by `rows`.
+def quotient_by_isotropic(ambient: GramForm, rows: Matrix, coords: Vector) -> QuotientLattice:
+    """Quotient S / Z*xi of the sublattice S spanned by `rows`, where
+    xi = coords @ rows.
 
     The rows are a basis of S written in ambient coordinates, and `ambient`
-    is the form they are paired with.  Requires xi in S, xi orthogonal to
-    all of S, and xi primitive in S (ValueError otherwise).
+    is the form they are paired with.  Requires xi primitive in S (coords of
+    content 1) and xi orthogonal to all of S (ValueError otherwise).
     """
-    (coords,) = solve_integer(rows, [xi])
-    if coords is None:
-        raise ValueError("xi does not lie in the sublattice")
     if content(coords) != 1:
         raise ValueError("xi is not primitive in the sublattice")
+    xi = vecmat(coords, rows)
 
     # Complete +-coords to a basis: snf([coords]) gives coords @ V = (+-1,0,..),
-    # so the rows of V^-1 start with +-coords and form a unimodular matrix.
+    # so the rows of W = V^-1 start with +-coords and form a unimodular matrix.
     k = len(rows)
-    _, _, v = snf(mat([coords]))
+    _, _, v, w = snf(mat([coords]))
     first = vecmat(coords, v)
     if first[0] not in (1, -1) or any(first[1:]):
         raise InvariantError(f"quotient_by_isotropic: snf maps xi's coordinates to {first}, "
                              "not (+-1, 0, ...)")
-    w, wu = hnf(v)  # wu = V^-1 since V is unimodular and hnf(V) = I
-    if w != identity(k):
-        raise InvariantError("quotient_by_isotropic: snf's V is not unimodular, hnf(V) != I")
-    basis_rows = wu
+    w_rows = sparse_rows(w)
+    if tuple(sparse_vecmat(r, w_rows, k) for r in v) != identity(k):
+        raise InvariantError("quotient_by_isotropic: snf's W is not the inverse of V, V W != I")
+    basis_rows = w
     if first[0] == -1:
         basis_rows = mat([[-x for x in basis_rows[0]]] + [list(r) for r in basis_rows[1:]])
     if tuple(basis_rows[0]) != coords:
         raise InvariantError("quotient_by_isotropic: the completed basis does not start "
                              "with xi's coordinates")
 
-    new_rows = matmul(basis_rows, rows)  # rows in ambient; row 0 = xi
-    if new_rows[0] != tuple(xi):
+    s_rows = sparse_rows(rows)
+    new_rows = tuple(sparse_vecmat(r, s_rows, len(xi)) for r in basis_rows)  # row 0 = xi
+    if new_rows[0] != xi:
         raise InvariantError(f"quotient_by_isotropic: the first basis row is {new_rows[0]}, "
                              "not xi")
-    full = matmul(matmul(new_rows, ambient.gram), transpose(new_rows))
+    full = ambient.sublattice_gram(new_rows)
     if any(full[0]):  # new_rows is a basis of S
         raise ValueError("xi is not isotropic on the sublattice")
     gram = GramForm(tuple(row[1:] for row in full[1:]))
     return QuotientLattice(reps=new_rows[1:], gram=gram)
-
-
-def orthogonal_complement(g: GramForm, vectors: Sequence[Vector]) -> tuple[Vector, ...]:
-    """Saturated basis of {w : (w, v) = 0 for all given v}."""
-    if not vectors:
-        return tuple(identity(g.dim))
-    pairing_rows = mat([matvec(g.gram, v) for v in vectors])
-    return kernel_basis(pairing_rows)
 
 
 def _bareiss(gram: Matrix) -> tuple[list[int], list[list[int]]]:
@@ -518,7 +581,7 @@ def enumerate_short(g: GramForm, bound: int) -> dict[Vector, int]:
     """
     if bound < 1:
         raise ValueError("bound must be a positive integer")
-    d, b = _bareiss(g.gram)
+    d, b = g.bareiss
     if d[-1] <= 0:
         raise ValueError("form is not negative definite")
     n = g.dim

@@ -119,12 +119,13 @@ def restriction_dictionary(m: SurfaceModel) -> dict[str, Divisor]:
     involve a distinguished 4-torsion point pf, whose relation is in
     m.aux_relations.
     """
-    if m.restrictions is None:
+    images = m.restriction_divisors  # converted once per model
+    if images is None:
         raise ValueError(
             "CUSTOM models need an explicit restriction dictionary; "
             "pass dictionary={basis name: {symbol: coeff}} to build_model"
         )
-    return {name: Divisor.of(terms) for name, terms in m.restrictions.items()}
+    return dict(images)
 
 
 def psi(m: SurfaceModel, c: Vector) -> Divisor:

@@ -25,13 +25,13 @@ from .exact_lattice import (
     det,
     enumerate_short,
     in_span_many,
+    kernel_with_coordinates,
     mat,
-    matmul,
     matvec,
-    orthogonal_complement,
     quotient_by_isotropic,
     reflective_basis,
-    transpose,
+    sparse_rows,
+    sparse_vecmat,
     vecmat,
 )
 from .surface_pair import SurfaceModel, catalogue, check_model_invariants, expected_type
@@ -48,18 +48,29 @@ def script_L(m: SurfaceModel) -> QuotientLattice:
     # one place that decides definiteness, runs on L in generalized_roots.
     check_model_invariants(m)
     g, xi, r = m.lattice.gram_form, m.xi, m.lattice.rank
-    perp = mat(orthogonal_complement(g, [m.h, xi]))
+    # h-perp in xi-perp is the kernel of the rows G.h and G.xi; the Smith
+    # form that gives its basis also gives xi's coordinates in it
+    perp, to_coords = kernel_with_coordinates(mat([g.times(m.h), g.times(xi)]))
     if len(perp) != r - 2:
         raise UnclassifiableError(f"h-perp in xi-perp has rank {len(perp)}, expected {r - 2}")
-    out = quotient_by_isotropic(g, perp, xi)  # validates xi in S, isotropy
+    coords = matvec(to_coords, xi)
+    if vecmat(coords, perp) != xi:
+        raise UnclassifiableError(f"xi's coordinates {coords} in h-perp in xi-perp do not "
+                                  "re-expand to xi")
+    out = quotient_by_isotropic(g, perp, coords)  # validates primitivity, isotropy
     if out.rank != r - 3:
         raise UnclassifiableError(f"L has rank {out.rank}, expected {r - 3}")
     return out
 
 
 def discriminant_group_order(g: GramForm) -> int:
-    """|L^v / L| = |det G|."""
-    return abs(det(g.gram))
+    """|L^v / L| = |det G| for a negative definite G (ValueError otherwise):
+    the last leading minor of -G in the Bareiss elimination that
+    `enumerate_short` runs on the same form."""
+    d, _ = g.bareiss
+    if len(d) <= g.dim or d[-1] <= 0:
+        raise ValueError("form is not negative definite")
+    return d[-1]
 
 
 @dataclass(frozen=True)
@@ -101,9 +112,9 @@ def generalized_roots(L: QuotientLattice, bound: int = 4) -> GeneralizedRootSet:
         if k % 2 and even:
             continue
         basis = reflective_basis(gram, k if k % 2 else k // 2)
-        sub = GramForm(matmul(matmul(basis, gram), transpose(basis)))
-        for c, norm in enumerate_short(sub, k).items():
-            v = canonical_sign(vecmat(c, basis))
+        rows = sparse_rows(basis)  # most rows are d.e_c: one nonzero entry
+        for c, norm in enumerate_short(GramForm(L.gram.sublattice_gram(basis)), k).items():
+            v = canonical_sign(sparse_vecmat(c, rows, len(gram)))
             if norm == -k and content(v) == 1:
                 (roots4 if k == 4 else other).append(v)
     return GeneralizedRootSet(tuple(roots2), tuple(sorted(roots4)), tuple(sorted(other)), L.gram)

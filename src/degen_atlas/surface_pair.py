@@ -19,9 +19,12 @@ import re
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
-from .exact_lattice import GramForm, InvariantError, Vector, add_vec, mat, matvec, scale_vec
+from .exact_lattice import GramForm, InvariantError, Vector, add_vec, mat, scale_vec
+
+if TYPE_CHECKING:
+    from .period_relations import Divisor
 
 P2 = "P2"
 P1XP1 = "P1xP1"
@@ -186,6 +189,17 @@ class SurfaceModel:
                     terms[name] = -1
             out.append(class_vector(lat, terms))
         return out[0], out[1]
+
+    @cached_property
+    def restriction_divisors(self) -> Optional[Mapping[str, Divisor]]:
+        """The restriction images as `Divisor`s, converted once per model and
+        read-only; None when the model has no images."""
+        from .period_relations import Divisor  # period_relations imports this module
+
+        if self.restrictions is None:
+            return None
+        return MappingProxyType({name: Divisor.of(terms)
+                                 for name, terms in self.restrictions.items()})
 
     def double_curve_class(self, comp: int) -> Vector:
         """Anticanonical class of component comp under the current tags."""
@@ -531,37 +545,46 @@ def curve_catalogue(m: SurfaceModel) -> tuple[CurveEntry, ...]:
     l - e_i - e_j on P2-type components carrying at least two exceptionals.
     Moving: l (P2) and the two rulings (P1xP1) of each component, plus the
     declared fiber classes of the Hirzebruch-cover models.  Each entry
-    carries h.C and xi.C, from one G.h and one G.xi.  For CUSTOM models
-    this list is only complete relative to the catalogue.
+    carries h.C and xi.C, read from C's nonzero terms against G.h and G.xi,
+    each formed once.  For CUSTOM models this list is only complete
+    relative to the catalogue.
     """
     lat = m.lattice
-    curves: list[tuple[str, Vector, str]] = []
+    gh, gxi = lat.gram_form.times(m.h), lat.gram_form.times(m.xi)
+    entries: list[CurveEntry] = []
+
+    def add(name: str, terms: Sequence[tuple[int, int]], kind: str) -> None:
+        # terms are C's nonzero coordinates, as (index, coefficient)
+        cls = [0] * lat.rank
+        for i, c in terms:
+            cls[i] = c
+        entries.append(CurveEntry(name, tuple(cls), kind, sum(c * gh[i] for i, c in terms),
+                                  sum(c * gxi[i] for i, c in terms)))
+
     for i, name in enumerate(lat.names):
         if is_exceptional(name):
-            cls = tuple(1 if j == i else 0 for j in range(lat.rank))
-            curves.append((name, cls, "floppable"))
+            add(name, ((i, 1),), "floppable")
     for comp in (0, 1):
         base = lat.base0 if comp == 0 else lat.base1
         primed = comp == 1
         if base == P2:
             lname = "l'" if primed else "l"
-            curves.append((lname, class_vector(lat, {lname: 1}), "moving"))
+            il = lat.index(lname)
+            add(lname, ((il, 1),), "moving")
             exc = m.exceptionals_on(comp)
+            ie = [lat.index(e) for e in exc]
             for a in range(len(exc)):
                 for b in range(a + 1, len(exc)):
-                    terms = {lname: 1, exc[a]: -1, exc[b]: -1}
-                    cls = class_vector(lat, terms)
-                    curves.append((f"{lname}-{exc[a]}-{exc[b]}", cls, "floppable"))
+                    add(f"{lname}-{exc[a]}-{exc[b]}", ((il, 1), (ie[a], -1), (ie[b], -1)),
+                        "floppable")
         else:
             for rn in _base_names(P1XP1, primed):
-                curves.append((rn, class_vector(lat, {rn: 1}), "moving"))
+                add(rn, ((lat.index(rn), 1),), "moving")
     for fname, fvec in m.fiber_classes:
-        support = [i for i, x in enumerate(fvec) if x]
-        comps = {m.tags[i] for i in support}
-        if len(comps) == 1:  # still a curve class on a single component
-            curves.append((fname, fvec, "moving"))
-    rows = (matvec(lat.gram_form.gram, m.h), matvec(lat.gram_form.gram, m.xi))
-    return tuple(CurveEntry(name, cls, kind, *matvec(rows, cls)) for name, cls, kind in curves)
+        terms = [(i, x) for i, x in enumerate(fvec) if x]
+        if len({m.tags[i] for i, _ in terms}) == 1:  # still a curve class on a single component
+            add(fname, terms, "moving")
+    return tuple(entries)
 
 
 def surface_name(m: SurfaceModel, comp: int) -> str:

@@ -242,14 +242,17 @@ def perm_det(m):
     a sparse 17 x 17 matrix takes milliseconds.  Giving row k the column c
     adds one inversion per earlier row in a column after c.
     """
+    n = len(m[0]) if m else 0
     partial = {0: 1}  # bit set of the columns used -> signed sum of products
     for row in m:
+        # each nonzero entry with its column's bit and the bits of the columns after it
+        entries = [(1 << c, (1 << n) - (2 << c), x) for c, x in enumerate(row) if x]
         grown = {}
         for used, total in partial.items():
-            for c, x in enumerate(row):
-                if x and not used >> c & 1:
-                    term = -total * x if bin(used >> (c + 1)).count("1") % 2 else total * x
-                    grown[used | 1 << c] = grown.get(used | 1 << c, 0) + term
+            for bit, after, x in entries:
+                if not used & bit:
+                    term = -total * x if (used & after).bit_count() % 2 else total * x
+                    grown[used | bit] = grown.get(used | bit, 0) + term
         partial = grown
     return sum(partial.values())
 
@@ -448,12 +451,46 @@ def snf_reflective_basis(gram, d):
     """
     from degen_atlas.exact_lattice import hnf, snf
 
-    diag, _, v = snf(tuple(tuple(r) for r in gram))
+    diag, _, v, _ = snf(tuple(tuple(r) for r in gram))
     n = len(v)
     rows = [tuple(d // gcd(d, diag[i][i]) * x for x in col) for i, col in enumerate(zip(*v))]
     rows += [tuple(d * int(i == j) for j in range(n)) for i in range(n)]
     h, _ = hnf(tuple(rows))
     return tuple(row for row in h if any(row))
+
+
+def orthogonal_complement(gram, vectors):
+    """Saturated basis of {w : (w, v) = 0 for every given v}: the kernel of
+    the pairing rows gram @ v, each formed by the textbook loop."""
+    from degen_atlas.exact_lattice import kernel_basis
+
+    return kernel_basis(tuple(loop_matvec(gram, v) for v in vectors))
+
+
+def reference_script_L(m):
+    """(reps, gram) of L = (h-perp in xi-perp) / Z xi by the route that
+    `root_classifier.script_L` took before it read xi's coordinates off the
+    kernel's own Smith transform: its reference.
+
+    A basis of h-perp in xi-perp from `orthogonal_complement`, xi's
+    coordinates in it from `solve_integer` (a second Smith form, of the
+    basis), the basis completed from those coordinates through hnf(V),
+    which inverts the unimodular V of snf([coords]), and every product by
+    the textbook loops.
+    """
+    from degen_atlas.exact_lattice import hnf, snf, solve_integer
+
+    gram = m.lattice.gram_form.gram
+    perp = orthogonal_complement(gram, [m.h, m.xi])
+    (coords,) = solve_integer(perp, [m.xi])
+    _, _, v, _ = snf((coords,))
+    _, v_inverse = hnf(v)
+    sign = loop_vecmat(coords, v)[0]
+    basis = (tuple(sign * x for x in v_inverse[0]),) + v_inverse[1:]
+    rows = loop_matmul(basis, perp)
+    assert rows[0] == m.xi
+    full = loop_matmul(loop_matmul(rows, gram), tuple(zip(*rows)))
+    return rows[1:], tuple(row[1:] for row in full[1:])
 
 
 def run_python(args, timeout, cwd=None):
@@ -586,7 +623,7 @@ def dense_solution_sampler(generators, symbols, n_mod):
         rows.append(row)
     if not rows:
         rows = [[0] * len(symbols)]
-    d, _, v = snf(mat(rows))
+    d, _, v, _ = snf(mat(rows))
     k = len(symbols)
     r = min(len(rows), k)
     moduli = []

@@ -25,6 +25,9 @@ from degen_atlas.exact_lattice import (
     snf,
     solve_integer,
     solve_rational,
+    sparse_rows,
+    sparse_vecmat,
+    transpose,
     vecmat,
 )
 from oracles import (
@@ -120,11 +123,11 @@ def test_hnf_random_properties():
 
 
 def test_snf_examples():
-    d, u, v = snf(mat([[2, 0], [0, 3]]))
+    d, u, v, w = snf(mat([[2, 0], [0, 3]]))
     assert d == mat([[1, 0], [0, 6]])
-    d, u, v = snf(identity(4))
+    d, u, v, w = snf(identity(4))
     assert d == identity(4)
-    d, u, v = snf(mat([[0]]))
+    d, u, v, w = snf(mat([[0]]))
     assert d == mat([[0]])
 
 
@@ -134,9 +137,10 @@ def test_snf_matches_minor_gcd_oracle():
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
         m = mat([[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)])
-        d, u, v = snf(m)
+        d, u, v, w = snf(m)
         assert matmul(matmul(u, m), v) == d
         assert abs(det(u)) == 1 and abs(det(v)) == 1
+        assert loop_matmul(v, w) == identity(cols)
         diag = [d[i][i] for i in range(min(rows, cols))]
         nonzero = [x for x in diag if x]
         assert nonzero == minor_gcd_divisors([list(r) for r in m])
@@ -264,8 +268,8 @@ NON_UNIMODULAR_SNF = """
 from degen_atlas import exact_lattice
 snf = exact_lattice.snf
 def doubled_last_column(m):
-    d, u, v = snf(m)
-    return d, u, exact_lattice.mat([list(row[:-1]) + [2 * row[-1]] for row in v])
+    d, u, v, w = snf(m)
+    return d, u, exact_lattice.mat([list(row[:-1]) + [2 * row[-1]] for row in v]), w
 exact_lattice.snf = doubled_last_column
 amb = exact_lattice.GramForm(exact_lattice.mat([[0, 0], [0, 0]]))
 try:
@@ -276,12 +280,39 @@ except AssertionError as exc:
 
 
 def test_quotient_checks_its_basis_completion_under_python_O():
-    # a V that still maps xi's coordinates to (1, 0) but has determinant 2
-    # must be caught by a raise, not by an assert that -O strips
+    # a V that still maps xi's coordinates to (1, 0) but has determinant 2,
+    # so that the returned W is not its inverse, must be caught by a raise,
+    # not by an assert that -O strips
     done = run_python_O(["-c", NON_UNIMODULAR_SNF], timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
-        "rejected: quotient_by_isotropic: snf's V is not unimodular, hnf(V) != I",
+        "rejected: quotient_by_isotropic: snf's W is not the inverse of V, V W != I",
+    ]
+
+
+CORRUPT_COMPLETION_INVERSE = """
+from degen_atlas import catalogue_model, exact_lattice, root_classifier
+snf = exact_lattice.snf
+def doubled_last_inverse_row(m):
+    d, u, v, w = snf(m)
+    if len(m) == 1:  # the one row of xi's coordinates that the basis completes
+        w = w[:-1] + (tuple(2 * x for x in w[-1]),)
+    return d, u, v, w
+exact_lattice.snf = doubled_last_inverse_row
+try:
+    print("accepted:", root_classifier.script_L(catalogue_model("D17")).rank)
+except exact_lattice.InvariantError as exc:
+    print("rejected:", exc)
+"""
+
+
+def test_quotient_checks_the_inverse_of_its_completion_under_python_O():
+    # V is unimodular and maps xi's coordinates to (1, 0, ...), but the W
+    # beside it is not V^-1, so its rows are no basis completion
+    done = run_python_O(["-c", CORRUPT_COMPLETION_INVERSE], timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "rejected: quotient_by_isotropic: snf's W is not the inverse of V, V W != I",
     ]
 
 
@@ -302,10 +333,11 @@ def test_quotient_needs_xi_orthogonal_to_sublattice():
 
 
 def test_quotient_rejects_bad_xi():
-    # the first two xi also fail a later check, so the order is pinned
+    # xi is given by its coordinates in the rows, so it always lies in S;
+    # the first two also fail a later check, so the order is pinned
     amb = GramForm(mat([[0, 1], [1, 0]]))
-    with pytest.raises(ValueError, match="^xi does not lie in the sublattice$"):
-        quotient_by_isotropic(amb, mat([[1, 0]]), (0, 1))  # pairs to 1 with S
+    with pytest.raises(ValueError, match="^vecmat: a vector of length 2 against 1 rows$"):
+        quotient_by_isotropic(amb, mat([[1, 0]]), (0, 1))  # two coordinates for one row
     with pytest.raises(ValueError, match="^xi is not primitive in the sublattice$"):
         quotient_by_isotropic(amb, identity(2), (2, 0))  # pairs to 2 with S
     with pytest.raises(ValueError, match="^xi is not isotropic on the sublattice$"):
@@ -316,7 +348,7 @@ def test_quotient_pairing_independent_of_representatives():
     # rank-3 ambient: hyperbolic plane + <-2>, quotient by the isotropic (1,0,0)
     amb = GramForm(mat([[0, 1, 0], [1, 0, 0], [0, 0, -2]]))
     xi = (1, 0, 0)
-    q = quotient_by_isotropic(amb, mat([[1, 0, 0], [0, 0, 1]]), xi)
+    q = quotient_by_isotropic(amb, mat([[1, 0, 0], [0, 0, 1]]), (1, 0))
     rng = random.Random(5)
     for _ in range(20):
         a = tuple(rng.randint(-3, 3) for _ in range(q.rank))
@@ -495,6 +527,46 @@ def test_product_kernels_match_the_textbook_loops(operands):
     assert matvec(a, v) == loop_matvec(a, v)
     assert vecmat(w, a) == loop_vecmat(w, a)
     assert GramForm(gram).pairing(w, w[::-1]) == loop_pairing(gram, w, w[::-1])
+
+
+@st.composite
+def shaped_forms(draw):
+    """(gram, v, w, basis): a symmetric n x n gram that is a signed
+    permutation (one nonzero entry per row, as on the pair lattice), sparse
+    or dense, two vectors of length n and a k x n basis, all with many zero
+    entries; n runs from 1 to 8 and k from 1 to 4."""
+    n = draw(st.integers(1, 8))
+    shape = draw(st.sampled_from(["signed permutation", "sparse", "dense"]))
+    g = [[0] * n for _ in range(n)]
+    if shape == "signed permutation":
+        order = draw(st.permutations(range(n)))
+        swaps = draw(st.integers(0, n // 2))
+        for a, b in zip(order[:swaps], order[swaps:2 * swaps]):
+            g[a][b] = g[b][a] = draw(st.sampled_from([-1, 1]))
+        for i in order[2 * swaps:]:
+            g[i][i] = draw(st.sampled_from([-1, 1]))
+    else:
+        for i in range(n):
+            for j in range(i, n):
+                if shape == "dense" or draw(st.integers(0, 3)) == 0:
+                    g[i][j] = g[j][i] = draw(st.integers(-5, 5))
+    entries = st.sampled_from([0, 0, 0, -2, -1, 1, 3])
+    v, w = (tuple(draw(st.lists(entries, min_size=n, max_size=n))) for _ in range(2))
+    k = draw(st.integers(1, 4))
+    basis = mat(draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=k, max_size=k)))
+    return mat(g), v, w, basis
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(shaped_forms())
+def test_sparse_row_products_match_the_textbook_loops(case):
+    gram, v, w, basis = case
+    g = GramForm(gram)
+    assert g.pairing(v, w) == loop_pairing(gram, v, w)
+    assert g.times(w) == loop_matvec(gram, w)
+    assert g.sublattice_gram(basis) == loop_matmul(loop_matmul(basis, gram), transpose(basis))
+    coeffs = v[:len(basis)] + (0,) * (len(basis) - len(v))
+    assert sparse_vecmat(coeffs, sparse_rows(basis), len(v)) == loop_vecmat(coeffs, basis)
 
 
 def test_vecmat_needs_one_entry_per_row():

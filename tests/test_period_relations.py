@@ -3,7 +3,7 @@ import random
 import pytest
 
 from degen_atlas import period_relations
-from degen_atlas.exact_lattice import InvariantError, add_vec, orthogonal_complement, scale_vec
+from degen_atlas.exact_lattice import InvariantError, add_vec, scale_vec
 from degen_atlas.period_relations import (
     ZERO,
     Divisor,
@@ -25,7 +25,7 @@ from degen_atlas.surface_pair import (
     flop_all,
     swap_components,
 )
-from oracles import d_semistability_relation, run_python_O, textbook_psi
+from oracles import d_semistability_relation, orthogonal_complement, run_python_O, textbook_psi
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +49,22 @@ def test_dictionary_images(models):
     assert psi(m, zero) == ZERO
 
 
+def test_restriction_images_are_converted_once_per_model(models, monkeypatch):
+    m = flop_all(models["A15"], ["e1"])  # a new model, its images not yet converted
+    of, calls = Divisor.of, []
+    monkeypatch.setattr(Divisor, "of", staticmethod(lambda terms: calls.append(1) or of(terms)))
+    images = restriction_dictionary(m)
+    assert images == {name: of(terms) for name, terms in m.restrictions.items()}
+    assert len(calls) == m.lattice.rank == 20
+    psi(m, m.h)
+    assert restriction_dictionary(m) == images
+    assert len(calls) == 21  # psi's own sum, and no image converted again
+    images["s"] = ZERO  # a copy: the model's images stay as they were
+    assert restriction_dictionary(m)["s"] == of({"q": 2})
+    with pytest.raises(TypeError):
+        m.restriction_divisors["s"] = ZERO
+
+
 def test_psi_examples(models):
     d17 = models["D17"]
     assert psi(d17, d17.h) == Divisor.of({"q": 9, "p1": -3, "q'": -6})
@@ -61,7 +77,7 @@ def test_psi_examples(models):
 def test_psi_is_additive(models):
     m = models["D8D8"]
     rng = random.Random(9)
-    perp = orthogonal_complement(m.lattice.gram_form, [m.xi])
+    perp = orthogonal_complement(m.lattice.gram_form.gram, [m.xi])
     for _ in range(15):
         c1 = tuple(0 for _ in range(20))
         c2 = tuple(0 for _ in range(20))

@@ -18,6 +18,8 @@ from degen_atlas.exact_lattice import (
     matmul,
     reflective_basis,
     snf,
+    sparse_rows,
+    sparse_vecmat,
     transpose,
 )
 from degen_atlas.root_classifier import (
@@ -43,11 +45,15 @@ from oracles import (
     brute_generalized_roots,
     classical_root_count,
     filtered_generalized_roots,
+    loop_matmul,
+    loop_vecmat,
     minor_gcd_divisors,
+    orthogonal_complement,
     perm_det,
     planted_gram,
     random_negative_definite,
     rational_short_vectors,
+    reference_script_L,
     run_python_O,
     snf_reflective_basis,
 )
@@ -101,6 +107,42 @@ def test_script_L_rejects_a_model_without_polarization():
 def test_d17_discriminant_order(models):
     L = script_L(models["D17"])
     assert discriminant_group_order(L.gram) == 4
+
+
+def test_script_L_matches_the_reference_route_on_every_reachable_state(reachable_states):
+    # xi's coordinates from the kernel's own Smith transform, the completion
+    # from W = V^-1 and the sparse products give the same reps and Gram
+    # matrix as a second Smith form, hnf(V) and the textbook products
+    assert len(reachable_states) == 28
+    for label, m in reachable_states.items():
+        L = script_L(m)
+        assert (L.reps, L.gram.gram) == reference_script_L(m), label
+
+
+def test_md_gram_and_map_to_L_match_the_textbook_loops(models):
+    # the M_d of bounds 3 to 7 on the nine L: a Gram matrix and a map read
+    # from the basis' nonzero entries, against the dense triple loops
+    for mid, m in models.items():
+        L = script_L(m)
+        gram = L.gram.gram
+        for d in (2, 3, 5, 7):
+            basis = reflective_basis(gram, d)
+            want = loop_matmul(loop_matmul(basis, gram), transpose(basis))
+            assert L.gram.sublattice_gram(basis) == want, (mid, d)
+            rows = sparse_rows(basis)
+            for c in [basis[0], tuple(range(-8, 9)), tuple(i % 3 - 1 for i in range(17))]:
+                assert sparse_vecmat(c, rows, 17) == loop_vecmat(c, basis), (mid, d)
+
+
+def test_discriminant_order_is_the_permutation_determinant(models):
+    # read off the Bareiss minors that enumerate_short shares with it
+    for mid, m in models.items():
+        g = script_L(m).gram
+        want = abs(perm_det([list(r) for r in g.gram]))
+        assert discriminant_group_order(g) == want == 4, mid
+        assert g.bareiss is g.bareiss
+    with pytest.raises(ValueError, match="^form is not negative definite$"):
+        discriminant_group_order(GramForm(((-1, 2), (2, -1))))
 
 
 def test_a15_root_count_and_type(a15_roots):
@@ -217,8 +259,8 @@ def test_custom_model_matches_d8d8(models):
     )
     L_custom = script_L(custom)
     L_cat = script_L(models["D8D8"])
-    d1, _, _ = snf(L_custom.gram.gram)
-    d2, _, _ = snf(L_cat.gram.gram)
+    d1, _, _, _ = snf(L_custom.gram.gram)
+    d2, _, _, _ = snf(L_cat.gram.gram)
     assert d1 == d2
     t, _ = model_type(custom)
     assert type_string(t) == "D8+D8+<-4>"
@@ -235,15 +277,15 @@ def test_bound_is_a_parameter(models):
 
 def test_classification_invariant_under_xi_negation(models):
     # quotient by -xi instead of xi gives the same generalized type
-    from degen_atlas.exact_lattice import mat, orthogonal_complement
-    from degen_atlas.exact_lattice import quotient_by_isotropic
+    from degen_atlas.exact_lattice import mat, quotient_by_isotropic, solve_integer
     from degen_atlas.root_classifier import ScriptL
 
     m = models["D8D8"]
     g = m.lattice.gram_form
-    perp = orthogonal_complement(g, [m.h, m.xi])
+    perp = orthogonal_complement(g.gram, [m.h, m.xi])
     neg_xi = tuple(-x for x in m.xi)
-    q = quotient_by_isotropic(g, mat(perp), neg_xi)
+    (coords,) = solve_integer(perp, [neg_xi])
+    q = quotient_by_isotropic(g, mat(perp), coords)
     L = ScriptL(gram=q.gram, reps=q.reps)
     t = classify(generalized_roots(L))
     assert type_string(t) == "D8+D8+<-4>"
@@ -347,10 +389,10 @@ def test_gram_and_script_L_checks_raise_under_python_O():
         "attempt(lambda: GramForm(((-2, 1), (0, -2))))\n"
         "attempt(lambda: GramForm(((-2, 1),)))\n"
         "m = catalogue_model('D17')\n"
-        "perp, quotient = rc.orthogonal_complement, rc.quotient_by_isotropic\n"
-        "rc.orthogonal_complement = lambda g, vs: perp(g, vs)[1:]\n"
+        "kernel, quotient = rc.kernel_with_coordinates, rc.quotient_by_isotropic\n"
+        "rc.kernel_with_coordinates = lambda rows: tuple(x[1:] for x in kernel(rows))\n"
         "attempt(lambda: rc.script_L(m))\n"
-        "rc.orthogonal_complement = perp\n"
+        "rc.kernel_with_coordinates = kernel\n"
         "def shrunk(*args):\n"
         "    L = quotient(*args)\n"
         "    gram = GramForm(tuple(row[1:] for row in L.gram.gram[1:]))\n"
@@ -365,6 +407,33 @@ def test_gram_and_script_L_checks_raise_under_python_O():
         "ValueError: gram must be square",
         "UnclassifiableError: h-perp in xi-perp has rank 17, expected 18",
         "UnclassifiableError: L has rank 16, expected 17",
+    ]
+
+
+CORRUPT_KERNEL_INVERSE = """
+from degen_atlas import catalogue_model, exact_lattice, root_classifier
+snf = exact_lattice.snf
+def doubled_last_inverse_row(m):
+    d, u, v, w = snf(m)
+    if len(m) == 2:  # the rows G.h and G.xi whose kernel is h-perp in xi-perp
+        w = w[:-1] + (tuple(2 * x for x in w[-1]),)
+    return d, u, v, w
+exact_lattice.snf = doubled_last_inverse_row
+try:
+    print("accepted:", root_classifier.script_L(catalogue_model("D17")).rank)
+except exact_lattice.InvariantError as exc:
+    print("rejected:", type(exc).__name__, exc)
+"""
+
+
+def test_script_L_checks_that_xi_re_expands_under_python_O():
+    # a W that is not V^-1 gives xi coordinates that do not re-expand to
+    # xi: script_L must refuse them with a raise that -O keeps
+    done = run_python_O(["-c", CORRUPT_KERNEL_INVERSE], timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "rejected: UnclassifiableError xi's coordinates (" + "1, " * 17 + "2) "
+        "in h-perp in xi-perp do not re-expand to xi",
     ]
 
 
@@ -520,7 +589,7 @@ def _basis_checks(gram, divisors):
 
 def test_reflective_basis_on_models(lattices):
     for L in lattices.values():
-        d, _, _ = snf(L.gram.gram)
+        d, _, _, _ = snf(L.gram.gram)
         _basis_checks(L.gram.gram, [d[i][i] for i in range(L.rank)])
 
 
