@@ -19,7 +19,6 @@ from .exact_lattice import (
     enumerate_short,
     hnf,
     in_span,
-    kernel_basis,
     quotient_by_isotropic,
     snf,
 )
@@ -63,7 +62,6 @@ from .chamber_walk import (
     verify_fans,
 )
 from .ec_oracle import (
-    group_law,
     pinned_curves,
     randomized_membership_test,
     sample_config,
@@ -77,7 +75,6 @@ __all__ = [
     "enumerate_short",
     "hnf",
     "in_span",
-    "kernel_basis",
     "quotient_by_isotropic",
     "snf",
     "SurfaceModel",
@@ -111,7 +108,6 @@ __all__ = [
     "next_wall",
     "stable_model_at",
     "verify_fans",
-    "group_law",
     "pinned_curves",
     "randomized_membership_test",
     "sample_config",

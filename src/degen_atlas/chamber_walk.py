@@ -152,7 +152,7 @@ def stable_model_at(
             contracted = tuple(
                 e.name
                 for e, deg in degrees
-                if deg == 0 and any(x and m.tags[i] == comp for i, x in enumerate(e.cls))
+                if deg == 0 and any(m.tags[i] == comp for i, _ in e.terms)
             )
             fates.append(ComponentFate("birational", square, restricted, contracted))
     total = sum(f.restricted_square for f in fates)

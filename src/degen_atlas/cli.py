@@ -3,7 +3,8 @@
 Every subcommand builds one report dict; `--json` prints it as JSON and the
 default text rendering is derived from the same dict, so the two formats
 always agree field for field.  Exit codes: 0 success, 1 verification
-failure or broken invariant, 2 usage error.  Diagnostics go to stderr.
+failure or broken invariant, 2 usage error, 141 when the reader of stdout
+closes it early.  Diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -229,10 +230,10 @@ def cmd_chambers(args) -> int:
 
 def cmd_build(args) -> int:
     m = build_model(args.v0, args.v1, args.n)
-    if args.h:
+    if args.h is not None:
         m = build_model(args.v0, args.v1, args.n, h=parse_class(m.lattice, args.h))
     report = {"schema": SCHEMA, "command": "build", **export_model(m)}
-    if args.h:
+    if args.h is not None:
         report["h_square"] = intersect(m, m.h, m.h)
     else:
         del report["h"]  # no polarization was requested
@@ -329,7 +330,16 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+    except BrokenPipeError:
+        # The reader closed stdout (`... | head -1`).  The recipe of the
+        # Python `signal` docs: point stdout at devnull so that the flush at
+        # exit cannot fail again, and exit as a shell reports SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ trial draws its discrete logs with getrandbits, exactly as randrange draws
 them, reads each point k*G from a per-curve table of every multiple of G
 and runs the program with honest chord-tangent group-law code.  Each curve
 has one adder, with p, a and a table of inverses mod p bound in; the table
-of multiples, `group_law`, `scalar_mul` and every program go through it,
+of multiples, `scalar_mul` and every program go through it,
 `evaluate_divisor` included.
 
 SUPPORTED verdicts are evidence modulo N-torsion artifacts; the formal
@@ -36,7 +36,7 @@ from importlib import resources
 from math import gcd
 from typing import Callable, Optional, Sequence
 
-from .exact_lattice import InvariantError, Matrix, mat, snf
+from .exact_lattice import InvariantError, Matrix, SmithForm, mat, snf
 from .period_relations import Divisor, RelationSystem
 
 Point = Optional[tuple[int, int]]  # None is the point at infinity
@@ -160,17 +160,6 @@ class Curve:
             return None
         xs, ys = self._multiples
         return (xs[k - 1], ys[k - 1])
-
-
-def group_law(c: Curve, P: Point, Q: Point) -> Point:
-    """P + Q by the curve's chord-tangent adder."""
-    return c._arithmetic[0](P, Q)
-
-
-def negate(c: Curve, P: Point) -> Point:
-    if P is None:
-        return None
-    return (P[0], (-P[1]) % c.p)
 
 
 def scalar_mul(c: Curve, k: int, P: Point) -> Point:
@@ -302,7 +291,7 @@ class PointAssignment:
 
 
 @lru_cache(maxsize=64)
-def _smith_form(rows: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix]:
+def _smith_form(rows: Matrix) -> SmithForm:
     """snf(rows), kept for the next call: a relation system's generator
     matrix is the same on every curve, and only the reduction mod N is not."""
     return snf(rows)
@@ -330,11 +319,12 @@ def _solution_sampler(generators: Sequence[Divisor], symbols: Sequence[str], n_m
     order, even when g_j == 1: that draw still consumes the generator's
     state, so skipping it would shift every later draw and witness."""
     rows = [[coeffs.get(s, 0) for s in symbols] for coeffs in map(Divisor.as_dict, generators)]
-    d, _, v, _ = _smith_form(mat(rows or [[0] * len(symbols)]))
+    smith = _smith_form(mat(rows or [[0] * len(symbols)]))
+    diag, v = smith.diagonal, smith.v
     k = len(symbols)
     bounds, columns = [], []
     for j in range(k):
-        count = gcd(d[j][j] if j < len(d) else 0, n_mod)  # y_j is a multiple of N/count
+        count = gcd(diag[j] if j < len(diag) else 0, n_mod)  # y_j is a multiple of N/count
         column = [(i, n_mod // count * v[i][j] % n_mod) for i in range(k)]
         bounds.append((count, count.bit_length()))
         columns.append([(i, e) for i, e in column if e])

@@ -49,11 +49,6 @@ def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m)) if m else ()
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return tuple([tuple([sum(map(mul, ra, cb)) for cb in bt]) for ra in a])
-
-
 def matvec(m: Matrix, v: Vector) -> Vector:
     return tuple([sum(map(mul, row, v)) for row in m])
 
@@ -197,20 +192,85 @@ def hnf(m: Matrix) -> tuple[Matrix, Matrix]:
     return _frozen(h), _frozen(u)
 
 
-def snf(m: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix]:
-    """Smith normal form.
+ColumnStep = tuple[int, int, int, int, int, int]
 
-    Returns (D, U, V, W) with D = U @ m @ V diagonal, d1 | d2 | ..., dk >= 0,
-    U, V unimodular and W = V^-1, accumulated beside V: each column step
-    V <- V E is matched by the row step W <- E^-1 W.
+
+@dataclass(frozen=True)
+class SmithForm:
+    """D = U @ matrix @ V in Smith normal form, U and V unimodular.
+
+    D is kept as its diagonal, min(rows, cols) entries d1 | d2 | ... >= 0,
+    so its nonzero entries come first.  W = V^-1 is replayed from the
+    column steps that built V, only when read (Cohen, GTM 138, 2.4.3).
     """
+
+    matrix: Matrix
+    diagonal: Vector
+    u: Matrix
+    v: Matrix
+    steps: tuple[ColumnStep, ...]  # (i, j, a, b, c, e): V <- V E on columns i, j
+
+    @property
+    def rank(self) -> int:
+        return sum(1 for x in self.diagonal if x)
+
+    @cached_property
+    def w(self) -> Matrix:
+        """V^-1: each column step V <- V E replayed as the row step W <- E^-1 W."""
+        w = [list(r) for r in identity(len(self.v))]
+        for i, j, a, b, c, e in self.steps:
+            s = a * e - b * c  # det E = +-1, so E^-1 = s * [[e, -c], [-b, a]]
+            w[i], w[j] = (
+                [s * (e * x - c * y) for x, y in zip(w[i], w[j])],
+                [s * (a * y - b * x) for x, y in zip(w[i], w[j])],
+            )
+        return _frozen(w)
+
+    def kernel(self) -> tuple[tuple[Vector, ...], Matrix]:
+        """(basis, coords): the columns of V past the rank, a saturated basis
+        of {x : matrix @ x = 0}, and the same rows of W, which map a kernel
+        vector x to its coordinates coords @ x in that basis."""
+        free = range(self.rank, len(self.v))
+        vt = transpose(self.v)
+        return tuple(vt[j] for j in free), tuple(self.w[j] for j in free)
+
+    def _transformed(self, target: Vector) -> Vector:
+        if len(target) != len(self.u):
+            raise ValueError("dimension mismatch")
+        return matvec(self.u, target)
+
+    def _coefficients(self, target: Vector) -> Optional[Vector]:
+        # D y = U target with c = V y: below the rank dk must divide
+        # (U target)k, and from the rank on (U target)k must vanish
+        ut, r = self._transformed(target), self.rank
+        pivots = self.diagonal[:r]
+        if any(ut[r:]) or any(x % d for x, d in zip(ut, pivots)):
+            return None
+        return matvec(self.v, tuple(x // d for x, d in zip(ut, pivots)) + (0,) * (len(self.v) - r))
+
+    def solve(self, target: Vector) -> Optional[Vector]:
+        """Integer c with matrix @ c = target, or None.  The guard that c
+        re-expands to the target raises, so -O keeps it."""
+        coeffs = self._coefficients(target)
+        if coeffs is not None and matvec(self.matrix, coeffs) != tuple(target):
+            raise InvariantError(f"span coefficients {coeffs} do not re-expand to {tuple(target)}")
+        return coeffs
+
+    def in_rational_span(self, target: Vector) -> bool:
+        """Whether matrix @ c = target has a rational solution c."""
+        return not any(self._transformed(target)[self.rank:])
+
+
+def snf(m: Matrix) -> SmithForm:
+    """The Smith normal form of m, found by alternating row and column
+    gcd steps until each pivot divides everything below and right of it."""
     m = mat(m)
     rows = len(m)
     cols = len(m[0]) if rows else 0
     d = [list(r) for r in m]
     u = [list(r) for r in identity(rows)]
     v = [list(r) for r in identity(cols)]
-    w = [list(r) for r in identity(cols)]
+    steps: list[ColumnStep] = []
 
     def rowop(i, j, a, b, c, e):
         d[i], d[j] = (
@@ -227,11 +287,7 @@ def snf(m: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix]:
             row[i], row[j] = a * row[i] + b * row[j], c * row[i] + e * row[j]
         for row in v:
             row[i], row[j] = a * row[i] + b * row[j], c * row[i] + e * row[j]
-        s = a * e - b * c  # det E = +-1, so E^-1 = s * [[e, -c], [-b, a]]
-        w[i], w[j] = (
-            [s * (e * x - c * y) for x, y in zip(w[i], w[j])],
-            [s * (a * y - b * x) for x, y in zip(w[i], w[j])],
-        )
+        steps.append((i, j, a, b, c, e))
 
     def clear_position(k: int) -> None:
         # Make d[k][k] the gcd of row k / column k and zero out the rest.
@@ -282,7 +338,8 @@ def snf(m: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix]:
         if d[k][k] < 0:
             d[k] = [-x for x in d[k]]
             u[k] = [-x for x in u[k]]
-    return _frozen(d), _frozen(u), _frozen(v), _frozen(w)
+    diagonal = tuple(d[k][k] for k in range(min(rows, cols)))
+    return SmithForm(m, diagonal, _frozen(u), _frozen(v), tuple(steps))
 
 
 def reflective_basis(gram: Matrix, d: int) -> Matrix:
@@ -312,95 +369,15 @@ def reflective_basis(gram: Matrix, d: int) -> Matrix:
                  for c, e in enumerate(identity(len(a))))
 
 
-def kernel_basis(m: Matrix) -> tuple[Vector, ...]:
-    """Basis of the saturated integer kernel {v : m @ v = 0}.
-
-    The basis is saturated: every integer solution is an integer combination
-    of the returned vectors.
-    """
-    return kernel_with_coordinates(m)[0]
-
-
-def kernel_with_coordinates(m: Matrix) -> tuple[tuple[Vector, ...], Matrix]:
-    """(basis, coords): `kernel_basis(m)`, the columns of V at the zero (or
-    missing) diagonal entries of D = U @ m @ V, and the same rows of
-    W = V^-1, which map a kernel vector v to its coordinates coords @ v in
-    that basis (Cohen, GTM 138, 2.4.3)."""
-    m = mat(m)
-    if not m:
-        return (), ()
-    cols = len(m[0])
-    d, _, v, w = snf(m)
-    diag = [d[i][i] for i in range(min(len(d), cols))]
-    free = [j for j in range(cols) if j >= len(diag) or diag[j] == 0]
-    vt = transpose(v)  # columns of V
-    return tuple(vt[j] for j in free), tuple(w[j] for j in free)
-
-
-def solve_integer(
-    columns: Sequence[Vector], targets: Sequence[Vector]
-) -> list[Optional[Vector]]:
-    """For each target, integer coefficients c with sum c_i * columns_i = target,
-    or None.
-
-    Membership is tested over the integers, not the rationals, from one
-    Smith form of the columns for all the targets (none without targets).
-    """
-    if not columns:
-        return [() if all(x == 0 for x in t) else None for t in targets]
-    n = len(columns[0])
-    if any(len(c) != n for c in list(columns) + list(targets)):
-        raise ValueError("dimension mismatch")
-    if not targets:
-        return []
-    m = transpose(mat(columns))  # n x k, generators as columns
-    d, u, v, _ = snf(m)
-    k = len(columns)
-    r = min(n, k)
-    diag = [d[i][i] for i in range(r)]
-
-    def solve(target: Vector) -> Optional[Vector]:
-        # D y = U target with D = U m V, then c = V y: each d_i must divide
-        # (U target)_i, and a zero d_i (or a row past the diagonal) needs a zero
-        ut = matvec(u, target)
-        if any(ut[i] % diag[i] if diag[i] else ut[i] for i in range(r)) or any(ut[r:]):
-            return None
-        y = [ut[i] // diag[i] if diag[i] else 0 for i in range(r)] + [0] * (k - r)
-        return matvec(v, tuple(y))
-
-    return [solve(t) for t in targets]
-
-
-def solve_rational(columns: Sequence[Vector], target: Vector) -> bool:
-    """True when target lies in the rational span of the columns, that is
-    when it is orthogonal to every vector orthogonal to all the columns."""
-    if not columns:
-        return all(x == 0 for x in target)
-    return not any(sum(x * y for x, y in zip(k, target)) for k in kernel_basis(mat(columns)))
-
-
-def in_span_many(
-    targets: Sequence[Vector], generators: Sequence[Vector]
-) -> list[Optional[Vector]]:
-    """Integer span membership of each target, from one Smith form of the
-    generators; returns each coefficient vector or None."""
-    gens = list(generators)
-    found = solve_integer(gens, targets)
-    for target, coeffs in zip(targets, found):
-        if coeffs is None:
-            continue
-        # Exactness guard, kept under -O: the certificate must re-expand to the target.
-        acc = (0,) * len(target)
-        for c, g in zip(coeffs, gens):
-            acc = add_vec(acc, scale_vec(c, g))
-        if acc != tuple(target):
-            raise InvariantError(f"span coefficients {coeffs} do not re-expand to {tuple(target)}")
-    return found
+def span_matrix(generators: Sequence[Vector], n: int) -> Matrix:
+    """The n x k matrix whose columns are the k generators, of length n;
+    n rows of no entries when there are none."""
+    return transpose(mat(generators)) if generators else ((),) * n
 
 
 def in_span(target: Vector, generators: Sequence[Vector]) -> Optional[Vector]:
     """Integer span membership; returns the coefficient vector or None."""
-    return in_span_many([target], generators)[0]
+    return snf(span_matrix(generators, len(target))).solve(target)
 
 
 SparseRows = tuple[tuple[tuple[int, int], ...], ...]
@@ -512,7 +489,8 @@ def quotient_by_isotropic(ambient: GramForm, rows: Matrix, coords: Vector) -> Qu
     # Complete +-coords to a basis: snf([coords]) gives coords @ V = (+-1,0,..),
     # so the rows of W = V^-1 start with +-coords and form a unimodular matrix.
     k = len(rows)
-    _, _, v, w = snf(mat([coords]))
+    smith = snf(mat([coords]))
+    v, w = smith.v, smith.w
     first = vecmat(coords, v)
     if first[0] not in (1, -1) or any(first[1:]):
         raise InvariantError(f"quotient_by_isotropic: snf maps xi's coordinates to {first}, "

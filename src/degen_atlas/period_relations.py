@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .exact_lattice import InvariantError, Vector, in_span, solve_rational
+from .exact_lattice import InvariantError, Vector, in_span, snf, span_matrix
 from .surface_pair import (
     SurfaceModel,
     catalogue_model,
@@ -230,7 +230,7 @@ def derive(system: RelationSystem, target: Divisor) -> DeriveResult:
         if check != target:
             raise InvariantError(f"certificate {tuple(coeffs)} re-expands to {check}, not {target}")
         return DeriveResult("certified", tuple(coeffs), gens, target)
-    if solve_rational(gen_vecs, tvec):
+    if snf(span_matrix(gen_vecs, len(tvec))).in_rational_span(tvec):
         return DeriveResult("rational_only", None, gens, target)
     return DeriveResult("not_in_span", None, gens, target)
 
@@ -263,7 +263,6 @@ class RelationRow:
     row_shapes: tuple[str, str]  # in the row's own component order
     target_terms: Mapping[str, int]
     display: str
-    renaming_note: str = ""
 
     def prepare(self) -> SurfaceModel:
         m = catalogue_model(self.model_id)
@@ -288,9 +287,10 @@ def relation_rows() -> tuple[RelationRow, ...]:
 
     Targets are written in each model's own symbol alphabet; for rows whose
     surfaces are reached by flopping (or in the component order opposite to
-    ours) the note records how the row's printed symbols map onto ours.
+    ours) a comment records how the row's printed symbols map onto ours.
     """
     rows = [
+        # row q -> q', row p_i -> p'_i (i <= 9), row p9' -> p'10
         RelationRow(
             key="E8E8-d0",
             model_id="E8E8",
@@ -301,8 +301,8 @@ def relation_rows() -> tuple[RelationRow, ...]:
             row_shapes=("Bl9P2", "Bl9P2"),
             target_terms=_rng({"q'": 27, "p'9": -2, "p'10": -1}, "p'", 1, 8, -3),
             display="27q = 3(p1+..+p8) + 2p9 + p9'",
-            renaming_note="row q -> q', row p_i -> p'_i (i<=9), row p9' -> p'10",
         ),
+        # row q -> q', row p_i -> p'_i
         RelationRow(
             key="E8E8-d1",
             model_id="E8E8",
@@ -313,8 +313,8 @@ def relation_rows() -> tuple[RelationRow, ...]:
             row_shapes=("Bl10P2", "Bl8P2 (dP1)"),
             target_terms=_rng({"q'": 27, "p'9": -2, "p'10": -1}, "p'", 1, 8, -3),
             display="27q = 3(p1+..+p8) + 2p9 + p10",
-            renaming_note="row q -> q', row p_i -> p'_i",
         ),
+        # row q -> q', row p_i -> p'_i
         RelationRow(
             key="E8D9",
             model_id="E8D9",
@@ -325,8 +325,8 @@ def relation_rows() -> tuple[RelationRow, ...]:
             row_shapes=("Bl10P2", "Bl8P2 (dP1)"),
             target_terms=_rng({"q'": 21, "p'1": -3}, "p'", 2, 10, -2),
             display="21q = 3p1 + 2(p2+..+p10)",
-            renaming_note="row q -> q', row p_i -> p'_i",
         ),
+        # row q -> q', row p_i -> p'_i
         RelationRow(
             key="E7E7A3",
             model_id="E7E7A3",
@@ -337,7 +337,6 @@ def relation_rows() -> tuple[RelationRow, ...]:
             row_shapes=("Bl11P2", "Bl7P2 (dP2)"),
             target_terms=_rng(_rng({"q'": 18}, "p'", 1, 7, -2), "p'", 8, 11, -1),
             display="18q = 2(p1+..+p7) + p8+..+p11",
-            renaming_note="row q -> q', row p_i -> p'_i",
         ),
         RelationRow(
             key="A11E6-d3",
@@ -350,6 +349,8 @@ def relation_rows() -> tuple[RelationRow, ...]:
             target_terms=_rng({"q": 12}, "p", 1, 12, -1),
             display="12q = p1+..+p12",
         ),
+        # after the flops and the component swap the original twelve points
+        # are named p'_i and the original identity q'
         RelationRow(
             key="A11E6-d9",
             model_id="A11E6",
@@ -360,10 +361,6 @@ def relation_rows() -> tuple[RelationRow, ...]:
             row_shapes=("Bl18P2", "P2"),
             target_terms=_rng({"q'": 12}, "p'", 1, 12, -1),
             display="12q = p1+..+p12",
-            renaming_note=(
-                "after the flops and the component swap the original twelve "
-                "points are named p'_i and the original identity q'"
-            ),
         ),
         RelationRow(
             key="D17",

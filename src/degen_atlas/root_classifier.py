@@ -24,12 +24,12 @@ from .exact_lattice import (
     content,
     det,
     enumerate_short,
-    in_span_many,
-    kernel_with_coordinates,
     mat,
     matvec,
     quotient_by_isotropic,
     reflective_basis,
+    snf,
+    span_matrix,
     sparse_rows,
     sparse_vecmat,
     vecmat,
@@ -50,7 +50,7 @@ def script_L(m: SurfaceModel) -> QuotientLattice:
     g, xi, r = m.lattice.gram_form, m.xi, m.lattice.rank
     # h-perp in xi-perp is the kernel of the rows G.h and G.xi; the Smith
     # form that gives its basis also gives xi's coordinates in it
-    perp, to_coords = kernel_with_coordinates(mat([g.times(m.h), g.times(xi)]))
+    perp, to_coords = snf(mat([g.times(m.h), g.times(xi)])).kernel()
     if len(perp) != r - 2:
         raise UnclassifiableError(f"h-perp in xi-perp has rank {len(perp)}, expected {r - 2}")
     coords = matvec(to_coords, xi)
@@ -298,11 +298,14 @@ def classify(roots: GeneralizedRootSet, seed: int = 0) -> LatticeType:
         raise UnclassifiableError("<-4> generators are not orthogonal")
     # Every -2 root is a sum of simple roots by construction, and gens is
     # independent, so it is a basis of Span(Phi) once it spans the rest:
-    # always when it is a basis of L (index 1), else by the Smith form.
+    # always when it is a basis of L (index 1), else by one Smith form of
+    # gens for all the other roots.
     gens = simples + perp4
-    if (len(gens) != dim or abs(det(gens)) != 1) and None in in_span_many(
-            roots.roots4 + roots.other, gens):
-        raise UnclassifiableError("Span(Phi) is a proper overlattice of roots + <-4>")
+    targets = roots.roots4 + roots.other
+    if targets and (len(gens) != dim or abs(det(gens)) != 1):
+        smith = snf(span_matrix(gens, dim))
+        if None in [smith.solve(t) for t in targets]:
+            raise UnclassifiableError("Span(Phi) is a proper overlattice of roots + <-4>")
 
     for (letter, rank_), count in zip(named, per_comp_counts):
         want = classical_root_count(letter, rank_)

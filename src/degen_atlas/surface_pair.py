@@ -130,7 +130,7 @@ def make_pair_lattice(base0: str, n0: int, base1: str, n1: int) -> PairLattice:
 @dataclass(frozen=True)
 class CurveEntry:
     name: str
-    cls: Vector
+    terms: tuple[tuple[int, int], ...]  # C's nonzero coordinates, as (index, coefficient)
     kind: str  # "floppable" | "moving"
     h_degree: int  # h.C and xi.C in the model the whitelist was built for
     xi_degree: int
@@ -553,12 +553,8 @@ def curve_catalogue(m: SurfaceModel) -> tuple[CurveEntry, ...]:
     gh, gxi = lat.gram_form.times(m.h), lat.gram_form.times(m.xi)
     entries: list[CurveEntry] = []
 
-    def add(name: str, terms: Sequence[tuple[int, int]], kind: str) -> None:
-        # terms are C's nonzero coordinates, as (index, coefficient)
-        cls = [0] * lat.rank
-        for i, c in terms:
-            cls[i] = c
-        entries.append(CurveEntry(name, tuple(cls), kind, sum(c * gh[i] for i, c in terms),
+    def add(name: str, terms: tuple[tuple[int, int], ...], kind: str) -> None:
+        entries.append(CurveEntry(name, terms, kind, sum(c * gh[i] for i, c in terms),
                                   sum(c * gxi[i] for i, c in terms)))
 
     for i, name in enumerate(lat.names):
@@ -581,7 +577,7 @@ def curve_catalogue(m: SurfaceModel) -> tuple[CurveEntry, ...]:
             for rn in _base_names(P1XP1, primed):
                 add(rn, ((lat.index(rn), 1),), "moving")
     for fname, fvec in m.fiber_classes:
-        terms = [(i, x) for i, x in enumerate(fvec) if x]
+        terms = tuple((i, x) for i, x in enumerate(fvec) if x)
         if len({m.tags[i] for i, _ in terms}) == 1:  # still a curve class on a single component
             add(fname, terms, "moving")
     return tuple(entries)
@@ -621,10 +617,13 @@ _TERM_RE = re.compile(r"([+-]?)\s*(\d*)\s*(e'\d+|e\d+|l'|l|s'|s|f'|f)")
 def parse_class(lattice: PairLattice, text: str) -> Vector:
     """Parse basis-name syntax like '3l-e1-e2' or "2e'3+f'".
 
-    Rejects symbols outside the lattice's alphabet, and a term after the
-    first without its sign ('e1e1', 'le1'); spaces are ignored.
+    Rejects a text with no term, symbols outside the lattice's alphabet,
+    and a term after the first without its sign ('e1e1', 'le1'); spaces are
+    ignored.
     """
     stripped = text.replace(" ", "")
+    if not stripped:
+        raise ValueError(f"cannot parse {text!r}: a class needs at least one term")
     pos = 0
     terms: dict[str, int] = {}
     while pos < len(stripped):

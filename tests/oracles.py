@@ -8,7 +8,9 @@ elementary divisors from gcds of minors, and elliptic-curve points from the
 affine group law with the Fermat inverse and plain double-and-add, summed
 term by term.  The oracle's congruence sampler keeps its dense form here,
 and the d-semistability relation and xi are read straight off the basis
-names and tags; psi adds its images one class at a time.
+names and tags; psi adds its images one class at a time.  The span
+solvers that the Smith form's own readers replaced, the plain matrix
+product and the curve's group law as a function are kept here too.
 """
 
 import os
@@ -294,6 +296,12 @@ def loop_pairing(gram, v, w):
     return total
 
 
+def matmul(a, b):
+    """a @ b, each entry the dot product of a row of a and a column of b."""
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(ra, cb)) for cb in bt) for ra in a)
+
+
 def minor_gcd_divisors(m):
     """Elementary divisors d1 | d2 | ... via gcds of k x k minors."""
     rows, cols = len(m), len(m[0])
@@ -425,6 +433,14 @@ def textbook_psi(m, c):
     return total
 
 
+def curve_class(m, entry):
+    """The dense class vector of a whitelist curve, from its nonzero terms."""
+    cls = [0] * m.lattice.rank
+    for i, c in entry.terms:
+        cls[i] = c
+    return tuple(cls)
+
+
 def minus_gram_of_nonsingular(rng, n):
     """-(A^T A) for a random nonsingular integer A with entries in -2..2.
 
@@ -451,9 +467,10 @@ def snf_reflective_basis(gram, d):
     """
     from degen_atlas.exact_lattice import hnf, snf
 
-    diag, _, v, _ = snf(tuple(tuple(r) for r in gram))
+    smith = snf(tuple(tuple(r) for r in gram))
+    diag, v = smith.diagonal, smith.v
     n = len(v)
-    rows = [tuple(d // gcd(d, diag[i][i]) * x for x in col) for i, col in enumerate(zip(*v))]
+    rows = [tuple(d // gcd(d, diag[i]) * x for x in col) for i, col in enumerate(zip(*v))]
     rows += [tuple(d * int(i == j) for j in range(n)) for i in range(n)]
     h, _ = hnf(tuple(rows))
     return tuple(row for row in h if any(row))
@@ -462,9 +479,52 @@ def snf_reflective_basis(gram, d):
 def orthogonal_complement(gram, vectors):
     """Saturated basis of {w : (w, v) = 0 for every given v}: the kernel of
     the pairing rows gram @ v, each formed by the textbook loop."""
-    from degen_atlas.exact_lattice import kernel_basis
+    from degen_atlas.exact_lattice import snf
 
-    return kernel_basis(tuple(loop_matvec(gram, v) for v in vectors))
+    return snf(tuple(loop_matvec(gram, v) for v in vectors)).kernel()[0]
+
+
+def solve_integer(columns, targets):
+    """For each target, integer coefficients c with sum c_i * columns_i =
+    target, or None: the solver that `SmithForm.solve` replaced, kept as its
+    reference.  It reads the Smith form's diagonal, U and V with no
+    re-expansion guard."""
+    from degen_atlas.exact_lattice import mat, matvec, snf
+
+    if not columns:
+        return [() if all(x == 0 for x in t) else None for t in targets]
+    n = len(columns[0])
+    if any(len(c) != n for c in list(columns) + list(targets)):
+        raise ValueError("dimension mismatch")
+    if not targets:
+        return []
+    smith = snf(tuple(zip(*mat(columns))))  # n x k, generators as columns
+    u, v = smith.u, smith.v
+    k = len(columns)
+    r = min(n, k)
+    diag = smith.diagonal
+
+    def solve(target):
+        ut = matvec(u, target)
+        if any(ut[i] % diag[i] if diag[i] else ut[i] for i in range(r)) or any(ut[r:]):
+            return None
+        y = [ut[i] // diag[i] if diag[i] else 0 for i in range(r)] + [0] * (k - r)
+        return matvec(v, tuple(y))
+
+    return [solve(t) for t in targets]
+
+
+def solve_rational(columns, target):
+    """True when target lies in the rational span of the columns, that is
+    when it is orthogonal to every vector orthogonal to all the columns: the
+    reference for `SmithForm.in_rational_span`, which reads the Smith form
+    of the columns themselves rather than the kernel of their transpose."""
+    from degen_atlas.exact_lattice import mat, snf
+
+    if not columns:
+        return all(x == 0 for x in target)
+    kernel = snf(mat(columns)).kernel()[0]
+    return not any(sum(x * y for x, y in zip(k, target)) for k in kernel)
 
 
 def reference_script_L(m):
@@ -478,12 +538,12 @@ def reference_script_L(m):
     which inverts the unimodular V of snf([coords]), and every product by
     the textbook loops.
     """
-    from degen_atlas.exact_lattice import hnf, snf, solve_integer
+    from degen_atlas.exact_lattice import hnf, snf
 
     gram = m.lattice.gram_form.gram
     perp = orthogonal_complement(gram, [m.h, m.xi])
     (coords,) = solve_integer(perp, [m.xi])
-    _, _, v, _ = snf((coords,))
+    v = snf((coords,)).v
     _, v_inverse = hnf(v)
     sign = loop_vecmat(coords, v)[0]
     basis = (tuple(sign * x for x in v_inverse[0]),) + v_inverse[1:]
@@ -493,15 +553,16 @@ def reference_script_L(m):
     return rows[1:], tuple(row[1:] for row in full[1:])
 
 
-def run_python(args, timeout, cwd=None):
-    """`python *args` in a subprocess, with the package under test importable."""
+def run_python(args, timeout, cwd=None, stdout=subprocess.PIPE, env=None):
+    """`python *args` in a subprocess, with the package under test
+    importable; stdout goes to `stdout`, and `env` adds variables."""
     import degen_atlas
 
     src = str(Path(degen_atlas.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=path), timeout=timeout, cwd=cwd,
+        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=path, **(env or {})), timeout=timeout, cwd=cwd,
     )
 
 
@@ -572,6 +633,18 @@ def affine_group_law(c, P, Q):
     return x3, (slope * (x1 - x3) - y1) % p
 
 
+def group_law(c, P, Q):
+    """P + Q by the curve's own chord-tangent adder."""
+    return c._arithmetic[0](P, Q)
+
+
+def negate(c, P):
+    """-P on the curve, None the identity."""
+    if P is None:
+        return None
+    return (P[0], (-P[1]) % c.p)
+
+
 def double_and_add(c, k, P):
     """k*P by right-to-left double-and-add over `affine_group_law`, doubling
     after every bit; negative k multiplies -P."""
@@ -623,12 +696,12 @@ def dense_solution_sampler(generators, symbols, n_mod):
         rows.append(row)
     if not rows:
         rows = [[0] * len(symbols)]
-    d, _, v, _ = snf(mat(rows))
+    smith = snf(mat(rows))
+    d, v = smith.diagonal, smith.v
     k = len(symbols)
-    r = min(len(rows), k)
     moduli = []
     for i in range(k):
-        di = d[i][i] if i < r else 0
+        di = d[i] if i < len(d) else 0
         g = gcd(di, n_mod)
         # y_i must be a multiple of N/g; there are g choices mod N
         moduli.append((n_mod // g if g else 1, g if g else n_mod))

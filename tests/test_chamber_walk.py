@@ -20,7 +20,7 @@ from degen_atlas.surface_pair import (
     intersect,
     swap_components,
 )
-from oracles import EXPECTED_FANS, run_python_O
+from oracles import EXPECTED_FANS, curve_class, run_python_O
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +143,7 @@ def test_boundary_rays_are_nef(models, fans):
     # was additionally checked inside stable_model_at during fan assembly.
     for mid, m in models.items():
         h = class_at(m, (1, 0))
-        assert all(intersect(m, h, e.cls) >= 0 for e in curve_catalogue(m)), mid
+        assert all(intersect(m, h, curve_class(m, e)) >= 0 for e in curve_catalogue(m)), mid
 
 
 def test_flops_preserve_ray_squares(models):
@@ -276,9 +276,9 @@ def test_whitelist_degrees_are_the_pairings(models, fans):
                 state = flop_all(base, chamber.flops)
                 curves = curve_catalogue(state)
                 for e in curves:
-                    assert e.h_degree == intersect(state, state.h, e.cls)
-                    assert e.xi_degree == intersect(state, state.xi, e.cls)
+                    assert e.h_degree == intersect(state, state.h, curve_class(state, e))
+                    assert e.xi_degree == intersect(state, state.xi, curve_class(state, e))
                 for a, b in (chamber.upper, chamber.lower):
                     c = class_at(state, (a, b))
                     for e in curves:
-                        assert a * e.h_degree + b * e.xi_degree == intersect(state, c, e.cls)
+                        assert a * e.h_degree + b * e.xi_degree == intersect(state, c, curve_class(state, e))

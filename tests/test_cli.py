@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -8,7 +9,7 @@ from degen_atlas.chamber_walk import verify_fans
 from degen_atlas.cli import run
 from degen_atlas.root_classifier import UnclassifiableError, verify_classification
 from degen_atlas.surface_pair import expected_fan, expected_type
-from oracles import run_python_O
+from oracles import run_python, run_python_O
 from test_ec_oracle import _relation_blind_sampler
 
 
@@ -106,6 +107,33 @@ def test_build_rejects_terms_without_signs(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err == "error: cannot parse 'e1e1': the term at position 2 ('e1') needs a sign, + or -\n"
+
+
+def test_build_rejects_an_empty_h(capsys):
+    # an empty --h is a class with no term, not an absent polarization
+    code = run(["build", "--v0", "P2", "--v1", "P2", "--n", "9", "--h", ""])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: cannot parse '': a class needs at least one term\n"
+
+
+@pytest.mark.parametrize("argv", [["verify", "--all", "--json"], ["chambers", "E8E8"]],
+                         ids=["verify-json", "chambers"])
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_141_without_a_traceback(argv, unbuffered):
+    # as in `degen-atlas ... | head -1` once head has exited: the reader of
+    # stdout is gone, so a print (unbuffered) or the last flush fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = run_python(["-m", "degen_atlas.cli", *argv], timeout=120, stdout=write_end,
+                          env={"PYTHONUNBUFFERED": unbuffered})
+    finally:
+        os.close(write_end)
+    assert done.returncode == 141
+    assert "Traceback" not in done.stderr
+    assert done.stderr == ""
 
 
 def test_broken_invariant_exits_1_with_one_line(capsys, monkeypatch):

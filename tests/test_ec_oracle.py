@@ -14,8 +14,6 @@ from hypothesis import strategies as st
 from degen_atlas import ec_oracle
 from degen_atlas.ec_oracle import (
     evaluate_divisor,
-    group_law,
-    negate,
     pinned_curves,
     randomized_membership_test,
     sample_config,
@@ -37,6 +35,8 @@ from oracles import (
     affine_group_law,
     dense_solution_sampler,
     double_and_add,
+    group_law,
+    negate,
     run_python_O,
     termwise_divisor_sum,
 )

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from degen_atlas import exact_lattice
 from degen_atlas.exact_lattice import (
     GramForm,
+    SmithForm,
     _bareiss,
     add_vec,
     det,
@@ -15,16 +16,12 @@ from degen_atlas.exact_lattice import (
     hnf,
     identity,
     in_span,
-    in_span_many,
-    kernel_basis,
     mat,
-    matmul,
     matvec,
     quotient_by_isotropic,
     scale_vec,
     snf,
-    solve_integer,
-    solve_rational,
+    span_matrix,
     sparse_rows,
     sparse_vecmat,
     transpose,
@@ -37,6 +34,7 @@ from oracles import (
     loop_matvec,
     loop_pairing,
     loop_vecmat,
+    matmul,
     minor_gcd_divisors,
     minus_gram_of_nonsingular,
     perm_det,
@@ -44,6 +42,8 @@ from oracles import (
     random_symmetric,
     rational_short_vectors,
     run_python_O,
+    solve_integer,
+    solve_rational,
 )
 
 D4_GRAM = mat(
@@ -122,13 +122,16 @@ def test_hnf_random_properties():
         assert hnf_shape_ok(h)
 
 
+def diagonal_matrix(diagonal, rows, cols):
+    """The rows x cols matrix with the given diagonal and zeros elsewhere."""
+    return tuple(tuple(diagonal[i] if i == j else 0 for j in range(cols)) for i in range(rows))
+
+
 def test_snf_examples():
-    d, u, v, w = snf(mat([[2, 0], [0, 3]]))
-    assert d == mat([[1, 0], [0, 6]])
-    d, u, v, w = snf(identity(4))
-    assert d == identity(4)
-    d, u, v, w = snf(mat([[0]]))
-    assert d == mat([[0]])
+    assert snf(mat([[2, 0], [0, 3]])).diagonal == (1, 6)
+    assert snf(identity(4)).diagonal == (1, 1, 1, 1)
+    assert snf(mat([[0]])).diagonal == (0,)
+    assert snf(mat([[2, 4, 6]])).diagonal == (2,)
 
 
 def test_snf_matches_minor_gcd_oracle():
@@ -137,11 +140,11 @@ def test_snf_matches_minor_gcd_oracle():
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
         m = mat([[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)])
-        d, u, v, w = snf(m)
-        assert matmul(matmul(u, m), v) == d
+        smith = snf(m)
+        u, v, diag = smith.u, smith.v, smith.diagonal
+        assert matmul(matmul(u, m), v) == diagonal_matrix(diag, rows, cols)
         assert abs(det(u)) == 1 and abs(det(v)) == 1
-        assert loop_matmul(v, w) == identity(cols)
-        diag = [d[i][i] for i in range(min(rows, cols))]
+        assert loop_matmul(v, smith.w) == identity(cols)
         nonzero = [x for x in diag if x]
         assert nonzero == minor_gcd_divisors([list(r) for r in m])
         for a, b in zip(diag, diag[1:]):
@@ -156,11 +159,64 @@ def test_snf_matches_minor_gcd_oracle():
             assert prod == abs(det(m)) == abs(perm_det([list(r) for r in m]))
 
 
+@st.composite
+def small_matrices(draw):
+    """An integer matrix of 1 to 4 rows and 1 to 5 columns, entries in
+    [-6, 6], often of low rank: some rows are combinations of the others."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    entries = st.integers(-6, 6)
+    m = [draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(rows)]
+    for i in range(1, rows):
+        if draw(st.booleans()):
+            a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            m[i] = [a * x + b * y for x, y in zip(m[0], m[i - 1])]
+    return mat(m)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(small_matrices(), st.data())
+@example(mat([[0, 0, 0]]), None)
+@example(mat([[2, 4], [4, 8], [6, 12]]), None)
+def test_smith_value_properties(m, data):
+    rows, cols = len(m), len(m[0])
+    smith = snf(m)
+    u, v, diag = smith.u, smith.v, smith.diagonal
+    # U.m.V = D: diagonal, a divisibility chain of nonnegative entries
+    assert len(diag) == min(rows, cols)
+    assert loop_matmul(loop_matmul(u, m), v) == diagonal_matrix(diag, rows, cols)
+    assert all(x >= 0 for x in diag)
+    for a, b in zip(diag, diag[1:]):
+        assert b % a == 0 if a else b == 0
+    assert abs(perm_det(u)) == abs(perm_det(v)) == 1
+    assert smith.rank == len(minor_gcd_divisors([list(r) for r in m]))
+    assert "w" not in smith.__dict__  # W is built only when read
+    assert loop_matmul(v, smith.w) == identity(cols)
+    basis, coords = smith.kernel()
+    assert len(basis) == cols - smith.rank
+    for i, b in enumerate(basis):
+        assert loop_matvec(m, b) == (0,) * rows
+        # the coordinates of a basis vector are the unit vector at its index
+        assert loop_matvec(coords, b) == identity(len(basis))[i]
+    # targets: the columns' combinations, then each moved off by a unit vector
+    gens = transpose(m)
+    targets = []
+    if data is not None:
+        for _ in range(3):
+            c = data.draw(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols))
+            t = loop_matvec(m, c)
+            targets += [t, tuple(x + (i == 0) for i, x in enumerate(t))]
+    targets += [(0,) * rows, identity(rows)[-1]]
+    assert [smith.solve(t) for t in targets] == solve_integer(list(gens), targets)
+    for t in targets:
+        assert smith.in_rational_span(t) == solve_rational(list(gens), t)
+
+
 def test_kernel_basis_examples():
-    assert kernel_basis(mat([[1, 1]])) in (((1, -1),), ((-1, 1),))
-    assert kernel_basis(identity(2)) == ()
+    assert snf(mat([[1, 1]])).kernel()[0] in (((1, -1),), ((-1, 1),))
+    assert snf(identity(2)).kernel() == ((), ())
     # saturation: the kernel of [2, -4] is generated by (2, 1), not (4, 2)
-    (k,) = kernel_basis(mat([[2, -4]]))
+    (k,), (coords,) = snf(mat([[2, -4]])).kernel()
+    assert sum(map(int.__mul__, coords, k)) == 1
     assert k in ((2, 1), (-2, -1))
 
 
@@ -170,7 +226,7 @@ def test_kernel_is_saturated_randomly():
         rows = rng.randint(1, 3)
         cols = rng.randint(2, 5)
         m = mat([[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)])
-        basis = kernel_basis(m)
+        basis = snf(m).kernel()[0]
         for v in basis:
             assert all(sum(r[i] * v[i] for i in range(cols)) == 0 for r in m)
         # any kernel vector found by scanning a small box must be an integer
@@ -190,11 +246,13 @@ def test_in_span():
     assert in_span((3, 2, 8), [g1, g2]) == (3, 2)
 
 
-def test_in_span_many_solves_each_target():
+def test_smith_solve_answers_each_target():
     gens = [(2, 0, 0), (0, 3, 0)]
     targets = [(4, 3, 0), (1, 0, 0), (0, 0, 1), (2, 6, 0), (0, 0, 0)]
-    assert in_span_many(targets, gens) == [(2, 1), None, None, (1, 2), (0, 0)]
-    assert in_span_many([(0, 0), (1, 0)], []) == [(), None]
+    smith = snf(span_matrix(gens, 3))
+    assert [smith.solve(t) for t in targets] == [(2, 1), None, None, (1, 2), (0, 0)]
+    no_gens = snf(span_matrix([], 2))
+    assert [no_gens.solve(t) for t in [(0, 0), (1, 0)]] == [(), None]
     rng = random.Random(13)
     for _ in range(30):
         gens = [tuple(rng.randint(-4, 4) for _ in range(4)) for _ in range(rng.randint(1, 4))]
@@ -203,16 +261,21 @@ def test_in_span_many_solves_each_target():
             coeffs = [rng.randint(-3, 3) for _ in gens]
             t = tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(4))
             targets += [t, add_vec(t, (1, 0, 0, 0))]
-        found = in_span_many(targets, gens)
-        assert found == [in_span(t, gens) for t in targets]
+        smith = snf(span_matrix(gens, 4))
+        found = [smith.solve(t) for t in targets]
+        assert found == [in_span(t, gens) for t in targets] == solve_integer(gens, targets)
         assert all(c is not None for c in found[::2])  # integer combinations
 
 
 def test_solve_rational():
-    assert solve_rational([(2, 0)], (1, 0))  # Q-span, not Z-span
-    assert not solve_rational([(2, 0)], (0, 1))
-    assert solve_rational([], (0, 0))
-    assert not solve_rational([], (1, 0))
+    def in_rational_span(gens, target):
+        return snf(span_matrix(gens, len(target))).in_rational_span(target)
+
+    for check in (solve_rational, in_rational_span):
+        assert check([(2, 0)], (1, 0))  # Q-span, not Z-span
+        assert not check([(2, 0)], (0, 1))
+        assert check([], (0, 0))
+        assert not check([], (1, 0))
     # against the rank of the stacked matrix, read off gcds of minors
     rng = random.Random(17)
     for _ in range(40):
@@ -221,23 +284,25 @@ def test_solve_rational():
         t = tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(4))
         for target in (t, add_vec(t, (0, 1, 0, 0))):
             want = len(minor_gcd_divisors(gens)) == len(minor_gcd_divisors(gens + [target]))
-            assert solve_rational(gens, target) == want
+            assert solve_rational(gens, target) == in_rational_span(gens, target) == want
 
 
 CORRUPT_SOLVE = """
 from degen_atlas import exact_lattice
 
-solve = exact_lattice.solve_integer
+coefficients = exact_lattice.SmithForm._coefficients
 
 
-def corrupted(columns, targets):
+def corrupted(smith, target):
     # shift the first coefficient of every solution by one
-    return [None if c is None else (c[0] + 1,) + c[1:] for c in solve(columns, targets)]
+    c = coefficients(smith, target)
+    return None if c is None else (c[0] + 1,) + c[1:]
 
 
-exact_lattice.solve_integer = corrupted
-for call in (lambda: exact_lattice.in_span((3, 2, 8), [(1, 0, 2), (0, 1, 1)]),
-             lambda: exact_lattice.in_span_many([(1, 0, 2)], [(1, 0, 2), (0, 1, 1)])):
+exact_lattice.SmithForm._coefficients = corrupted
+gens = [(1, 0, 2), (0, 1, 1)]
+for call in (lambda: exact_lattice.in_span((3, 2, 8), gens),
+             lambda: exact_lattice.snf(exact_lattice.span_matrix(gens, 3)).solve((1, 0, 2))):
     try:
         print("accepted:", call())
     except AssertionError as exc:
@@ -246,9 +311,9 @@ for call in (lambda: exact_lattice.in_span((3, 2, 8), [(1, 0, 2), (0, 1, 1)]),
 
 
 def test_corrupted_span_solve_is_rejected(monkeypatch):
-    solve = exact_lattice.solve_integer
-    monkeypatch.setattr(exact_lattice, "solve_integer", lambda cols, ts: [
-        None if c is None else (c[0] + 1,) + c[1:] for c in solve(cols, ts)])
+    coefficients = SmithForm._coefficients
+    monkeypatch.setattr(SmithForm, "_coefficients", lambda smith, t: (
+        lambda c: None if c is None else (c[0] + 1,) + c[1:])(coefficients(smith, t)))
     with pytest.raises(AssertionError, match=r"^span coefficients \(4, 2\) do not re-expand "
                        r"to \(3, 2, 8\)$"):
         in_span((3, 2, 8), [(1, 0, 2), (0, 1, 1)])
@@ -265,11 +330,13 @@ def test_corrupted_span_solve_is_rejected_under_python_O():
 
 
 NON_UNIMODULAR_SNF = """
+import dataclasses
 from degen_atlas import exact_lattice
 snf = exact_lattice.snf
 def doubled_last_column(m):
-    d, u, v, w = snf(m)
-    return d, u, exact_lattice.mat([list(row[:-1]) + [2 * row[-1]] for row in v]), w
+    smith = snf(m)  # W still replays the true V's steps
+    v = exact_lattice.mat([list(row[:-1]) + [2 * row[-1]] for row in smith.v])
+    return dataclasses.replace(smith, v=v)
 exact_lattice.snf = doubled_last_column
 amb = exact_lattice.GramForm(exact_lattice.mat([[0, 0], [0, 0]]))
 try:
@@ -294,10 +361,11 @@ CORRUPT_COMPLETION_INVERSE = """
 from degen_atlas import catalogue_model, exact_lattice, root_classifier
 snf = exact_lattice.snf
 def doubled_last_inverse_row(m):
-    d, u, v, w = snf(m)
+    smith = snf(m)
     if len(m) == 1:  # the one row of xi's coordinates that the basis completes
-        w = w[:-1] + (tuple(2 * x for x in w[-1]),)
-    return d, u, v, w
+        w = smith.w
+        smith.__dict__["w"] = w[:-1] + (tuple(2 * x for x in w[-1]),)  # W's cache
+    return smith
 exact_lattice.snf = doubled_last_inverse_row
 try:
     print("accepted:", root_classifier.script_L(catalogue_model("D17")).rank)
@@ -577,12 +645,40 @@ def test_vecmat_needs_one_entry_per_row():
             vecmat(v, m)
 
 
-def test_solve_integer_takes_no_smith_form_without_targets(monkeypatch):
-    def no_snf(m):
-        raise AssertionError("snf called")
+def test_w_is_built_only_for_script_L(monkeypatch, capsys):
+    # verify --all reads W for the kernel of each model's rows G.h, G.xi (2
+    # rows) and for the completion of xi's coordinates (1 row); classify,
+    # derive and the oracle's sampler read only the diagonal, U and V
+    from functools import cached_property
 
-    monkeypatch.setattr(exact_lattice, "snf", no_snf)
-    assert solve_integer([(1, 2), (3, 4)], []) == []
-    assert in_span_many([], [(1, 2), (3, 4)]) == []
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        solve_integer([(1, 2), (3, 4, 5)], [])
+    from degen_atlas import cli, ec_oracle, root_classifier
+    from degen_atlas.period_relations import derive, imposed_relations, relation_rows
+
+    replays = []
+    build = SmithForm.w.func
+
+    def counted(smith):
+        replays.append(len(smith.matrix))
+        return build(smith)
+
+    w = cached_property(counted)
+    w.__set_name__(SmithForm, "w")
+    monkeypatch.setattr(SmithForm, "w", w)
+    assert cli.run(["verify", "--all"]) == 0
+    assert "29/29 checks passed" in capsys.readouterr().out
+    assert sorted(replays) == [1] * 9 + [2] * 9
+
+    root_sets = [root_classifier.generalized_roots(root_classifier.script_L(m))
+                 for m in root_classifier.catalogue().values()]
+    replays.clear()
+    monkeypatch.setattr(root_classifier, "det", lambda m: 0)  # always take the Smith form
+    for roots in root_sets:
+        root_classifier.classify(roots)
+    curve = ec_oracle.pinned_curves()[0]
+    ec_oracle._smith_form.cache_clear()
+    for row in relation_rows():
+        system = imposed_relations(row.prepare())
+        assert derive(system, row.target()).certified
+        ec_oracle.randomized_membership_test(system, row.target(), trials=2, curve=curve, seed=0)
+    ec_oracle._smith_form.cache_clear()
+    assert replays == []

@@ -65,13 +65,13 @@ def test_the_scan_sees_each_second_mechanism():
 def test_bad_arguments_raise_value_error_under_python_O():
     # each call was accepted when its check was an assert that -O strips
     code = (
-        "from degen_atlas.exact_lattice import det, mat, solve_integer\n"
+        "from degen_atlas.exact_lattice import det, in_span, mat\n"
         "from degen_atlas.period_relations import Divisor\n"
         "from degen_atlas.surface_pair import point_symbol\n"
         "calls = [\n"
         "    lambda: mat([[1, 2], [3]]),\n"
         "    lambda: det(((1, 2, 3), (4, 5, 6))),\n"
-        "    lambda: solve_integer([(1, 0, 0), (0, 1)], [(1, 1, 0)]),\n"
+        "    lambda: in_span((1, 1, 0), [(1, 0), (0, 1)]),\n"
         "    lambda: Divisor.of({'x5': 1, 'q': -1}),\n"
         "    lambda: point_symbol('l'),\n"
         "]\n"

@@ -9,15 +9,15 @@ from hypothesis import strategies as st
 from degen_atlas import exact_lattice, root_classifier
 from degen_atlas.exact_lattice import (
     GramForm,
+    SmithForm,
     det,
     enumerate_short,
     hnf,
     identity,
-    in_span_many,
     mat,
-    matmul,
     reflective_basis,
     snf,
+    span_matrix,
     sparse_rows,
     sparse_vecmat,
     transpose,
@@ -47,6 +47,7 @@ from oracles import (
     filtered_generalized_roots,
     loop_matmul,
     loop_vecmat,
+    matmul,
     minor_gcd_divisors,
     orthogonal_complement,
     perm_det,
@@ -56,6 +57,7 @@ from oracles import (
     reference_script_L,
     run_python_O,
     snf_reflective_basis,
+    solve_integer,
 )
 
 
@@ -259,9 +261,7 @@ def test_custom_model_matches_d8d8(models):
     )
     L_custom = script_L(custom)
     L_cat = script_L(models["D8D8"])
-    d1, _, _, _ = snf(L_custom.gram.gram)
-    d2, _, _, _ = snf(L_cat.gram.gram)
-    assert d1 == d2
+    assert snf(L_custom.gram.gram).diagonal == snf(L_cat.gram.gram).diagonal
     t, _ = model_type(custom)
     assert type_string(t) == "D8+D8+<-4>"
 
@@ -277,8 +277,7 @@ def test_bound_is_a_parameter(models):
 
 def test_classification_invariant_under_xi_negation(models):
     # quotient by -xi instead of xi gives the same generalized type
-    from degen_atlas.exact_lattice import mat, quotient_by_isotropic, solve_integer
-    from degen_atlas.root_classifier import ScriptL
+    from degen_atlas.exact_lattice import quotient_by_isotropic
 
     m = models["D8D8"]
     g = m.lattice.gram_form
@@ -380,7 +379,8 @@ def test_gram_and_script_L_checks_raise_under_python_O():
     # and with one coordinate dropped from L
     code = (
         "from degen_atlas import catalogue_model, root_classifier as rc\n"
-        "from degen_atlas.exact_lattice import GramForm, InvariantError, QuotientLattice\n"
+        "from degen_atlas.exact_lattice import (GramForm, InvariantError, QuotientLattice,\n"
+        "                                      SmithForm)\n"
         "def attempt(fn):\n"
         "    try:\n"
         "        print('accepted:', fn())\n"
@@ -389,10 +389,10 @@ def test_gram_and_script_L_checks_raise_under_python_O():
         "attempt(lambda: GramForm(((-2, 1), (0, -2))))\n"
         "attempt(lambda: GramForm(((-2, 1),)))\n"
         "m = catalogue_model('D17')\n"
-        "kernel, quotient = rc.kernel_with_coordinates, rc.quotient_by_isotropic\n"
-        "rc.kernel_with_coordinates = lambda rows: tuple(x[1:] for x in kernel(rows))\n"
+        "kernel, quotient = SmithForm.kernel, rc.quotient_by_isotropic\n"
+        "SmithForm.kernel = lambda smith: tuple(x[1:] for x in kernel(smith))\n"
         "attempt(lambda: rc.script_L(m))\n"
-        "rc.kernel_with_coordinates = kernel\n"
+        "SmithForm.kernel = kernel\n"
         "def shrunk(*args):\n"
         "    L = quotient(*args)\n"
         "    gram = GramForm(tuple(row[1:] for row in L.gram.gram[1:]))\n"
@@ -412,13 +412,14 @@ def test_gram_and_script_L_checks_raise_under_python_O():
 
 CORRUPT_KERNEL_INVERSE = """
 from degen_atlas import catalogue_model, exact_lattice, root_classifier
-snf = exact_lattice.snf
+snf = root_classifier.snf
 def doubled_last_inverse_row(m):
-    d, u, v, w = snf(m)
+    smith = snf(m)
     if len(m) == 2:  # the rows G.h and G.xi whose kernel is h-perp in xi-perp
-        w = w[:-1] + (tuple(2 * x for x in w[-1]),)
-    return d, u, v, w
-exact_lattice.snf = doubled_last_inverse_row
+        w = smith.w
+        smith.__dict__["w"] = w[:-1] + (tuple(2 * x for x in w[-1]),)  # W's cache
+    return smith
+root_classifier.snf = doubled_last_inverse_row
 try:
     print("accepted:", root_classifier.script_L(catalogue_model("D17")).rank)
 except exact_lattice.InvariantError as exc:
@@ -531,6 +532,7 @@ def test_odd_norms_are_searched_only_on_odd_lattices(monkeypatch, gram, searches
 
     monkeypatch.setattr(root_classifier, "enumerate_short", counted("search", enumerate_short))
     monkeypatch.setattr(exact_lattice, "snf", counted("snf", snf))
+    monkeypatch.setattr(root_classifier, "snf", counted("snf", snf))
     monkeypatch.setattr(exact_lattice, "hnf", counted("hnf", hnf))
     odd = searches == 2
     for bound in range(2, 8):
@@ -589,8 +591,7 @@ def _basis_checks(gram, divisors):
 
 def test_reflective_basis_on_models(lattices):
     for L in lattices.values():
-        d, _, _, _ = snf(L.gram.gram)
-        _basis_checks(L.gram.gram, [d[i][i] for i in range(L.rank)])
+        _basis_checks(L.gram.gram, list(snf(L.gram.gram).diagonal))
 
 
 def test_reflective_basis_on_random_forms():
@@ -647,14 +648,21 @@ def test_verify_classification_rejects_an_unknown_id_before_classifying(monkeypa
 
 
 def _recorded_span_checks(patch):
-    """Make classify's in_span_many record the targets of each call."""
+    """Make classify record, for each Smith form it takes, the targets it
+    solves for."""
     calls = []
+    solve = SmithForm.solve
 
-    def recorded(targets, gens):
-        calls.append(targets)
-        return in_span_many(targets, gens)
+    def recorded_snf(m):
+        calls.append(())
+        return snf(m)
 
-    patch.setattr(root_classifier, "in_span_many", recorded)
+    def recorded_solve(smith, target):
+        calls[-1] += (target,)
+        return solve(smith, target)
+
+    patch.setattr(root_classifier, "snf", recorded_snf)
+    patch.setattr(SmithForm, "solve", recorded_solve)
     return calls
 
 
@@ -685,9 +693,12 @@ def _check_span_index_choice(monkeypatch, roots):
     index, gens = _span_index(t, roots)
     if index == 1:
         assert not solved
-        assert None not in in_span_many(roots.roots4 + roots.other, gens)
+        smith = snf(span_matrix(gens, roots.gram.dim))
+        assert None not in [smith.solve(t) for t in roots.roots4 + roots.other]
     else:
-        assert solved
+        # the span is solved for whenever there is a root outside the -2
+        # roots' span to test; with none, no Smith form is taken
+        assert solved == bool(roots.roots4 + roots.other)
     return index
 
 
@@ -733,3 +744,22 @@ def test_glued_a1x8_reaches_the_smith_form_and_is_rejected(monkeypatch):
         classify(roots)
     assert str(exc.value) == "Span(Phi) is a proper overlattice of roots + <-4>"
     assert calls == [roots.roots4]
+
+
+def test_classify_takes_no_smith_form_without_targets(monkeypatch, lattices):
+    # A11E6's simple roots span L with index 3, but it has no -4 or odd
+    # root for the span to be tested on, so classify takes no Smith form
+    def no_snf(m):
+        raise AssertionError("snf called")
+
+    roots = generalized_roots(lattices["A11E6"])
+    assert not roots.roots4 + roots.other
+    monkeypatch.setattr(root_classifier, "snf", no_snf)
+    t = classify(roots)
+    assert type_string(t) == "E6+A11"
+    assert _span_index(t, roots)[0] == 3
+    monkeypatch.undo()
+    smith = snf(span_matrix([(1, 2), (3, 4)], 2))
+    for read in (smith.solve, smith.in_rational_span):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            read((1, 2, 3))

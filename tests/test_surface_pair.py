@@ -28,7 +28,7 @@ from degen_atlas.surface_pair import (
     surface_name,
     swap_components,
 )
-from oracles import tag_xi
+from oracles import curve_class, tag_xi
 
 
 @pytest.fixture(scope="module")
@@ -181,16 +181,16 @@ def test_whitelist_degree_examples(models):
     assert all(e.h_degree >= 0 for e in curves)
     assert {e.name for e in curves if e.h_degree == 0} == {f"e{i}" for i in range(1, 17)}
     for e in curves:
-        assert e.h_degree == intersect(a15, a15.h, e.cls)
+        assert e.h_degree == intersect(a15, a15.h, curve_class(a15, e))
         # linearity: doubling h doubles every pairing, so the partition agrees
-        assert intersect(a15, scale_vec(2, a15.h), e.cls) == 2 * e.h_degree
+        assert intersect(a15, scale_vec(2, a15.h), curve_class(a15, e)) == 2 * e.h_degree
 
     # on D8D8, h - xi has degree 0 on e'2..e'9 and on l'-e'1
     d8 = models["D8D8"]
     c = add_vec(d8.h, scale_vec(-1, d8.xi))
     zero_names = set()
     for e in curve_catalogue(d8):
-        assert e.h_degree - e.xi_degree == intersect(d8, c, e.cls)
+        assert e.h_degree - e.xi_degree == intersect(d8, c, curve_class(d8, e))
         if e.h_degree == e.xi_degree:
             zero_names.add(e.name)
     assert {f"e'{i}" for i in range(2, 10)} <= zero_names
