@@ -10,18 +10,32 @@ outputs when the captures are byte-identical:
     diff before.txt after.txt
 
 A full capture takes about 16 s on a 2-vCPU machine.
+
+`tests/golden_outputs.json` pins the CLI commands' outputs in tier-1: for
+each command its argv, exit code, and the SHA-256 and byte length of its
+stdout and stderr, run in one process through `cli.run`.  A change that
+means to change an output rewrites it with
+
+    python3 tests/capture_outputs.py --golden
 """
 
+import hashlib
+import io
+import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
 
+from degen_atlas import cli  # noqa: E402
 from degen_atlas.surface_pair import catalogue_ids  # noqa: E402
+
+GOLDEN = Path(__file__).with_name("golden_outputs.json")
 
 
 def cli_commands() -> list[list[str]]:
@@ -65,7 +79,34 @@ def capture(title: str, args: list[str]) -> str:
     )
 
 
+def run_in_process(args: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of `degen-atlas *args`, run through
+    `cli.run` in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.run(args)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _digest(text: str) -> dict:
+    data = text.encode()
+    return {"sha256": hashlib.sha256(data).hexdigest(), "length": len(data)}
+
+
+def golden_entry(args: list[str]) -> dict:
+    """The golden file's entry for one command, from an in-process run."""
+    code, out, err = run_in_process(args)
+    return {"argv": args, "exit": code, "stdout": _digest(out), "stderr": _digest(err)}
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--golden"]:
+        entries = [json.dumps(golden_entry(args)) for args in cli_commands()]
+        GOLDEN.write_text("[\n" + ",\n".join(entries) + "\n]\n")
+        sys.exit()
     for args in cli_commands():
         print(capture(" ".join(["degen-atlas", *args]), ["-m", "degen_atlas.cli", *args]))
     for demo in sorted((ROOT / "demos").glob("*.py")):

@@ -1,0 +1,18 @@
+"""The CLI's outputs, pinned: every command of `capture_outputs.cli_commands`
+must give the exit code and the stdout and stderr digests recorded in
+`golden_outputs.json`."""
+
+import json
+
+from capture_outputs import GOLDEN, cli_commands, golden_entry
+
+
+def test_cli_outputs_match_the_golden_file():
+    golden = json.loads(GOLDEN.read_text())
+    assert [entry["argv"] for entry in golden] == cli_commands()
+    differing = [" ".join(entry["argv"]) for entry in golden if golden_entry(entry["argv"]) != entry]
+    assert not differing, (
+        f"{len(differing)} outputs differ from {GOLDEN.name} (regenerate it with "
+        "`python3 tests/capture_outputs.py --golden` only for an intended change):\n"
+        + "\n".join(differing)
+    )
