@@ -411,6 +411,9 @@ class MembershipVerdict:
         return out
 
 
+MAX_TRIALS = 10_000  # 1.5-2.5 s per catalogue model on the three curves, on 2 vCPUs
+
+
 def randomized_membership_test(
     system: RelationSystem,
     target: Divisor,
@@ -423,10 +426,11 @@ def randomized_membership_test(
 
     A REFUTED verdict carries a witness assignment.  Symbols of the target
     that the system does not constrain are sampled freely.  At least one
-    trial is required: a test that samples nothing supports nothing.
+    trial is required: a test that samples nothing supports nothing.  At
+    most MAX_TRIALS are allowed, so that every accepted call ends in seconds.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
     if target.degree() != 0:
         raise ValueError("targets must have degree 0")
     generators = system.generators()

@@ -84,31 +84,6 @@ def canonical_sign(v: Vector) -> Vector:
     return v
 
 
-def det(m: Matrix) -> int:
-    """Exact determinant by fraction-free Bareiss elimination."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("det of a non-square matrix")
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1] if n else 1
-
-
 def _exgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with x*a + y*b = g = gcd(a, b) >= 0."""
     old_r, r = a, b

@@ -13,9 +13,9 @@ images of the basis classes, and any auxiliary relations, are data carried
 by the model (SurfaceModel.restrictions and .aux_relations); the only
 non-default entries are those of D16 in the catalogue table.  Applying psi
 to the polarization h and to the double-curve class xi yields the two
-imposed relations; the catalogued extra relation of each model is then an
-integer combination of those (plus, for D16, its declared 4-torsion
-auxiliary), certified by exact span membership.
+imposed relations; the extra relation of each model, in its row of the
+catalogue table, is then an integer combination of those (plus, for D16,
+its declared 4-torsion auxiliary), certified by exact span membership.
 """
 
 from __future__ import annotations
@@ -27,10 +27,12 @@ from .exact_lattice import InvariantError, Vector, in_span, snf, span_matrix
 from .surface_pair import (
     SurfaceModel,
     catalogue_model,
+    expected_relation,
     flop_all,
     intersect,
     surface_name,
     swap_components,
+    toggle_terms,
 )
 
 
@@ -189,14 +191,6 @@ class DeriveResult:
     def certified(self) -> bool:
         return self.status == "certified"
 
-    def as_json(self) -> dict:
-        return {
-            "status": self.status,
-            "coefficients": list(self.coefficients) if self.coefficients else None,
-            "generators": [g.as_dict() for g in self.generators],
-            "target": self.target.as_dict(),
-        }
-
 
 def derive(system: RelationSystem, target: Divisor) -> DeriveResult:
     """Express the target in the integer span of the imposed relations.
@@ -254,178 +248,68 @@ def hirzebruch_relation(n: int) -> Divisor:
 
 @dataclass(frozen=True)
 class RelationRow:
+    """A stable-model state of a catalogue model and the relation the paper
+    prints for it.  The paper prints every row with d >= 0, so a row whose
+    model has d < 0 lists our (V1, V0) as its (V0, V1) and names our q',
+    p'_i as q, p_i."""
+
     key: str
     model_id: str
     flops: tuple[str, ...]
     swap: bool
-    mirrored: bool  # row's (V0, V1) are our (V1, V0)
     row_d: int
-    row_shapes: tuple[str, str]  # in the row's own component order
-    target_terms: Mapping[str, int]
+    row_shapes: tuple[str, str]  # the paper's (V0, V1)
     display: str
 
     def prepare(self) -> SurfaceModel:
-        m = catalogue_model(self.model_id)
-        if self.flops:
-            m = flop_all(m, self.flops)
+        m = flop_all(catalogue_model(self.model_id), self.flops)
         if self.swap:
             m = swap_components(m)
         return m
 
     def target(self) -> Divisor:
-        return Divisor.of(dict(self.target_terms))
-
-
-def _rng(terms: dict, sym: str, lo: int, hi: int, coeff: int) -> dict:
-    for i in range(lo, hi + 1):
-        terms[f"{sym}{i}"] = coeff
-    return terms
+        """The model's relation from the catalogue table, in the symbols of
+        this state: a flop keeps point symbols, a swap toggles their ticks."""
+        terms = expected_relation(self.model_id)
+        return Divisor.of(toggle_terms(terms) if self.swap else terms)
 
 
 def relation_rows() -> tuple[RelationRow, ...]:
-    """The eleven catalogued point relations, one per stable-model row.
-
-    Targets are written in each model's own symbol alphabet; for rows whose
-    surfaces are reached by flopping (or in the component order opposite to
-    ours) a comment records how the row's printed symbols map onto ours.
-    """
-    rows = [
-        # row q -> q', row p_i -> p'_i (i <= 9), row p9' -> p'10
-        RelationRow(
-            key="E8E8-d0",
-            model_id="E8E8",
-            flops=("e'10",),
-            swap=False,
-            mirrored=True,
-            row_d=0,
-            row_shapes=("Bl9P2", "Bl9P2"),
-            target_terms=_rng({"q'": 27, "p'9": -2, "p'10": -1}, "p'", 1, 8, -3),
-            display="27q = 3(p1+..+p8) + 2p9 + p9'",
-        ),
-        # row q -> q', row p_i -> p'_i
-        RelationRow(
-            key="E8E8-d1",
-            model_id="E8E8",
-            flops=(),
-            swap=False,
-            mirrored=True,
-            row_d=1,
-            row_shapes=("Bl10P2", "Bl8P2 (dP1)"),
-            target_terms=_rng({"q'": 27, "p'9": -2, "p'10": -1}, "p'", 1, 8, -3),
-            display="27q = 3(p1+..+p8) + 2p9 + p10",
-        ),
-        # row q -> q', row p_i -> p'_i
-        RelationRow(
-            key="E8D9",
-            model_id="E8D9",
-            flops=(),
-            swap=False,
-            mirrored=True,
-            row_d=1,
-            row_shapes=("Bl10P2", "Bl8P2 (dP1)"),
-            target_terms=_rng({"q'": 21, "p'1": -3}, "p'", 2, 10, -2),
-            display="21q = 3p1 + 2(p2+..+p10)",
-        ),
-        # row q -> q', row p_i -> p'_i
-        RelationRow(
-            key="E7E7A3",
-            model_id="E7E7A3",
-            flops=(),
-            swap=False,
-            mirrored=True,
-            row_d=2,
-            row_shapes=("Bl11P2", "Bl7P2 (dP2)"),
-            target_terms=_rng(_rng({"q'": 18}, "p'", 1, 7, -2), "p'", 8, 11, -1),
-            display="18q = 2(p1+..+p7) + p8+..+p11",
-        ),
-        RelationRow(
-            key="A11E6-d3",
-            model_id="A11E6",
-            flops=(),
-            swap=False,
-            mirrored=False,
-            row_d=3,
-            row_shapes=("Bl12P2", "Bl6P2 (dP3)"),
-            target_terms=_rng({"q": 12}, "p", 1, 12, -1),
-            display="12q = p1+..+p12",
-        ),
-        # after the flops and the component swap the original twelve points
-        # are named p'_i and the original identity q'
-        RelationRow(
-            key="A11E6-d9",
-            model_id="A11E6",
-            flops=tuple(f"e{i}" for i in range(1, 13)),
-            swap=True,
-            mirrored=False,
-            row_d=9,
-            row_shapes=("Bl18P2", "P2"),
-            target_terms=_rng({"q'": 12}, "p'", 1, 12, -1),
-            display="12q = p1+..+p12",
-        ),
-        RelationRow(
-            key="D17",
-            model_id="D17",
-            flops=(),
-            swap=False,
-            mirrored=False,
-            row_d=9,
-            row_shapes=("Bl18P2", "P2"),
-            target_terms=_rng({"q": 45, "p1": -11}, "p", 2, 18, -2),
-            display="45q = 11p1 + 2(p2+..+p18)",
-        ),
-        RelationRow(
-            key="D16",
-            model_id="D16",
-            flops=(),
-            swap=False,
-            mirrored=False,
-            row_d=8,
-            row_shapes=("Bl17P2", "P1xP1"),
-            target_terms=_rng({"q": 63, "p1": -15}, "p", 2, 17, -3),
-            display="63q = 15p1 + 3(p2+..+p17)",
-        ),
-        RelationRow(
-            key="D12D5",
-            model_id="D12D5",
-            flops=(),
-            swap=False,
-            mirrored=False,
-            row_d=4,
-            row_shapes=("Bl13P2", "Bl5P2 (dP4)"),
-            target_terms=_rng({"q": 15, "p1": -3}, "p", 2, 13, -1),
-            display="15q = 3p1 + p2+..+p13",
-        ),
-        RelationRow(
-            key="D8D8",
-            model_id="D8D8",
-            flops=(),
-            swap=False,
-            mirrored=False,
-            row_d=0,
-            row_shapes=("Bl9P2", "Bl9P2"),
-            target_terms=_rng({"q'": 12, "p1": 1, "q": -3, "p'1": -2}, "p'", 2, 9, -1),
-            display="12q' + p1 = 3q + 2p1' + p2'+..+p9'",
-        ),
-        RelationRow(
-            key="A15",
-            model_id="A15",
-            flops=(),
-            swap=False,
-            mirrored=False,
-            row_d=8,
-            row_shapes=("Bl16(P1xP1)", "P1xP1"),
-            target_terms=_rng({"q": 16}, "p", 1, 16, -1),
-            display="16q = p1+..+p16",
-        ),
-    ]
-    return tuple(rows)
+    """The eleven catalogued point relations, one per stable-model state:
+    key, model id, flops, swap, the paper's d and (V0, V1), and the
+    relation as the paper prints it."""
+    return (
+        RelationRow("E8E8-d0", "E8E8", ("e'10",), False, 0, ("Bl9P2", "Bl9P2"),
+                    "27q = 3(p1+..+p8) + 2p9 + p9'"),
+        RelationRow("E8E8-d1", "E8E8", (), False, 1, ("Bl10P2", "Bl8P2 (dP1)"),
+                    "27q = 3(p1+..+p8) + 2p9 + p10"),
+        RelationRow("E8D9", "E8D9", (), False, 1, ("Bl10P2", "Bl8P2 (dP1)"),
+                    "21q = 3p1 + 2(p2+..+p10)"),
+        RelationRow("E7E7A3", "E7E7A3", (), False, 2, ("Bl11P2", "Bl7P2 (dP2)"),
+                    "18q = 2(p1+..+p7) + p8+..+p11"),
+        RelationRow("A11E6-d3", "A11E6", (), False, 3, ("Bl12P2", "Bl6P2 (dP3)"),
+                    "12q = p1+..+p12"),
+        RelationRow("A11E6-d9", "A11E6", tuple(f"e{i}" for i in range(1, 13)), True, 9,
+                    ("Bl18P2", "P2"), "12q = p1+..+p12"),
+        RelationRow("D17", "D17", (), False, 9, ("Bl18P2", "P2"),
+                    "45q = 11p1 + 2(p2+..+p18)"),
+        RelationRow("D16", "D16", (), False, 8, ("Bl17P2", "P1xP1"),
+                    "63q = 15p1 + 3(p2+..+p17)"),
+        RelationRow("D12D5", "D12D5", (), False, 4, ("Bl13P2", "Bl5P2 (dP4)"),
+                    "15q = 3p1 + p2+..+p13"),
+        RelationRow("D8D8", "D8D8", (), False, 0, ("Bl9P2", "Bl9P2"),
+                    "12q' + p1 = 3q + 2p1' + p2'+..+p9'"),
+        RelationRow("A15", "A15", (), False, 8, ("Bl16(P1xP1)", "P1xP1"),
+                    "16q = p1+..+p16"),
+    )
 
 
 def verify_relations() -> dict:
     """Derive all eleven catalogued relations; report certificates.
 
     Each row is checked in the stated surface configuration (flopping and
-    swapping components where the row requires it), the target must be an
+    swapping components where the row requires it), with the paper's shapes
+    and d read in its orientation (d >= 0); the target must be an
     exact integer combination of {R_h, R_xi} plus the model's auxiliaries,
     and derive() re-expands each certificate, raising InvariantError unless
     it gives the target.
@@ -435,10 +319,8 @@ def verify_relations() -> dict:
     for row in relation_rows():
         m = row.prepare()
         shapes = (surface_name(m, 0), surface_name(m, 1))
-        if row.mirrored:
-            shape_ok = (shapes[1], shapes[0]) == row.row_shapes and -m.d == row.row_d
-        else:
-            shape_ok = shapes == row.row_shapes and m.d == row.row_d
+        printed = shapes if m.d >= 0 else shapes[::-1]
+        shape_ok = printed == row.row_shapes and abs(m.d) == row.row_d
         system = imposed_relations(m)
         res = derive(system, row.target())
         ok = shape_ok and res.certified

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from math import prod
 from operator import mul, sub
 from typing import Optional, Sequence
 
@@ -22,7 +23,6 @@ from .exact_lattice import (
     Vector,
     canonical_sign,
     content,
-    det,
     enumerate_short,
     mat,
     matvec,
@@ -156,6 +156,18 @@ def classical_root_count(letter: str, rank: int) -> int:
     raise ValueError(letter)
 
 
+def cartan_determinant(letter: str, rank: int) -> int:
+    """det of the Cartan matrix of A_n, D_n or E_n (Bourbaki, Lie Groups VI,
+    Plates I-VII)."""
+    if letter == "A":
+        return rank + 1
+    if letter == "D":
+        return 4
+    if letter == "E":
+        return 9 - rank
+    raise ValueError(letter)
+
+
 class UnclassifiableError(InvariantError):
     """L or its generalized roots fail a check of the ADE + <-4> classification."""
 
@@ -212,12 +224,14 @@ def classify(roots: GeneralizedRootSet, seed: int = 0) -> LatticeType:
     -Cartan + -4I, which is nonsingular, so Span(Phi) = Z.gens, of rank
     len(gens), once the other roots lie in Z.gens.  The generators are
     roots, so they lie in L, which is Z^dim in these coordinates.  When
-    there are dim of them and |det(gens)| = 1, Z.gens is all of L and
-    holds every root: that certifies the span with one Bareiss determinant
-    and no solve.  Otherwise (fewer than dim generators, or an index
-    greater than 1) one Smith form decides whether the other roots lie in
-    Z.gens.  Roots of odd norm are rejected first: ADE and <-4> lattices
-    are even, so their sum holds no such root.
+    there are dim of them, det(gens)^2 |disc L| = prod(Cartan dets) 4^k,
+    so they have index 1 exactly when that product is |disc L|, the last
+    minor of the Bareiss elimination the root search already made; then
+    Z.gens is all of L and holds every root, with no solve.  Otherwise
+    (fewer than dim generators, or an index greater than 1) one Smith form
+    decides whether the other roots lie in Z.gens.  Roots of odd norm are
+    rejected first: ADE and <-4> lattices are even, so their sum holds no
+    such root.
     """
     if not roots.all_roots():
         raise ValueError("empty root set")
@@ -302,7 +316,8 @@ def classify(roots: GeneralizedRootSet, seed: int = 0) -> LatticeType:
     # gens for all the other roots.
     gens = simples + perp4
     targets = roots.roots4 + roots.other
-    if targets and (len(gens) != dim or abs(det(gens)) != 1):
+    gram_det = prod(cartan_determinant(*c) for c in named) * 4 ** len(perp4)
+    if targets and (len(gens) != dim or gram_det != discriminant_group_order(gram)):
         smith = snf(span_matrix(gens, dim))
         if None in [smith.solve(t) for t in targets]:
             raise UnclassifiableError("Span(Phi) is a proper overlattice of roots + <-4>")

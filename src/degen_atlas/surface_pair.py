@@ -11,6 +11,8 @@ xi = (-E0, E1) recomputed from the tags, where Ei is the class of the
 double curve on component i.  Each also carries the divisor image of every
 basis class on the double curve and any auxiliary point relations; both are
 data of the catalogue table, renamed with the basis by swap_components.
+The table also gives each model's expected lattice type, fan and point
+relation.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import re
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .exact_lattice import GramForm, InvariantError, Vector, add_vec, mat, scale_vec
 
@@ -67,7 +69,8 @@ def _toggle_tick(name: str) -> str:
     return letter + ("" if tick else "'") + index
 
 
-def _toggle_terms(terms: Terms) -> dict[str, int]:
+def toggle_terms(terms: Terms) -> dict[str, int]:
+    """Terms renamed from the other component, by _toggle_tick on every name."""
     return {_toggle_tick(s): c for s, c in terms.items()}
 
 
@@ -233,8 +236,9 @@ def intersect(m: SurfaceModel, a: Vector, b: Vector) -> int:
     return m.lattice.gram_form.pairing(a, b)
 
 
-def _sum_terms(names: Iterable[str], coeff: int) -> dict[str, int]:
-    return {n: coeff for n in names}
+def _sum_terms(prefix: str, lo: int, hi: int, coeff: int) -> dict[str, int]:
+    """{prefix+lo: coeff, ..., prefix+hi: coeff}, e.g. ("e'", 2, 4, -1) -> e'2, e'3, e'4."""
+    return {f"{prefix}{i}": coeff for i in range(lo, hi + 1)}
 
 
 def _default_restrictions(lattice: PairLattice) -> dict[str, Terms]:
@@ -249,91 +253,93 @@ def _default_restrictions(lattice: PairLattice) -> dict[str, Terms]:
     return out
 
 
+@dataclass(frozen=True)
+class CatalogueRow:
+    """One catalogue model as the paper gives it, in its own basis names and
+    point symbols."""
+
+    base0: str
+    n0: int
+    base1: str
+    n1: int
+    h: Terms
+    type: str  # expected lattice type, in type_string spelling
+    fan: tuple[tuple[Ray, Ray], tuple[Ray, ...]]  # expected (boundary rays, interior walls)
+    relation: Terms  # the extra point relation, a degree-0 divisor
+    fibers: tuple[Terms, ...] = ()  # fiber classes of the Hirzebruch-cover models
+    annotation: Optional[str] = None
+    # restriction images that replace the defaults, and auxiliary relations
+    overrides: Optional[tuple[Mapping[str, Terms], tuple[Terms, ...]]] = None
+
+
 _CATALOGUE_TABLE = {
-    # id: (base0, n0, base1, n1, h terms, fiber class names, annotation,
-    #      overrides: None or (restriction images, auxiliary relations),
-    #      expected lattice type in type_string spelling,
-    #      expected fan: (boundary rays, interior walls), a ray (m, n) = m*h + n*xi)
-    "A15": (
+    "A15": CatalogueRow(
         P1XP1, 16, P1XP1, 0,
         {"s": 1, "f": 1, "s'": 1, "f'": 1},
-        (),
-        "two quadrics intersecting transversally",
-        None,
         "A15+A1+A1", (((2, 1), (2, -1)), ((1, 0),)),
+        {"q": 16, **_sum_terms("p", 1, 16, -1)},
+        annotation="two quadrics intersecting transversally",
     ),
-    "A11E6": (
+    "A11E6": CatalogueRow(
         P2, 12, P2, 6,
-        {"l": 1, "l'": 3, **_sum_terms(_exc_names(6, True), -1)},
-        (),
-        "a plane intersecting a cubic surface",
-        None,
+        {"l": 1, "l'": 3, **_sum_terms("e'", 1, 6, -1)},
         "E6+A11", (((3, 1), (1, -1)), ((1, 0),)),
+        {"q": 12, **_sum_terms("p", 1, 12, -1)},
+        annotation="a plane intersecting a cubic surface",
     ),
-    "D12D5": (
+    "D12D5": CatalogueRow(
         P2, 13, P2, 5,
-        {"l": 2, "e1": -2, "l'": 3, **_sum_terms(_exc_names(5, True), -1)},
-        ({"l": 1, "e1": -1},),
-        None,
-        None,
+        {"l": 2, "e1": -2, "l'": 3, **_sum_terms("e'", 1, 5, -1)},
         "D12+D5", (((1, 0), (1, -1)), ()),
+        {"q": 15, "p1": -3, **_sum_terms("p", 2, 13, -1)},
+        fibers=({"l": 1, "e1": -1},),
     ),
-    "D8D8": (
+    "D8D8": CatalogueRow(
         P2, 9, P2, 9,
-        {"l": 1, "e1": -1, "l'": 4, "e'1": -2,
-         **_sum_terms([f"e'{i}" for i in range(2, 10)], -1)},
-        ({"l": 1, "e1": -1}, {"l'": 1, "e'1": -1}),
-        None,
-        None,
+        {"l": 1, "e1": -1, "l'": 4, "e'1": -2, **_sum_terms("e'", 2, 9, -1)},
         "D8+D8+<-4>", (((1, 0), (1, -1)), ()),
+        {"q'": 12, "p1": 1, "q": -3, "p'1": -2, **_sum_terms("p'", 2, 9, -1)},
+        fibers=({"l": 1, "e1": -1}, {"l'": 1, "e'1": -1}),
     ),
-    "D16": (
+    "D16": CatalogueRow(
         P2, 17, P1XP1, 0,
         {"l": 3, "e1": -3, "s'": 1, "f'": 2},
-        ({"l": 1, "e1": -1},),
-        None,
+        "D16+<-4>", (((1, 0), (2, -1)), ()),
+        {"q": 63, "p1": -15, **_sum_terms("p", 2, 17, -3)},
+        fibers=({"l": 1, "e1": -1},),
         # The quadric's rulings restrict through a distinguished point pf,
         # with pf - q' 4-torsion: the images are pinned jointly by the forms
         # of psi(h) and psi(xi).
-        (
+        overrides=(
             {"s'": {"q'": 3, "pf": -1}, "f'": {"q'": 1, "pf": 1}},
             ({"pf": 4, "q'": -4},),
         ),
-        "D16+<-4>", (((1, 0), (2, -1)), ()),
     ),
-    "D17": (
+    "D17": CatalogueRow(
         P2, 18, P2, 0,
         {"l": 3, "e1": -3, "l'": 2},
-        ({"l": 1, "e1": -1},),
-        None,
-        None,
         "D17", (((1, 0), (3, -2)), ()),
+        {"q": 45, "p1": -11, **_sum_terms("p", 2, 18, -2)},
+        fibers=({"l": 1, "e1": -1},),
     ),
-    "E8D9": (
+    "E8D9": CatalogueRow(
         P2, 8, P2, 10,
-        {"l'": 7, "e'1": -3, **_sum_terms([f"e'{i}" for i in range(2, 11)], -2)},
-        ({"l'": 1, "e'1": -1},),
-        None,
-        None,
+        {"l'": 7, "e'1": -3, **_sum_terms("e'", 2, 10, -2)},
         "E8+D9", (((1, 0), (1, -2)), ()),
+        {"q'": 21, "p'1": -3, **_sum_terms("p'", 2, 10, -2)},
+        fibers=({"l'": 1, "e'1": -1},),
     ),
-    "E7E7A3": (
+    "E7E7A3": CatalogueRow(
         P2, 7, P2, 11,
-        {"l'": 6, **_sum_terms([f"e'{i}" for i in range(1, 8)], -2),
-         **_sum_terms([f"e'{i}" for i in range(8, 12)], -1)},
-        (),
-        None,
-        None,
+        {"l'": 6, **_sum_terms("e'", 1, 7, -2), **_sum_terms("e'", 8, 11, -1)},
         "E7+E7+A3", (((1, 0), (1, -2)), ((1, -1),)),
+        {"q'": 18, **_sum_terms("p'", 1, 7, -2), **_sum_terms("p'", 8, 11, -1)},
     ),
-    "E8E8": (
+    "E8E8": CatalogueRow(
         P2, 8, P2, 10,
-        {"l'": 9, **_sum_terms([f"e'{i}" for i in range(1, 9)], -3),
-         "e'9": -2, "e'10": -1},
-        (),
-        None,
-        None,
+        {"l'": 9, **_sum_terms("e'", 1, 8, -3), "e'9": -2, "e'10": -1},
         "E8+E8+<-4>", (((1, 0), (1, -3)), ((1, -1), (1, -2))),
+        {"q'": 27, **_sum_terms("p'", 1, 8, -3), "p'9": -2, "p'10": -1},
     ),
 }
 
@@ -344,7 +350,7 @@ def catalogue_ids() -> tuple[str, ...]:
     return CATALOGUE_IDS
 
 
-def _catalogue_row(model_id: str) -> tuple:
+def _catalogue_row(model_id: str) -> CatalogueRow:
     """The catalogue table's row for a model id, else a KeyError naming the known ids."""
     if model_id not in _CATALOGUE_TABLE:
         raise KeyError(f"unknown model {model_id!r}; known: {', '.join(CATALOGUE_IDS)}")
@@ -355,19 +361,18 @@ def _catalogue_row(model_id: str) -> tuple:
 def catalogue_model(model_id: str) -> SurfaceModel:
     """A catalogue model built from its table row, once per id: a model is
     immutable and its restriction images and relations are read-only."""
-    (base0, n0, base1, n1, h_terms, fiber_terms, annotation,
-     overrides, _, _) = _catalogue_row(model_id)
-    image_overrides, aux_relations = overrides or ({}, ())
-    lat = make_pair_lattice(base0, n0, base1, n1)
+    row = _catalogue_row(model_id)
+    image_overrides, aux_relations = row.overrides or ({}, ())
+    lat = make_pair_lattice(row.base0, row.n0, row.base1, row.n1)
     tags = tuple(home_component(n) for n in lat.names)
-    h = class_vector(lat, h_terms)
+    h = class_vector(lat, row.h)
     fibers = tuple(
         (format_class(lat, class_vector(lat, t)), class_vector(lat, t))
-        for t in fiber_terms
+        for t in row.fibers
     )
     model = SurfaceModel(
         id=model_id, lattice=lat, tags=tags, h=h,
-        fiber_classes=fibers, annotation=annotation,
+        fiber_classes=fibers, annotation=row.annotation,
         restrictions=MappingProxyType({
             name: MappingProxyType(terms)
             for name, terms in {**_default_restrictions(lat), **image_overrides}.items()
@@ -385,12 +390,19 @@ def catalogue() -> dict[str, SurfaceModel]:
 
 def expected_type(model_id: str) -> str:
     """The root lattice type the paper gives a catalogue model, as type_string spells it."""
-    return _catalogue_row(model_id)[8]
+    return _catalogue_row(model_id).type
 
 
 def expected_fan(model_id: str) -> tuple[tuple[Ray, Ray], tuple[Ray, ...]]:
-    """The (boundary rays, interior walls) the paper gives a catalogue model's fan."""
-    return _catalogue_row(model_id)[9]
+    """The (boundary rays, interior walls) the paper gives a catalogue model's fan;
+    a ray (m, n) is the class m*h + n*xi."""
+    return _catalogue_row(model_id).fan
+
+
+def expected_relation(model_id: str) -> Terms:
+    """The extra point relation the paper gives a catalogue model, in the
+    model's own point symbols, read-only."""
+    return MappingProxyType(_catalogue_row(model_id).relation)
 
 
 def check_model_invariants(m: SurfaceModel) -> None:
@@ -530,9 +542,9 @@ def swap_components(m: SurfaceModel) -> SurfaceModel:
         flop_history=m.flop_history,
         annotation=m.annotation,
         restrictions=None if m.restrictions is None else {
-            _toggle_tick(n): _toggle_terms(t) for n, t in m.restrictions.items()
+            _toggle_tick(n): toggle_terms(t) for n, t in m.restrictions.items()
         },
-        aux_relations=tuple(_toggle_terms(t) for t in m.aux_relations),
+        aux_relations=tuple(toggle_terms(t) for t in m.aux_relations),
     )
     check_model_invariants(out)
     return out

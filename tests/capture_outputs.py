@@ -1,6 +1,6 @@
 """Print the outputs of the CLI and the demos, to compare two checkouts.
 
-Runs 80 `degen-atlas` commands and the five demos of the checkout this
+Runs 81 `degen-atlas` commands and the five demos of the checkout this
 file belongs to, each in a fresh interpreter, and prints every command
 with its exit code, stdout and stderr.  Two checkouts give the same
 outputs when the captures are byte-identical:
@@ -40,8 +40,8 @@ GOLDEN = Path(__file__).with_name("golden_outputs.json")
 
 def cli_commands() -> list[list[str]]:
     """The compared argument lists: the suites, the catalogue listing, one
-    valid and three rejected `build`s, and every per-model report in text
-    and JSON."""
+    valid and three rejected `build`s, an `oracle` with too many trials, and
+    every per-model report in text and JSON."""
     commands = [
         ["verify", "--all"],
         ["verify", "--all", "--json"],
@@ -52,6 +52,7 @@ def cli_commands() -> list[list[str]]:
         ["build", "--v0", "P2", "--v1", "P2", "--n", "9", "--h", "l"],
         ["build", "--v0", "P1xP1", "--v1", "P2", "--n", "2", "--h", "3l-e1"],
         ["build", "--v0", "P2", "--v1", "P2", "--n", "99"],
+        ["oracle", "D17", "--trials", "99999999999999999999999"],
     ]
     for mid in catalogue_ids():
         commands += [

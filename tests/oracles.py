@@ -2,8 +2,8 @@
 
 These deliberately avoid the code paths they check: short vectors come from
 an exhaustive coefficient box, a floating-point Fincke-Pohst walk or one
-over an exact rational LDL^T, determinants from permutation expansion,
-matrix products from the textbook loops,
+over an exact rational LDL^T, determinants from permutation expansion or a
+pivoting Bareiss elimination, matrix products from the textbook loops,
 elementary divisors from gcds of minors, and elliptic-curve points from the
 affine group law with the Fermat inverse and plain double-and-add, summed
 term by term.  The oracle's congruence sampler keeps its dense form here,
@@ -233,6 +233,32 @@ def _invert(a):
                 f = m[r][col]
                 m[r] = [x - f * y for x, y in zip(m[r], m[col])]
     return [row[n:] for row in m]
+
+
+def det(m):
+    """Exact determinant by fraction-free Bareiss elimination with row
+    pivoting, for any square matrix; ValueError for a non-square one."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("det of a non-square matrix")
+    a = [list(row) for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
 
 
 def perm_det(m):

@@ -1,14 +1,16 @@
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
 import degen_atlas.cli as cli
-from degen_atlas import ec_oracle, surface_pair
+from degen_atlas import ec_oracle, period_relations, surface_pair
 from degen_atlas.chamber_walk import verify_fans
+from degen_atlas.period_relations import verify_relations
 from degen_atlas.cli import run
 from degen_atlas.root_classifier import UnclassifiableError, verify_classification
-from degen_atlas.surface_pair import expected_fan, expected_type
+from degen_atlas.surface_pair import expected_fan
 from oracles import run_python, run_python_O
 from test_ec_oracle import _relation_blind_sampler
 
@@ -184,6 +186,15 @@ def test_oracle_without_trials_is_a_usage_error(capsys, trials):
     assert "trials" in out.err
 
 
+@pytest.mark.parametrize("trials", ["10001", "99999999999999999999999"])
+def test_oracle_trials_above_the_bound_are_a_usage_error(capsys, trials):
+    assert ec_oracle.MAX_TRIALS == 10_000  # the bound the README states
+    assert run(["oracle", "D17", "--trials", trials]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: trials must be between 1 and 10000, got {trials}\n"
+
+
 def test_list_command(capsys):
     code, rep = run_json(capsys, ["list"])
     assert code == 0
@@ -218,28 +229,50 @@ def test_verify_aggregation_and_exit_codes(capsys, monkeypatch):
 
 
 def test_verify_reads_the_catalogue_table(capsys, monkeypatch):
-    # a wrong expected type or fan in the table must fail verify, for that
-    # model only
+    # a wrong expected type, fan or relation in the table must fail verify,
+    # for that model only; both of A11E6's states read its one relation
     table = surface_pair._CATALOGUE_TABLE
-    d17 = list(table["D17"])
-    d17[d17.index(expected_type("D17"))] = "D16+A1"
-    e8e8 = list(table["E8E8"])
     boundary, walls = expected_fan("E8E8")
-    e8e8[e8e8.index((boundary, walls))] = (boundary, walls[:1])
-    monkeypatch.setitem(table, "D17", tuple(d17))
-    monkeypatch.setitem(table, "E8E8", tuple(e8e8))
+    a11e6 = table["A11E6"]
+    monkeypatch.setitem(table, "D17", replace(table["D17"], type="D16+A1"))
+    monkeypatch.setitem(table, "E8E8", replace(table["E8E8"], fan=(boundary, walls[:1])))
+    monkeypatch.setitem(table, "A11E6",
+                        replace(a11e6, relation={**a11e6.relation, "p1": -2, "p2": 0}))
 
-    types, fans = verify_classification(), verify_fans()
-    assert not types["pass"] and not fans["pass"]
+    types, fans, relations = verify_classification(), verify_fans(), verify_relations()
+    assert not types["pass"] and not fans["pass"] and not relations["pass"]
     assert [mid for mid, r in types["models"].items() if not r["ok"]] == ["D17"]
     assert types["models"]["D17"]["type"] == "D17"
     assert [mid for mid, r in fans["models"].items() if not r["ok"]] == ["E8E8"]
     assert fans["models"]["E8E8"]["walls"] == [[1, -1], [1, -2]]
+    assert [key for key, r in relations["rows"].items() if not r["ok"]] == ["A11E6-d3", "A11E6-d9"]
 
     assert run(["verify", "--all"]) == 1
     out = capsys.readouterr()
     assert "[FAIL] root-lattice classification: D17" in out.out
     assert "[FAIL] chamber fans: E8E8" in out.out
+    assert "[FAIL] point relations: A11E6-d9" in out.out
+    assert "25/29 checks passed" in out.out
+    assert "verification failed" in out.err
+
+
+def test_verify_checks_each_relation_rows_shapes_and_d(capsys, monkeypatch):
+    # a wrong d in one row (D17, d > 0) and swapped shapes in another (E8D9,
+    # whose model has d < 0, so the paper lists its components in our
+    # opposite order) must fail those rows only, though both certify
+    rows = {row.key: row for row in period_relations.relation_rows()}
+    rows["D17"] = replace(rows["D17"], row_d=8)
+    rows["E8D9"] = replace(rows["E8D9"], row_shapes=rows["E8D9"].row_shapes[::-1])
+    monkeypatch.setattr(period_relations, "relation_rows", lambda: tuple(rows.values()))
+
+    relations = verify_relations()
+    assert [key for key, r in relations["rows"].items() if not r["ok"]] == ["E8D9", "D17"]
+    assert {r["status"] for r in relations["rows"].values()} == {"certified"}
+
+    assert run(["verify", "--all"]) == 1
+    out = capsys.readouterr()
+    assert "[FAIL] point relations: D17" in out.out
+    assert "[FAIL] point relations: E8D9" in out.out
     assert "27/29 checks passed" in out.out
     assert "verification failed" in out.err
 

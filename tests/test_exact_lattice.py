@@ -11,7 +11,6 @@ from degen_atlas.exact_lattice import (
     SmithForm,
     _bareiss,
     add_vec,
-    det,
     enumerate_short,
     hnf,
     identity,
@@ -30,6 +29,7 @@ from degen_atlas.exact_lattice import (
 from oracles import (
     _is_neg_def,
     box_short_vectors,
+    det,
     loop_matmul,
     loop_matvec,
     loop_pairing,
@@ -671,7 +671,8 @@ def test_w_is_built_only_for_script_L(monkeypatch, capsys):
     root_sets = [root_classifier.generalized_roots(root_classifier.script_L(m))
                  for m in root_classifier.catalogue().values()]
     replays.clear()
-    monkeypatch.setattr(root_classifier, "det", lambda m: 0)  # always take the Smith form
+    # no index test passes, so classify always takes the Smith form
+    monkeypatch.setattr(root_classifier, "discriminant_group_order", lambda g: 0)
     for roots in root_sets:
         root_classifier.classify(roots)
     curve = ec_oracle.pinned_curves()[0]

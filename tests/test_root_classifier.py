@@ -10,7 +10,6 @@ from degen_atlas import exact_lattice, root_classifier
 from degen_atlas.exact_lattice import (
     GramForm,
     SmithForm,
-    det,
     enumerate_short,
     hnf,
     identity,
@@ -44,6 +43,7 @@ from oracles import (
     _is_neg_def,
     brute_generalized_roots,
     classical_root_count,
+    det,
     filtered_generalized_roots,
     loop_matmul,
     loop_vecmat,
@@ -673,7 +673,7 @@ def _classify_both_ways(monkeypatch, roots):
         calls = _recorded_span_checks(patch)
         t = classify(roots)
         solved = bool(calls)
-        patch.setattr(root_classifier, "det", lambda m: 0)
+        patch.setattr(root_classifier, "discriminant_group_order", lambda g: 0)
         always_solved = classify(roots)
     return t, solved, always_solved
 

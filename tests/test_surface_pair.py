@@ -258,8 +258,7 @@ def test_reflect_rejects_a_class_of_square_0(models):
 
 
 def test_pair_lattices_are_unimodular_of_signature_2_18(models):
-    from degen_atlas.exact_lattice import det
-    from oracles import signature
+    from oracles import det, signature
 
     for m in models.values():
         gram = m.lattice.gram_form.gram
