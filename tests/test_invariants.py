@@ -63,7 +63,7 @@ def test_the_scan_sees_each_second_mechanism():
 
 
 def test_bad_arguments_raise_value_error_under_python_O():
-    # each call was accepted when its check was an assert that -O strips
+    # bad arguments raise ValueError also under -O, which strips asserts
     code = (
         "from degen_atlas.exact_lattice import GramForm, in_span, mat\n"
         "from degen_atlas.period_relations import Divisor\n"
