@@ -28,9 +28,9 @@ from .surface_pair import (
     SurfaceModel,
     catalogue_ids,
     catalogue_model,
+    catalogue_row,
     check_model_invariants,
     curve_catalogue,
-    expected_fan,
     flop_all,
     intersect,
     surface_name,
@@ -315,7 +315,7 @@ def verify_fans() -> dict:
     for mid in catalogue_ids():
         fan = lift_fan(catalogue_model(mid))
         report = fan.as_json()
-        ok = (fan.boundary, fan.walls) == expected_fan(mid)
+        ok = (fan.boundary, fan.walls) == catalogue_row(mid).fan
         results[mid] = {"ok": ok, **{k: report[k] for k in fields}}
     return {"suite": "chamber fans", "pass": all(r["ok"] for r in results.values()),
             "models": results}

@@ -26,8 +26,8 @@ from .period_relations import (
 from .root_classifier import (
     classify,
     generalized_roots,
+    root_report,
     script_L,
-    type_string,
     verify_classification,
 )
 from .surface_pair import (
@@ -185,11 +185,7 @@ def cmd_roots(args) -> int:
         "schema": SCHEMA,
         "command": f"roots {args.model}",
         "model": args.model,
-        "type": type_string(t),
-        "rank": t.rank,
-        "roots2_count": 2 * len(roots.roots2),
-        "roots4_count": 2 * len(roots.roots4),
-        "odd_norm_members": 2 * len(roots.other),
+        **root_report(t, roots),
         "simple_roots": [
             [list(L.lift(v)) for v in comp] for comp in t.simple_roots
         ],

@@ -68,14 +68,6 @@ def scale_vec(k: int, v: Vector) -> Vector:
     return tuple(k * x for x in v)
 
 
-def content(v: Sequence[int]) -> int:
-    """gcd of the entries (0 for the zero vector)."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
-
-
 def canonical_sign(v: Vector) -> Vector:
     """The one of +-v whose first nonzero coordinate is positive."""
     for x in v:
@@ -116,6 +108,14 @@ def _gcd_transform(a: int, b: int) -> tuple[int, int, int, int, int]:
     return g, x, y, -(b // g), a // g
 
 
+def _row_step(mats: Sequence[list], i: int, j: int, a: int, b: int, c: int, e: int) -> None:
+    """(row i, row j) <- (a row i + b row j, c row i + e row j) in each matrix
+    of mats, the one row step of hnf, snf and W; a e - b c = +-1."""
+    for m in mats:
+        m[i], m[j] = ([a * x + b * y for x, y in zip(m[i], m[j])],
+                      [c * x + e * y for x, y in zip(m[i], m[j])])
+
+
 def hnf(m: Matrix) -> tuple[Matrix, Matrix]:
     """Row Hermite normal form.
 
@@ -128,30 +128,18 @@ def hnf(m: Matrix) -> tuple[Matrix, Matrix]:
     cols = len(m[0]) if rows else 0
     h = [list(r) for r in m]
     u = [list(r) for r in identity(rows)]
-
-    def rowop(i: int, j: int, a: int, b: int, c: int, d: int) -> None:
-        # (row_i, row_j) <- (a*row_i + b*row_j, c*row_i + d*row_j); ad-bc = +-1
-        h[i], h[j] = (
-            [a * x + b * y for x, y in zip(h[i], h[j])],
-            [c * x + d * y for x, y in zip(h[i], h[j])],
-        )
-        u[i], u[j] = (
-            [a * x + b * y for x, y in zip(u[i], u[j])],
-            [c * x + d * y for x, y in zip(u[i], u[j])],
-        )
-
     pivot_row = 0
     for col in range(cols):
         pr = next((r for r in range(pivot_row, rows) if h[r][col] != 0), None)
         if pr is None:
             continue
         if pr != pivot_row:
-            rowop(pivot_row, pr, 0, 1, 1, 0)
+            _row_step((h, u), pivot_row, pr, 0, 1, 1, 0)
         for r in range(pivot_row + 1, rows):
             if h[r][col] == 0:
                 continue
             _, x, y, p, q = _gcd_transform(h[pivot_row][col], h[r][col])
-            rowop(pivot_row, r, x, y, p, q)
+            _row_step((h, u), pivot_row, r, x, y, p, q)
         if h[pivot_row][col] < 0:
             h[pivot_row] = [-x for x in h[pivot_row]]
             u[pivot_row] = [-x for x in u[pivot_row]]
@@ -159,8 +147,7 @@ def hnf(m: Matrix) -> tuple[Matrix, Matrix]:
         for r in range(pivot_row):
             q = h[r][col] // p
             if q:
-                h[r] = [x - q * y for x, y in zip(h[r], h[pivot_row])]
-                u[r] = [x - q * y for x, y in zip(u[r], u[pivot_row])]
+                _row_step((h, u), r, pivot_row, 1, -q, 0, 1)
         pivot_row += 1
         if pivot_row == rows:
             break
@@ -195,10 +182,7 @@ class SmithForm:
         w = [list(r) for r in identity(len(self.v))]
         for i, j, a, b, c, e in self.steps:
             s = a * e - b * c  # det E = +-1, so E^-1 = s * [[e, -c], [-b, a]]
-            w[i], w[j] = (
-                [s * (e * x - c * y) for x, y in zip(w[i], w[j])],
-                [s * (a * y - b * x) for x, y in zip(w[i], w[j])],
-            )
+            _row_step((w,), i, j, s * e, -s * c, -s * b, s * a)
         return _frozen(w)
 
     def kernel(self) -> tuple[tuple[Vector, ...], Matrix]:
@@ -247,16 +231,6 @@ def snf(m: Matrix) -> SmithForm:
     v = [list(r) for r in identity(cols)]
     steps: list[ColumnStep] = []
 
-    def rowop(i, j, a, b, c, e):
-        d[i], d[j] = (
-            [a * x + b * y for x, y in zip(d[i], d[j])],
-            [c * x + e * y for x, y in zip(d[i], d[j])],
-        )
-        u[i], u[j] = (
-            [a * x + b * y for x, y in zip(u[i], u[j])],
-            [c * x + e * y for x, y in zip(u[i], u[j])],
-        )
-
     def colop(i, j, a, b, c, e):
         for row in d:
             row[i], row[j] = a * row[i] + b * row[j], c * row[i] + e * row[j]
@@ -278,7 +252,7 @@ def snf(m: Matrix) -> SmithForm:
             if pr is None:
                 return
             if pr != k:
-                rowop(k, pr, 0, 1, 1, 0)
+                _row_step((d, u), k, pr, 0, 1, 1, 0)
             if pc != k:
                 colop(k, pc, 0, 1, 1, 0)
             dirty = True
@@ -287,7 +261,7 @@ def snf(m: Matrix) -> SmithForm:
                 for i in range(k + 1, rows):
                     if d[i][k]:
                         _, x, y, p, q = _gcd_transform(d[k][k], d[i][k])
-                        rowop(k, i, x, y, p, q)
+                        _row_step((d, u), k, i, x, y, p, q)
                         dirty = True
                 for j in range(k + 1, cols):
                     if d[k][j]:
@@ -306,7 +280,7 @@ def snf(m: Matrix) -> SmithForm:
                     break
             if bad is None:
                 return
-            rowop(k, bad, 1, 1, 0, 1)  # fold the offending row in and retry
+            _row_step((d, u), k, bad, 1, 1, 0, 1)  # fold the offending row in and retry
 
     for k in range(min(rows, cols)):
         clear_position(k)
@@ -454,10 +428,10 @@ def quotient_by_isotropic(ambient: GramForm, rows: Matrix, coords: Vector) -> Qu
     xi = coords @ rows.
 
     The rows are a basis of S written in ambient coordinates, and `ambient`
-    is the form they are paired with.  Requires xi primitive in S (coords of
-    content 1) and xi orthogonal to all of S (ValueError otherwise).
+    is the form they are paired with.  Requires xi primitive in S (coords with
+    gcd 1) and xi orthogonal to all of S (ValueError otherwise).
     """
-    if content(coords) != 1:
+    if gcd(*coords) != 1:
         raise ValueError("xi is not primitive in the sublattice")
     xi = vecmat(coords, rows)
 
@@ -549,7 +523,7 @@ def enumerate_short(g: GramForm, bound: int) -> dict[Vector, int]:
     gk: list[int] = []
     m_scale = 1
     for k in range(n):
-        gk.append(content(b[k][k:]))
+        gk.append(gcd(*b[k][k:]))
         lden.append(d[k + 1] // gk[k])
         cint.append([0] * (k + 1) + [x // gk[k] for x in b[k][k + 1:]])
         m_scale = lcm(m_scale, d[k] // gcd(d[k], d[k + 1]) * lden[k] * lden[k])

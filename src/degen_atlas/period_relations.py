@@ -26,8 +26,9 @@ from typing import Iterable, Mapping, Optional
 from .exact_lattice import InvariantError, Vector, in_span, snf, span_matrix
 from .surface_pair import (
     SurfaceModel,
+    Terms,
     catalogue_model,
-    expected_relation,
+    catalogue_row,
     flop_all,
     intersect,
     surface_name,
@@ -102,32 +103,31 @@ class Divisor:
 ZERO = Divisor.of({})
 
 
-def _linear_combination(terms: Iterable[tuple[int, Divisor]]) -> Divisor:
-    """sum k * d over the (k, d) pairs, added up in one dict and sorted once."""
+def _linear_combination(terms: Iterable[tuple[int, Iterable[tuple[str, int]]]]) -> Divisor:
+    """sum k * d over the (k, d) pairs, d as (symbol, coeff) pairs, added in one dict."""
     total: dict[str, int] = {}
     for k, d in terms:
-        for s, c in d.coeffs:
+        for s, c in d:
             total[s] = total.get(s, 0) + k * c
     return Divisor.of(total)
 
 
-def restriction_dictionary(m: SurfaceModel) -> dict[str, Divisor]:
-    """Divisor image of every basis class on the double curve.
+def restriction_dictionary(m: SurfaceModel) -> Mapping[str, Terms]:
+    """Image of every basis class on the double curve, as {symbol: coeff}.
 
-    The images are the model's own data, m.restrictions.  Exceptional
+    The images are the model's own read-only data, m.restrictions.  Exceptional
     classes keep their point symbol when flopped.  The one non-default
     entry is the quadric of D16, in the catalogue table: its two ruling
     images are pinned jointly by the forms of psi(h) and psi(xi) and
     involve a distinguished 4-torsion point pf, whose relation is in
     m.aux_relations.
     """
-    images = m.restriction_divisors  # converted once per model
-    if images is None:
+    if m.restrictions is None:
         raise ValueError(
             "CUSTOM models need an explicit restriction dictionary; "
             "pass dictionary={basis name: {symbol: coeff}} to build_model"
         )
-    return dict(images)
+    return m.restrictions
 
 
 def psi(m: SurfaceModel, c: Vector) -> Divisor:
@@ -145,7 +145,8 @@ def psi(m: SurfaceModel, c: Vector) -> Divisor:
         )
     images = restriction_dictionary(m)
     signed = zip(m.lattice.names, c, m.tags, strict=True)
-    total = _linear_combination((-x if tag else x, images[name]) for name, x, tag in signed if x)
+    total = _linear_combination((-x if tag else x, images[name].items())
+                                for name, x, tag in signed if x)
     if total.degree() != 0:
         raise InvariantError(f"psi of {c} has degree {total.degree()}, not 0")
     return total
@@ -220,7 +221,7 @@ def derive(system: RelationSystem, target: Divisor) -> DeriveResult:
     tvec = vec(target)
     coeffs = in_span(tvec, gen_vecs)
     if coeffs is not None:
-        check = _linear_combination(zip(coeffs, gens))
+        check = _linear_combination((k, g.coeffs) for k, g in zip(coeffs, gens))
         if check != target:
             raise InvariantError(f"certificate {tuple(coeffs)} re-expands to {check}, not {target}")
         return DeriveResult("certified", tuple(coeffs), gens, target)
@@ -270,7 +271,7 @@ class RelationRow:
     def target(self) -> Divisor:
         """The model's relation from the catalogue table, in the symbols of
         this state: a flop keeps point symbols, a swap toggles their ticks."""
-        terms = expected_relation(self.model_id)
+        terms = catalogue_row(self.model_id).relation
         return Divisor.of(toggle_terms(terms) if self.swap else terms)
 
 

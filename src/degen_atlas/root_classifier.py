@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from math import prod
+from math import gcd, prod
 from operator import mul, sub
 from typing import Optional, Sequence
 
@@ -22,7 +22,6 @@ from .exact_lattice import (
     QuotientLattice,
     Vector,
     canonical_sign,
-    content,
     enumerate_short,
     mat,
     matvec,
@@ -34,7 +33,7 @@ from .exact_lattice import (
     sparse_vecmat,
     vecmat,
 )
-from .surface_pair import SurfaceModel, catalogue, check_model_invariants, expected_type
+from .surface_pair import SurfaceModel, catalogue, catalogue_row, check_model_invariants
 
 ScriptL = QuotientLattice  # L = h-perp in xi-perp / Z xi, lifted by its reps
 
@@ -115,7 +114,7 @@ def generalized_roots(L: QuotientLattice, bound: int = 4) -> GeneralizedRootSet:
         rows = sparse_rows(basis)  # most rows are d.e_c: one nonzero entry
         for c, norm in enumerate_short(GramForm(L.gram.sublattice_gram(basis)), k).items():
             v = canonical_sign(sparse_vecmat(c, rows, len(gram)))
-            if norm == -k and content(v) == 1:
+            if norm == -k and gcd(*v) == 1:
                 (roots4 if k == 4 else other).append(v)
     return GeneralizedRootSet(tuple(roots2), tuple(sorted(roots4)), tuple(sorted(other)), L.gram)
 
@@ -342,6 +341,17 @@ def model_type(m: SurfaceModel, bound: int = 4, seed: int = 0) -> tuple[LatticeT
     return classify(roots, seed), roots
 
 
+def root_report(t: LatticeType, roots: GeneralizedRootSet) -> dict:
+    """The type, rank and root counts of a classification, as reports print them."""
+    return {
+        "type": type_string(t),
+        "rank": t.rank,
+        "roots2_count": 2 * len(roots.roots2),
+        "roots4_count": 2 * len(roots.roots4),
+        "odd_norm_members": 2 * len(roots.other),
+    }
+
+
 def verify_classification(models: Optional[dict] = None, seed: int = 0) -> dict:
     """Classify all nine models and compare with the catalogue table's types.
 
@@ -353,17 +363,11 @@ def verify_classification(models: Optional[dict] = None, seed: int = 0) -> dict:
     results = {}
     all_pass = True
     for mid, m in models.items():
-        want = expected_type(mid)  # an unknown id fails before any classification
+        want = catalogue_row(mid).type  # an unknown id fails before any classification
         t, roots = model_type(m, 4, seed)
-        ok = type_string(t) == want and not roots.other
+        report = root_report(t, roots)
+        ok = report["type"] == want and not roots.other
         all_pass &= ok
-        results[mid] = {
-            "type": type_string(t),
-            "ok": ok,
-            "rank": t.rank,
-            "roots2_count": 2 * len(roots.roots2),
-            "roots4_count": 2 * len(roots.roots4),
-            "odd_norm_members": 2 * len(roots.other),
-            "discriminant_order": discriminant_group_order(roots.gram),
-        }
+        results[mid] = {**report, "ok": ok,
+                        "discriminant_order": discriminant_group_order(roots.gram)}
     return {"suite": "root-lattice classification", "pass": all_pass, "models": results}

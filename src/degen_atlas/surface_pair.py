@@ -12,7 +12,7 @@ double curve on component i.  Each also carries the divisor image of every
 basis class on the double curve and any auxiliary point relations; both are
 data of the catalogue table, renamed with the basis by swap_components.
 The table also gives each model's expected lattice type, fan and point
-relation.
+relation; catalogue_row reads it.
 """
 
 from __future__ import annotations
@@ -21,12 +21,9 @@ import re
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .exact_lattice import GramForm, InvariantError, Vector, add_vec, mat, scale_vec
-
-if TYPE_CHECKING:
-    from .period_relations import Divisor
 
 P2 = "P2"
 P1XP1 = "P1xP1"
@@ -115,19 +112,20 @@ class PairLattice:
 def make_pair_lattice(base0: str, n0: int, base1: str, n1: int) -> PairLattice:
     names = _base_names(base0, False) + _exc_names(n0, False)
     names += _base_names(base1, True) + _exc_names(n1, True)
-    dim = len(names)
-    g = [[0] * dim for _ in range(dim)]
-    for i, a in enumerate(names):
-        for j, b in enumerate(names):
-            if home_component(a) != home_component(b):
-                continue
-            if is_exceptional(a):
-                g[i][j] = -1 if a == b else 0
-            elif a.startswith("l"):
-                g[i][j] = 1 if a == b else 0
-            else:  # rulings: s.f = 1, s^2 = f^2 = 0
-                g[i][j] = 0 if a == b else (1 if not is_exceptional(b) else 0)
+    g = [[0] * len(names) for _ in names]
+    for i, name in enumerate(names):
+        if is_exceptional(name):
+            g[i][i] = -1
+        elif name.startswith("l"):
+            g[i][i] = 1
+        elif name.startswith("s"):  # rulings s, f: s.f = 1, s^2 = f^2 = 0
+            g[i][i + 1] = g[i + 1][i] = 1
     return PairLattice(base0, base1, tuple(names), GramForm(mat(g)))
+
+
+def _read_only(terms: Terms) -> Terms:
+    """A read-only copy of terms, or terms itself when a flop passes a read-only one on."""
+    return terms if isinstance(terms, MappingProxyType) else MappingProxyType(dict(terms))
 
 
 @dataclass(frozen=True)
@@ -148,7 +146,9 @@ class SurfaceModel:
     every basis name to its divisor image on the double curve, as {point
     symbol: coefficient}; it is None for a CUSTOM model built without a
     dictionary.  `aux_relations` are declared degree-0 point relations
-    beyond those psi imposes.  Catalogue models get the default
+    beyond those psi imposes.  Both are made read-only on construction.
+    `fiber_classes` are the declared fiber class vectors of the
+    Hirzebruch-cover models.  Catalogue models get the default
     images (l -> 3q, e_i -> p_i, ruling -> 2q) with the table's overrides
     applied; only D16 has overrides, which put its 4-torsion point pf on
     the quadric's rulings.
@@ -158,7 +158,7 @@ class SurfaceModel:
     lattice: PairLattice
     tags: tuple[int, ...]
     h: Vector
-    fiber_classes: tuple[tuple[str, Vector], ...] = ()
+    fiber_classes: tuple[Vector, ...] = ()
     flop_history: tuple[str, ...] = ()
     annotation: Optional[str] = None
     # mappings are not hashable, so hashing a model skips these two fields
@@ -166,13 +166,20 @@ class SurfaceModel:
     aux_relations: tuple[Terms, ...] = field(default=(), hash=False)
 
     def __post_init__(self) -> None:
-        if len(self.tags) != self.lattice.rank:
-            raise ValueError(f"{len(self.tags)} tags for a lattice of rank {self.lattice.rank}")
+        rank = self.lattice.rank
+        if len(self.tags) != rank:
+            raise ValueError(f"{len(self.tags)} tags for a lattice of rank {rank}")
+        if len(self.h) != rank:
+            raise ValueError(f"{len(self.h)} entries in h for a lattice of rank {rank}")
         for i, name in enumerate(self.lattice.names):
             if not is_exceptional(name) and self.tags[i] != home_component(name):
                 raise ValueError(
                     f"base class {name} is tagged {self.tags[i]}; base classes never move"
                 )
+        if self.restrictions is not None:
+            object.__setattr__(self, "restrictions", MappingProxyType(
+                {name: _read_only(terms) for name, terms in self.restrictions.items()}))
+        object.__setattr__(self, "aux_relations", tuple(map(_read_only, self.aux_relations)))
 
     @cached_property
     def xi(self) -> Vector:
@@ -192,17 +199,6 @@ class SurfaceModel:
                     terms[name] = -1
             out.append(class_vector(lat, terms))
         return out[0], out[1]
-
-    @cached_property
-    def restriction_divisors(self) -> Optional[Mapping[str, Divisor]]:
-        """The restriction images as `Divisor`s, converted once per model and
-        read-only; None when the model has no images."""
-        from .period_relations import Divisor  # period_relations imports this module
-
-        if self.restrictions is None:
-            return None
-        return MappingProxyType({name: Divisor.of(terms)
-                                 for name, terms in self.restrictions.items()})
 
     def double_curve_class(self, comp: int) -> Vector:
         """Anticanonical class of component comp under the current tags."""
@@ -256,7 +252,7 @@ def _default_restrictions(lattice: PairLattice) -> dict[str, Terms]:
 @dataclass(frozen=True)
 class CatalogueRow:
     """One catalogue model as the paper gives it, in its own basis names and
-    point symbols."""
+    point symbols; its h and relation are read-only."""
 
     base0: str
     n0: int
@@ -270,6 +266,10 @@ class CatalogueRow:
     annotation: Optional[str] = None
     # restriction images that replace the defaults, and auxiliary relations
     overrides: Optional[tuple[Mapping[str, Terms], tuple[Terms, ...]]] = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "h", _read_only(self.h))
+        object.__setattr__(self, "relation", _read_only(self.relation))
 
 
 _CATALOGUE_TABLE = {
@@ -350,7 +350,7 @@ def catalogue_ids() -> tuple[str, ...]:
     return CATALOGUE_IDS
 
 
-def _catalogue_row(model_id: str) -> CatalogueRow:
+def catalogue_row(model_id: str) -> CatalogueRow:
     """The catalogue table's row for a model id, else a KeyError naming the known ids."""
     if model_id not in _CATALOGUE_TABLE:
         raise KeyError(f"unknown model {model_id!r}; known: {', '.join(CATALOGUE_IDS)}")
@@ -359,25 +359,16 @@ def _catalogue_row(model_id: str) -> CatalogueRow:
 
 @cache
 def catalogue_model(model_id: str) -> SurfaceModel:
-    """A catalogue model built from its table row, once per id: a model is
-    immutable and its restriction images and relations are read-only."""
-    row = _catalogue_row(model_id)
+    """A catalogue model built from its table row, once per id."""
+    row = catalogue_row(model_id)
     image_overrides, aux_relations = row.overrides or ({}, ())
     lat = make_pair_lattice(row.base0, row.n0, row.base1, row.n1)
-    tags = tuple(home_component(n) for n in lat.names)
-    h = class_vector(lat, row.h)
-    fibers = tuple(
-        (format_class(lat, class_vector(lat, t)), class_vector(lat, t))
-        for t in row.fibers
-    )
     model = SurfaceModel(
-        id=model_id, lattice=lat, tags=tags, h=h,
-        fiber_classes=fibers, annotation=row.annotation,
-        restrictions=MappingProxyType({
-            name: MappingProxyType(terms)
-            for name, terms in {**_default_restrictions(lat), **image_overrides}.items()
-        }),
-        aux_relations=tuple(MappingProxyType(terms) for terms in aux_relations),
+        id=model_id, lattice=lat, tags=tuple(home_component(n) for n in lat.names),
+        h=class_vector(lat, row.h), fiber_classes=tuple(class_vector(lat, t) for t in row.fibers),
+        annotation=row.annotation,
+        restrictions={**_default_restrictions(lat), **image_overrides},
+        aux_relations=aux_relations,
     )
     check_model_invariants(model)
     return model
@@ -386,23 +377,6 @@ def catalogue_model(model_id: str) -> SurfaceModel:
 def catalogue() -> dict[str, SurfaceModel]:
     """The nine standard models, keyed by their root-lattice id."""
     return {mid: catalogue_model(mid) for mid in CATALOGUE_IDS}
-
-
-def expected_type(model_id: str) -> str:
-    """The root lattice type the paper gives a catalogue model, as type_string spells it."""
-    return _catalogue_row(model_id).type
-
-
-def expected_fan(model_id: str) -> tuple[tuple[Ray, Ray], tuple[Ray, ...]]:
-    """The (boundary rays, interior walls) the paper gives a catalogue model's fan;
-    a ray (m, n) is the class m*h + n*xi."""
-    return _catalogue_row(model_id).fan
-
-
-def expected_relation(model_id: str) -> Terms:
-    """The extra point relation the paper gives a catalogue model, in the
-    model's own point symbols, read-only."""
-    return MappingProxyType(_catalogue_row(model_id).relation)
 
 
 def check_model_invariants(m: SurfaceModel) -> None:
@@ -431,9 +405,12 @@ def build_model(
 
     k = k0 + k1 with ki = (-K)^2 of the base; the d-semistability shadow
     E0^2 + E1^2 = 0 holds automatically.  A supplied polarization must have
-    h^2 = 4 and h.xi = 0.  The dictionary, {basis name: {symbol: coeff}},
-    becomes the model's restriction images.
+    h^2 = 4 and h.xi = 0; it is given as a vector h or as terms h_terms,
+    not both.  The dictionary, {basis name: {symbol: coeff}}, becomes the
+    model's restriction images.
     """
+    if h is not None and h_terms is not None:
+        raise ValueError("give the polarization as h or as h_terms, not both")
     k0, k1 = BASE_DEGREE[base0], BASE_DEGREE[base1]
     k = k0 + k1
     if not 0 <= n <= k:
@@ -536,9 +513,7 @@ def swap_components(m: SurfaceModel) -> SurfaceModel:
     tags = tuple(1 - m.tags[perm[i]] for i in range(len(perm)))
     out = SurfaceModel(
         id=m.id, lattice=lat2, tags=tags, h=reorder(m.h),
-        fiber_classes=tuple(
-            (format_class(lat2, reorder(v)), reorder(v)) for _, v in m.fiber_classes
-        ),
+        fiber_classes=tuple(map(reorder, m.fiber_classes)),
         flop_history=m.flop_history,
         annotation=m.annotation,
         restrictions=None if m.restrictions is None else {
@@ -588,10 +563,10 @@ def curve_catalogue(m: SurfaceModel) -> tuple[CurveEntry, ...]:
         else:
             for rn in _base_names(P1XP1, primed):
                 add(rn, ((lat.index(rn), 1),), "moving")
-    for fname, fvec in m.fiber_classes:
+    for fvec in m.fiber_classes:
         terms = tuple((i, x) for i, x in enumerate(fvec) if x)
         if len({m.tags[i] for i, _ in terms}) == 1:  # still a curve class on a single component
-            add(fname, terms, "moving")
+            add(format_class(lat, fvec), terms, "moving")
     return tuple(entries)
 
 

@@ -10,7 +10,7 @@ from degen_atlas.chamber_walk import verify_fans
 from degen_atlas.period_relations import verify_relations
 from degen_atlas.cli import run
 from degen_atlas.root_classifier import UnclassifiableError, verify_classification
-from degen_atlas.surface_pair import expected_fan
+from degen_atlas.surface_pair import catalogue_row
 from oracles import run_python, run_python_O
 from test_ec_oracle import _relation_blind_sampler
 
@@ -232,7 +232,7 @@ def test_verify_reads_the_catalogue_table(capsys, monkeypatch):
     # a wrong expected type, fan or relation in the table must fail verify,
     # for that model only; both of A11E6's states read its one relation
     table = surface_pair._CATALOGUE_TABLE
-    boundary, walls = expected_fan("E8E8")
+    boundary, walls = catalogue_row("E8E8").fan
     a11e6 = table["A11E6"]
     monkeypatch.setitem(table, "D17", replace(table["D17"], type="D16+A1"))
     monkeypatch.setitem(table, "E8E8", replace(table["E8E8"], fan=(boundary, walls[:1])))

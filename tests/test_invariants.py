@@ -62,6 +62,55 @@ def test_the_scan_sees_each_second_mechanism():
     ]
 
 
+# The package's layers, lowest first.  A module imports from the package only
+# what lies in a lower layer, so the imports have no cycle; the facade
+# __init__ sits on top with the command line.
+LAYERS = (
+    {"exact_lattice"},
+    {"surface_pair"},
+    {"root_classifier", "period_relations", "chamber_walk"},
+    {"ec_oracle"},
+    {"cli", "__init__"},
+)
+
+
+def _package_imports(tree):
+    """The package modules that `tree` imports by `from .x import` or
+    `from . import x`, anywhere: at the top, in a function or under a guard."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module] if node.module else [a.name for a in node.names])
+    return found
+
+
+def test_src_imports_follow_the_layers():
+    layer = {name: i for i, names in enumerate(LAYERS) for name in names}
+    modules = {path.stem: path for path in SRC.glob("*.py")}
+    assert set(modules) == set(layer)
+    upward = {
+        (name, imported)
+        for name, path in modules.items()
+        for imported in _package_imports(ast.parse(path.read_text(), str(path)))
+        if layer[imported] >= layer[name]
+    }
+    assert upward == set()
+    assert _package_imports(ast.parse(modules["surface_pair"].read_text())) == {"exact_lattice"}
+
+
+def test_the_import_scan_sees_lazy_and_guarded_imports():
+    code = (
+        "from typing import TYPE_CHECKING\n"
+        "from .exact_lattice import mat\n"
+        "if TYPE_CHECKING:\n"
+        "    from .period_relations import Divisor\n"
+        "def f():\n"
+        "    from . import chamber_walk\n"
+    )
+    want = {"exact_lattice", "period_relations", "chamber_walk"}
+    assert _package_imports(ast.parse(code)) == want
+
+
 def test_bad_arguments_raise_value_error_under_python_O():
     # bad arguments raise ValueError also under -O, which strips asserts
     code = (

@@ -36,12 +36,12 @@ def models():
 def test_dictionary_images(models):
     m = models["A11E6"]
     images = restriction_dictionary(m)
-    total = 3 * images["l'"]
+    total = 3 * Divisor.of(images["l'"])
     for i in range(1, 7):
-        total = total - images[f"e'{i}"]
+        total = total - Divisor.of(images[f"e'{i}"])
     assert total == Divisor.of({"q'": 9, **{f"p'{i}": -1 for i in range(1, 7)}})
 
-    d16 = restriction_dictionary(models["D16"])
+    d16 = {name: Divisor.of(t) for name, t in restriction_dictionary(models["D16"]).items()}
     assert d16["s'"] + 2 * d16["f'"] == Divisor.of({"q'": 5, "pf": 1})
     assert 2 * d16["s'"] + 2 * d16["f'"] == Divisor.of({"q'": 8})
 
@@ -49,20 +49,40 @@ def test_dictionary_images(models):
     assert psi(m, zero) == ZERO
 
 
-def test_restriction_images_are_converted_once_per_model(models, monkeypatch):
-    m = flop_all(models["A15"], ["e1"])  # a new model, its images not yet converted
+def test_psi_sums_the_read_only_images_into_one_divisor(models, monkeypatch):
+    m = flop_all(models["A15"], ["e1"])  # a new model, made by dataclasses.replace
+    images = restriction_dictionary(m)
+    assert images is m.restrictions and images == models["A15"].restrictions
     of, calls = Divisor.of, []
     monkeypatch.setattr(Divisor, "of", staticmethod(lambda terms: calls.append(1) or of(terms)))
-    images = restriction_dictionary(m)
-    assert images == {name: of(terms) for name, terms in m.restrictions.items()}
-    assert len(calls) == m.lattice.rank == 20
     psi(m, m.h)
-    assert restriction_dictionary(m) == images
-    assert len(calls) == 21  # psi's own sum, and no image converted again
-    images["s"] = ZERO  # a copy: the model's images stay as they were
-    assert restriction_dictionary(m)["s"] == of({"q": 2})
+    assert len(calls) == 1  # the sum becomes one divisor; no image is converted
     with pytest.raises(TypeError):
-        m.restriction_divisors["s"] = ZERO
+        images["s"] = {"q": 0}
+    with pytest.raises(TypeError):
+        images["s"]["q"] = 0
+    assert restriction_dictionary(m)["s"] == {"q": 2}
+
+
+def test_every_model_holds_read_only_images(reachable_states):
+    # catalogue, flopped and swapped models alike, and a CUSTOM model that
+    # keeps its own copy of the dictionary it was built from
+    dictionary = {"l": {"q": 3}, "l'": {"q'": 3}}
+    for i in range(1, 10):
+        dictionary[f"e{i}"] = {f"p{i}": 1}
+        dictionary[f"e'{i}"] = {f"p'{i}": 1}
+    custom = build_model("P2", "P2", 9, dictionary=dictionary)
+    dictionary["l"]["q"] = 4
+    assert custom.restrictions["l"] == {"q": 3}
+    for m in [*reachable_states.values(), custom]:
+        name = m.lattice.names[0]
+        with pytest.raises(TypeError):
+            m.restrictions[name] = {}
+        with pytest.raises(TypeError):
+            m.restrictions[name]["q"] = 0
+        for relation in m.aux_relations:
+            with pytest.raises(TypeError):
+                relation["q"] = 1
 
 
 def test_psi_examples(models):
@@ -103,7 +123,7 @@ def test_psi_checks_the_degree_of_its_image(models, monkeypatch):
     i = next(i for i, x in enumerate(m.h) if x)
     name = m.lattice.names[i]
     images = restriction_dictionary(m)
-    bent = {**images, name: images[name] + Divisor.of({"q": 1})}
+    bent = {**images, name: {**images[name], "q": images[name].get("q", 0) + 1}}
     monkeypatch.setattr(period_relations, "restriction_dictionary", lambda model: bent)
     degree = m.h[i] * (1 if m.tags[i] == 0 else -1)
     assert degree != 0

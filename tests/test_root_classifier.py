@@ -36,6 +36,7 @@ from degen_atlas.surface_pair import (
     build_model,
     catalogue,
     catalogue_model,
+    catalogue_row,
     class_vector,
     swap_components,
 )
@@ -164,10 +165,9 @@ def test_e8d9_type(models):
 
 def test_roots_are_primitive_with_integral_reflection(a15_roots):
     L, roots = a15_roots
-    from degen_atlas.exact_lattice import content
 
     for v in roots.all_roots():
-        assert content(v) == 1
+        assert gcd(*v) == 1
         norm = L.gram.norm(v)
         for i in range(L.rank):
             basis = tuple(1 if j == i else 0 for j in range(L.rank))
@@ -251,6 +251,12 @@ def test_classification_invariant_under_swap(models):
     t1, _ = model_type(m)
     t2, _ = model_type(swap_components(m))
     assert type_string(t1) == type_string(t2) == "E7+E7+A3"
+
+
+def test_type_is_flop_and_swap_invariant_on_every_reachable_state(reachable_states):
+    for label, m in reachable_states.items():
+        t, _ = model_type(m)
+        assert type_string(t) == catalogue_row(m.id).type, label
 
 
 def test_custom_model_matches_d8d8(models):

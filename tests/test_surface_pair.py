@@ -12,11 +12,10 @@ from degen_atlas.surface_pair import (
     catalogue,
     catalogue_ids,
     catalogue_model,
+    catalogue_row,
     check_model_invariants,
     class_vector,
     curve_catalogue,
-    expected_fan,
-    expected_type,
     export_model,
     flop,
     flop_all,
@@ -62,7 +61,7 @@ def test_specific_intersections(models):
     ) == 0
 
 
-@pytest.mark.parametrize("lookup", [catalogue_model, expected_type, expected_fan])
+@pytest.mark.parametrize("lookup", [catalogue_model, catalogue_row])
 def test_catalogue_lookups_name_the_known_ids(lookup):
     with pytest.raises(KeyError) as exc:
         lookup("custom")
@@ -100,6 +99,23 @@ def test_build_model_validates_h():
     assert intersect(m, m.h, m.h) == 4
 
 
+def test_build_model_rejects_a_polarization_of_the_wrong_length():
+    # pairing stops at the shorter vector, so a short h would pass h^2 = 4
+    # and h.xi = 0 and reach script_L and lift_fan
+    with pytest.raises(ValueError, match="^15 entries in h for a lattice of rank 20$"):
+        build_model("P2", "P2", 18, h=(6, -4, -2) + (-1,) * 12)
+    h = catalogue_model("D17").h
+    assert build_model("P2", "P2", 18, h=h).h == h
+    with pytest.raises(ValueError, match="^21 entries in h for a lattice of rank 20$"):
+        build_model("P2", "P2", 18, h=h + (0,))
+
+
+def test_build_model_takes_h_or_h_terms_not_both():
+    m = catalogue_model("D17")
+    with pytest.raises(ValueError, match="^give the polarization as h or as h_terms, not both$"):
+        build_model("P2", "P2", 18, h=m.h, h_terms={"l": 3, "e1": -3, "l'": 2})
+
+
 def test_catalogue_d_matches_construction(models):
     expected = {
         "A15": 8, "A11E6": 3, "D12D5": 4, "D8D8": 0, "D16": 8,
@@ -122,6 +138,14 @@ def test_flop_is_involution_and_isometry(models):
         b = tuple(rng.randint(-2, 2) for _ in range(20))
         e = class_vector(m.lattice, {"e'10": 1})
         assert intersect(m, a, b) == intersect(m2, reflect(m, e, a), reflect(m, e, b))
+
+
+def test_flop_is_an_involution_on_every_reachable_state(reachable_states):
+    for label, m in reachable_states.items():
+        for name in m.lattice.names:
+            if name.startswith("e"):
+                back = flop(flop(m, name), name)
+                assert (back.tags, back.h, back.xi) == (m.tags, m.h, m.xi), (label, name)
 
 
 def test_flop_transports_xi_a15(models):
@@ -278,6 +302,10 @@ def test_catalogue_models_are_built_once_and_read_only():
         for relation in m.aux_relations:
             with pytest.raises(TypeError):
                 relation["q"] = 1
+        row = catalogue_row(mid)
+        for terms in (row.h, row.relation):
+            with pytest.raises(TypeError):
+                terms["q"] = 1
 
 
 def test_xi_matches_the_tags_on_every_reachable_state(reachable_states):
