@@ -19,7 +19,6 @@ from .exact_lattice import (
     enumerate_short,
     hnf,
     in_span,
-    quotient_by_isotropic,
     snf,
 )
 from .surface_pair import (
@@ -75,7 +74,6 @@ __all__ = [
     "enumerate_short",
     "hnf",
     "in_span",
-    "quotient_by_isotropic",
     "snf",
     "SurfaceModel",
     "build_model",

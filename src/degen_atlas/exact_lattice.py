@@ -110,7 +110,7 @@ def _gcd_transform(a: int, b: int) -> tuple[int, int, int, int, int]:
 
 def _row_step(mats: Sequence[list], i: int, j: int, a: int, b: int, c: int, e: int) -> None:
     """(row i, row j) <- (a row i + b row j, c row i + e row j) in each matrix
-    of mats, the one row step of hnf, snf and W; a e - b c = +-1."""
+    of mats, the one row step of hnf and snf; a e - b c = +-1."""
     for m in mats:
         m[i], m[j] = ([a * x + b * y for x, y in zip(m[i], m[j])],
                       [c * x + e * y for x, y in zip(m[i], m[j])])
@@ -154,44 +154,27 @@ def hnf(m: Matrix) -> tuple[Matrix, Matrix]:
     return _frozen(h), _frozen(u)
 
 
-ColumnStep = tuple[int, int, int, int, int, int]
-
-
 @dataclass(frozen=True)
 class SmithForm:
     """D = U @ matrix @ V in Smith normal form, U and V unimodular.
 
     D is kept as its diagonal, min(rows, cols) entries d1 | d2 | ... >= 0,
-    so its nonzero entries come first.  W = V^-1 is replayed from the
-    column steps that built V, only when read (Cohen, GTM 138, 2.4.3).
+    so its nonzero entries come first.
     """
 
     matrix: Matrix
     diagonal: Vector
     u: Matrix
     v: Matrix
-    steps: tuple[ColumnStep, ...]  # (i, j, a, b, c, e): V <- V E on columns i, j
 
     @property
     def rank(self) -> int:
         return sum(1 for x in self.diagonal if x)
 
-    @cached_property
-    def w(self) -> Matrix:
-        """V^-1: each column step V <- V E replayed as the row step W <- E^-1 W."""
-        w = [list(r) for r in identity(len(self.v))]
-        for i, j, a, b, c, e in self.steps:
-            s = a * e - b * c  # det E = +-1, so E^-1 = s * [[e, -c], [-b, a]]
-            _row_step((w,), i, j, s * e, -s * c, -s * b, s * a)
-        return _frozen(w)
-
-    def kernel(self) -> tuple[tuple[Vector, ...], Matrix]:
-        """(basis, coords): the columns of V past the rank, a saturated basis
-        of {x : matrix @ x = 0}, and the same rows of W, which map a kernel
-        vector x to its coordinates coords @ x in that basis."""
-        free = range(self.rank, len(self.v))
-        vt = transpose(self.v)
-        return tuple(vt[j] for j in free), tuple(self.w[j] for j in free)
+    def kernel(self) -> tuple[Vector, ...]:
+        """The columns of V past the rank: a saturated basis of
+        {x : matrix @ x = 0} (Cohen, GTM 138, 2.4.3)."""
+        return transpose(self.v)[self.rank:]
 
     def _transformed(self, target: Vector) -> Vector:
         if len(target) != len(self.u):
@@ -229,14 +212,12 @@ def snf(m: Matrix) -> SmithForm:
     d = [list(r) for r in m]
     u = [list(r) for r in identity(rows)]
     v = [list(r) for r in identity(cols)]
-    steps: list[ColumnStep] = []
 
     def colop(i, j, a, b, c, e):
         for row in d:
             row[i], row[j] = a * row[i] + b * row[j], c * row[i] + e * row[j]
         for row in v:
             row[i], row[j] = a * row[i] + b * row[j], c * row[i] + e * row[j]
-        steps.append((i, j, a, b, c, e))
 
     def clear_position(k: int) -> None:
         # Make d[k][k] the gcd of row k / column k and zero out the rest.
@@ -288,7 +269,7 @@ def snf(m: Matrix) -> SmithForm:
             d[k] = [-x for x in d[k]]
             u[k] = [-x for x in u[k]]
     diagonal = tuple(d[k][k] for k in range(min(rows, cols)))
-    return SmithForm(m, diagonal, _frozen(u), _frozen(v), tuple(steps))
+    return SmithForm(m, diagonal, _frozen(u), _frozen(v))
 
 
 def reflective_basis(gram: Matrix, d: int) -> Matrix:
@@ -421,49 +402,6 @@ class QuotientLattice:
     def lift(self, coords: Vector) -> Vector:
         """A coset representative in ambient coordinates."""
         return vecmat(coords, self.reps)
-
-
-def quotient_by_isotropic(ambient: GramForm, rows: Matrix, coords: Vector) -> QuotientLattice:
-    """Quotient S / Z*xi of the sublattice S spanned by `rows`, where
-    xi = coords @ rows.
-
-    The rows are a basis of S written in ambient coordinates, and `ambient`
-    is the form they are paired with.  Requires xi primitive in S (coords with
-    gcd 1) and xi orthogonal to all of S (ValueError otherwise).
-    """
-    if gcd(*coords) != 1:
-        raise ValueError("xi is not primitive in the sublattice")
-    xi = vecmat(coords, rows)
-
-    # Complete +-coords to a basis: snf([coords]) gives coords @ V = (+-1,0,..),
-    # so the rows of W = V^-1 start with +-coords and form a unimodular matrix.
-    k = len(rows)
-    smith = snf(mat([coords]))
-    v, w = smith.v, smith.w
-    first = vecmat(coords, v)
-    if first[0] not in (1, -1) or any(first[1:]):
-        raise InvariantError(f"quotient_by_isotropic: snf maps xi's coordinates to {first}, "
-                             "not (+-1, 0, ...)")
-    w_rows = sparse_rows(w)
-    if tuple(sparse_vecmat(r, w_rows, k) for r in v) != identity(k):
-        raise InvariantError("quotient_by_isotropic: snf's W is not the inverse of V, V W != I")
-    basis_rows = w
-    if first[0] == -1:
-        basis_rows = mat([[-x for x in basis_rows[0]]] + [list(r) for r in basis_rows[1:]])
-    if tuple(basis_rows[0]) != coords:
-        raise InvariantError("quotient_by_isotropic: the completed basis does not start "
-                             "with xi's coordinates")
-
-    s_rows = sparse_rows(rows)
-    new_rows = tuple(sparse_vecmat(r, s_rows, len(xi)) for r in basis_rows)  # row 0 = xi
-    if new_rows[0] != xi:
-        raise InvariantError(f"quotient_by_isotropic: the first basis row is {new_rows[0]}, "
-                             "not xi")
-    full = ambient.sublattice_gram(new_rows)
-    if any(full[0]):  # new_rows is a basis of S
-        raise ValueError("xi is not isotropic on the sublattice")
-    gram = GramForm(tuple(row[1:] for row in full[1:]))
-    return QuotientLattice(reps=new_rows[1:], gram=gram)
 
 
 def _bareiss(gram: Matrix) -> tuple[list[int], list[list[int]]]:

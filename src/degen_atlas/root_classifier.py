@@ -23,15 +23,14 @@ from .exact_lattice import (
     Vector,
     canonical_sign,
     enumerate_short,
+    identity,
     mat,
     matvec,
-    quotient_by_isotropic,
     reflective_basis,
     snf,
     span_matrix,
     sparse_rows,
     sparse_vecmat,
-    vecmat,
 )
 from .surface_pair import SurfaceModel, catalogue, catalogue_row, check_model_invariants
 
@@ -39,7 +38,8 @@ ScriptL = QuotientLattice  # L = h-perp in xi-perp / Z xi, lifted by its reps
 
 
 def script_L(m: SurfaceModel) -> QuotientLattice:
-    """Compute L for a model; checks rank = ambient - 3 (UnclassifiableError)."""
+    """Compute L for a model; UnclassifiableError unless xi has a coordinate
+    +-1 and L has rank ambient - 3."""
     # No definiteness check here: the pair lattice has signature (2, r - 2),
     # one positive class per component, and check_model_invariants requires
     # h^2 = 4, h.xi = 0 and xi^2 = 0, so h-perp is Lorentzian and
@@ -47,19 +47,17 @@ def script_L(m: SurfaceModel) -> QuotientLattice:
     # one place that decides definiteness, runs on L in generalized_roots.
     check_model_invariants(m)
     g, xi, r = m.lattice.gram_form, m.xi, m.lattice.rank
-    # h-perp in xi-perp is the kernel of the rows G.h and G.xi; the Smith
-    # form that gives its basis also gives xi's coordinates in it
-    perp, to_coords = snf(mat([g.times(m.h), g.times(xi)])).kernel()
-    if len(perp) != r - 2:
-        raise UnclassifiableError(f"h-perp in xi-perp has rank {len(perp)}, expected {r - 2}")
-    coords = matvec(to_coords, xi)
-    if vecmat(coords, perp) != xi:
-        raise UnclassifiableError(f"xi's coordinates {coords} in h-perp in xi-perp do not "
-                                  "re-expand to xi")
-    out = quotient_by_isotropic(g, perp, coords)  # validates primitivity, isotropy
-    if out.rank != r - 3:
-        raise UnclassifiableError(f"L has rank {out.rank}, expected {r - 3}")
-    return out
+    # K = h-perp in xi-perp holds xi, and at a coordinate j where xi is +-1,
+    # K = Z xi + (K with v_j = 0); xi pairs to zero with K, so L is that
+    # second part: the kernel of G.h, G.xi and e_j* (Cohen, GTM 138, 2.4.3).
+    # Every exceptional coordinate of xi = -E0 + E1 is +-1.
+    j = next((i for i, x in enumerate(xi) if x in (1, -1)), None)
+    if j is None:
+        raise UnclassifiableError(f"xi {xi} has no coordinate +-1")
+    reps = snf(mat([g.times(m.h), g.times(xi), identity(r)[j]])).kernel()
+    if len(reps) != r - 3:
+        raise UnclassifiableError(f"L has rank {len(reps)}, expected {r - 3}")
+    return QuotientLattice(reps=reps, gram=GramForm(g.sublattice_gram(reps)))
 
 
 def discriminant_group_order(g: GramForm) -> int:

@@ -144,9 +144,10 @@ class SurfaceModel:
     A model is immutable: E0, E1 and xi are computed once, from its tags, on
     first use; a flop or `replace` makes a new model.  `restrictions` maps
     every basis name to its divisor image on the double curve, as {point
-    symbol: coefficient}; it is None for a CUSTOM model built without a
-    dictionary.  `aux_relations` are declared degree-0 point relations
-    beyond those psi imposes.  Both are made read-only on construction.
+    symbol: coefficient}, and one that misses a basis name is a ValueError;
+    it is None for a CUSTOM model built without a dictionary.
+    `aux_relations` are declared degree-0 point relations beyond those psi
+    imposes.  Both are made read-only on construction.
     `fiber_classes` are the declared fiber class vectors of the
     Hirzebruch-cover models.  Catalogue models get the default
     images (l -> 3q, e_i -> p_i, ruling -> 2q) with the table's overrides
@@ -177,6 +178,9 @@ class SurfaceModel:
                     f"base class {name} is tagged {self.tags[i]}; base classes never move"
                 )
         if self.restrictions is not None:
+            missing = [name for name in self.lattice.names if name not in self.restrictions]
+            if missing:
+                raise ValueError(f"the dictionary misses the basis classes {', '.join(missing)}")
             object.__setattr__(self, "restrictions", MappingProxyType(
                 {name: _read_only(terms) for name, terms in self.restrictions.items()}))
         object.__setattr__(self, "aux_relations", tuple(map(_read_only, self.aux_relations)))
@@ -252,7 +256,7 @@ def _default_restrictions(lattice: PairLattice) -> dict[str, Terms]:
 @dataclass(frozen=True)
 class CatalogueRow:
     """One catalogue model as the paper gives it, in its own basis names and
-    point symbols; its h and relation are read-only."""
+    point symbols; its h, relation, fibers and overrides are read-only."""
 
     base0: str
     n0: int
@@ -270,6 +274,12 @@ class CatalogueRow:
     def __post_init__(self) -> None:
         object.__setattr__(self, "h", _read_only(self.h))
         object.__setattr__(self, "relation", _read_only(self.relation))
+        object.__setattr__(self, "fibers", tuple(map(_read_only, self.fibers)))
+        if self.overrides is not None:
+            images, aux = self.overrides
+            object.__setattr__(self, "overrides", (
+                MappingProxyType({name: _read_only(t) for name, t in images.items()}),
+                tuple(map(_read_only, aux))))
 
 
 _CATALOGUE_TABLE = {

@@ -507,7 +507,7 @@ def orthogonal_complement(gram, vectors):
     the pairing rows gram @ v, each formed by the textbook loop."""
     from degen_atlas.exact_lattice import snf
 
-    return snf(tuple(loop_matvec(gram, v) for v in vectors)).kernel()[0]
+    return snf(tuple(loop_matvec(gram, v) for v in vectors)).kernel()
 
 
 def solve_integer(columns, targets):
@@ -549,34 +549,8 @@ def solve_rational(columns, target):
 
     if not columns:
         return all(x == 0 for x in target)
-    kernel = snf(mat(columns)).kernel()[0]
+    kernel = snf(mat(columns)).kernel()
     return not any(sum(x * y for x, y in zip(k, target)) for k in kernel)
-
-
-def reference_script_L(m):
-    """(reps, gram) of L = (h-perp in xi-perp) / Z xi by the route that
-    `root_classifier.script_L` took before it read xi's coordinates off the
-    kernel's own Smith transform: its reference.
-
-    A basis of h-perp in xi-perp from `orthogonal_complement`, xi's
-    coordinates in it from `solve_integer` (a second Smith form, of the
-    basis), the basis completed from those coordinates through hnf(V),
-    which inverts the unimodular V of snf([coords]), and every product by
-    the textbook loops.
-    """
-    from degen_atlas.exact_lattice import hnf, snf
-
-    gram = m.lattice.gram_form.gram
-    perp = orthogonal_complement(gram, [m.h, m.xi])
-    (coords,) = solve_integer(perp, [m.xi])
-    v = snf((coords,)).v
-    _, v_inverse = hnf(v)
-    sign = loop_vecmat(coords, v)[0]
-    basis = (tuple(sign * x for x in v_inverse[0]),) + v_inverse[1:]
-    rows = loop_matmul(basis, perp)
-    assert rows[0] == m.xi
-    full = loop_matmul(loop_matmul(rows, gram), tuple(zip(*rows)))
-    return rows[1:], tuple(row[1:] for row in full[1:])
 
 
 def run_python(args, timeout, cwd=None, stdout=subprocess.PIPE, env=None):

@@ -11,9 +11,11 @@ from degen_atlas.chamber_walk import (
     stable_model_at,
     verify_fans,
 )
+from degen_atlas.period_relations import Divisor, derive, imposed_relations, relation_rows
 from degen_atlas.surface_pair import (
     build_model,
     catalogue,
+    catalogue_row,
     curve_catalogue,
     flop,
     flop_all,
@@ -31,6 +33,21 @@ def models():
 @pytest.fixture(scope="module")
 def fans(models):
     return {mid: lift_fan(m) for mid, m in models.items()}
+
+
+def test_relation_rows_are_chambers_of_their_fans(models, fans):
+    # each row's state, flopped and before any swap, has the tags of exactly
+    # one chamber's state, and the table relation certifies in every chamber
+    states = {mid: [flop_all(models[mid], c.flops) for c in fan.chambers]
+              for mid, fan in fans.items()}
+    assert sum(map(len, states.values())) == 14
+    for row in relation_rows():
+        tags = flop_all(models[row.model_id], row.flops).tags
+        assert [state.tags for state in states[row.model_id]].count(tags) == 1, row.key
+    for mid, chamber_states in states.items():
+        target = Divisor.of(catalogue_row(mid).relation)
+        for state in chamber_states:
+            assert derive(imposed_relations(state), target).certified, (mid, state.flop_history)
 
 
 def test_next_wall_examples(models):

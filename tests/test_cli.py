@@ -1,6 +1,7 @@
 import json
 import os
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
@@ -10,8 +11,8 @@ from degen_atlas.chamber_walk import verify_fans
 from degen_atlas.period_relations import verify_relations
 from degen_atlas.cli import run
 from degen_atlas.root_classifier import UnclassifiableError, verify_classification
-from degen_atlas.surface_pair import catalogue_row
-from oracles import run_python, run_python_O
+from degen_atlas.surface_pair import catalogue_ids, catalogue_model, catalogue_row
+from oracles import loop_pairing, run_python, run_python_O
 from test_ec_oracle import _relation_blind_sampler
 
 
@@ -37,6 +38,23 @@ def test_roots_e8e8(capsys):
     assert rep["roots2_count"] == 480
     assert rep["odd_norm_members"] == 0
     assert rep["schema"] == "degen-atlas/1"
+
+
+@pytest.mark.parametrize("bound", ["2", "3", "4"])
+def test_printed_simple_roots_are_roots(capsys, bound):
+    # each lifted simple root is a -2 class in h-perp in xi-perp, and any two
+    # pair to 0 or +-1, read from the ambient form, not from L
+    for mid in catalogue_ids():
+        code, rep = run_json(capsys, ["roots", mid, "--bound", bound])
+        assert code == 0
+        m = catalogue_model(mid)
+        gram = m.lattice.gram_form.gram
+        simples = [v for comp in rep["simple_roots"] for v in comp]
+        assert len(simples) == sum(int(p[1:]) for p in rep["type"].split("+") if p != "<-4>")
+        for v in simples:
+            assert [loop_pairing(gram, v, w) for w in (m.h, m.xi, v)] == [0, 0, -2], mid
+        for a, b in combinations(simples, 2):
+            assert loop_pairing(gram, a, b) in (-1, 0, 1), mid
 
 
 def test_roots_bound_above_4_is_a_usage_error(capsys):

@@ -17,7 +17,6 @@ from degen_atlas.exact_lattice import (
     in_span,
     mat,
     matvec,
-    quotient_by_isotropic,
     scale_vec,
     snf,
     span_matrix,
@@ -144,7 +143,6 @@ def test_snf_matches_minor_gcd_oracle():
         u, v, diag = smith.u, smith.v, smith.diagonal
         assert matmul(matmul(u, m), v) == diagonal_matrix(diag, rows, cols)
         assert abs(det(u)) == 1 and abs(det(v)) == 1
-        assert loop_matmul(v, smith.w) == identity(cols)
         nonzero = [x for x in diag if x]
         assert nonzero == minor_gcd_divisors([list(r) for r in m])
         for a, b in zip(diag, diag[1:]):
@@ -189,14 +187,10 @@ def test_smith_value_properties(m, data):
         assert b % a == 0 if a else b == 0
     assert abs(perm_det(u)) == abs(perm_det(v)) == 1
     assert smith.rank == len(minor_gcd_divisors([list(r) for r in m]))
-    assert "w" not in smith.__dict__  # W is built only when read
-    assert loop_matmul(v, smith.w) == identity(cols)
-    basis, coords = smith.kernel()
+    basis = smith.kernel()
     assert len(basis) == cols - smith.rank
-    for i, b in enumerate(basis):
+    for b in basis:
         assert loop_matvec(m, b) == (0,) * rows
-        # the coordinates of a basis vector are the unit vector at its index
-        assert loop_matvec(coords, b) == identity(len(basis))[i]
     # targets: the columns' combinations, then each moved off by a unit vector
     gens = transpose(m)
     targets = []
@@ -212,11 +206,10 @@ def test_smith_value_properties(m, data):
 
 
 def test_kernel_basis_examples():
-    assert snf(mat([[1, 1]])).kernel()[0] in (((1, -1),), ((-1, 1),))
-    assert snf(identity(2)).kernel() == ((), ())
+    assert snf(mat([[1, 1]])).kernel() in (((1, -1),), ((-1, 1),))
+    assert snf(identity(2)).kernel() == ()
     # saturation: the kernel of [2, -4] is generated by (2, 1), not (4, 2)
-    (k,), (coords,) = snf(mat([[2, -4]])).kernel()
-    assert sum(map(int.__mul__, coords, k)) == 1
+    (k,) = snf(mat([[2, -4]])).kernel()
     assert k in ((2, 1), (-2, -1))
 
 
@@ -226,7 +219,7 @@ def test_kernel_is_saturated_randomly():
         rows = rng.randint(1, 3)
         cols = rng.randint(2, 5)
         m = mat([[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)])
-        basis = snf(m).kernel()[0]
+        basis = snf(m).kernel()
         for v in basis:
             assert all(sum(r[i] * v[i] for i in range(cols)) == 0 for r in m)
         # any kernel vector found by scanning a small box must be an integer
@@ -329,94 +322,14 @@ def test_corrupted_span_solve_is_rejected_under_python_O():
     ]
 
 
-NON_UNIMODULAR_SNF = """
-import dataclasses
-from degen_atlas import exact_lattice
-snf = exact_lattice.snf
-def doubled_last_column(m):
-    smith = snf(m)  # W still replays the true V's steps
-    v = exact_lattice.mat([list(row[:-1]) + [2 * row[-1]] for row in smith.v])
-    return dataclasses.replace(smith, v=v)
-exact_lattice.snf = doubled_last_column
-amb = exact_lattice.GramForm(exact_lattice.mat([[0, 0], [0, 0]]))
-try:
-    print("accepted:", exact_lattice.quotient_by_isotropic(amb, exact_lattice.identity(2), (1, 0)))
-except AssertionError as exc:
-    print("rejected:", exc)
-"""
-
-
-def test_quotient_checks_its_basis_completion_under_python_O():
-    # a V that still maps xi's coordinates to (1, 0) but has determinant 2,
-    # so that the returned W is not its inverse, must be caught by a raise,
-    # not by an assert that -O strips
-    done = run_python_O(["-c", NON_UNIMODULAR_SNF], timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == [
-        "rejected: quotient_by_isotropic: snf's W is not the inverse of V, V W != I",
-    ]
-
-
-CORRUPT_COMPLETION_INVERSE = """
-from degen_atlas import catalogue_model, exact_lattice, root_classifier
-snf = exact_lattice.snf
-def doubled_last_inverse_row(m):
-    smith = snf(m)
-    if len(m) == 1:  # the one row of xi's coordinates that the basis completes
-        w = smith.w
-        smith.__dict__["w"] = w[:-1] + (tuple(2 * x for x in w[-1]),)  # W's cache
-    return smith
-exact_lattice.snf = doubled_last_inverse_row
-try:
-    print("accepted:", root_classifier.script_L(catalogue_model("D17")).rank)
-except exact_lattice.InvariantError as exc:
-    print("rejected:", exc)
-"""
-
-
-def test_quotient_checks_the_inverse_of_its_completion_under_python_O():
-    # V is unimodular and maps xi's coordinates to (1, 0, ...), but the W
-    # beside it is not V^-1, so its rows are no basis completion
-    done = run_python_O(["-c", CORRUPT_COMPLETION_INVERSE], timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == [
-        "rejected: quotient_by_isotropic: snf's W is not the inverse of V, V W != I",
-    ]
-
-
-def test_quotient_by_isotropic_rank1_zero_form():
-    amb = GramForm(mat([[0, 0], [0, 0]]))
-    q = quotient_by_isotropic(amb, identity(2), (1, 0))
-    assert q.rank == 1
-    assert q.gram.gram == mat([[0]])
-
-
-def test_quotient_needs_xi_orthogonal_to_sublattice():
-    # In the hyperbolic plane the isotropic generator pairs to 1 with the
-    # other generator, so the induced form on H/Z*xi would depend on coset
-    # representatives; the operation must refuse.
-    amb = GramForm(mat([[0, 1], [1, 0]]))
-    with pytest.raises(ValueError, match="^xi is not isotropic on the sublattice$"):
-        quotient_by_isotropic(amb, identity(2), (1, 0))
-
-
-def test_quotient_rejects_bad_xi():
-    # xi is given by its coordinates in the rows, so it always lies in S;
-    # the first two also fail a later check, so the order is pinned
-    amb = GramForm(mat([[0, 1], [1, 0]]))
-    with pytest.raises(ValueError, match="^vecmat: a vector of length 2 against 1 rows$"):
-        quotient_by_isotropic(amb, mat([[1, 0]]), (0, 1))  # two coordinates for one row
-    with pytest.raises(ValueError, match="^xi is not primitive in the sublattice$"):
-        quotient_by_isotropic(amb, identity(2), (2, 0))  # pairs to 2 with S
-    with pytest.raises(ValueError, match="^xi is not isotropic on the sublattice$"):
-        quotient_by_isotropic(amb, identity(2), (1, 1))
-
-
 def test_quotient_pairing_independent_of_representatives():
-    # rank-3 ambient: hyperbolic plane + <-2>, quotient by the isotropic (1,0,0)
-    amb = GramForm(mat([[0, 1, 0], [1, 0, 0], [0, 0, -2]]))
-    xi = (1, 0, 0)
-    q = quotient_by_isotropic(amb, mat([[1, 0, 0], [0, 0, 1]]), (1, 0))
+    # L = (h-perp in xi-perp) / Z xi of D8D8, lifted by its reps
+    from degen_atlas.root_classifier import script_L
+    from degen_atlas.surface_pair import catalogue_model
+
+    m = catalogue_model("D8D8")
+    amb, xi = m.lattice.gram_form, m.xi
+    q = script_L(m)
     rng = random.Random(5)
     for _ in range(20):
         a = tuple(rng.randint(-3, 3) for _ in range(q.rank))
@@ -643,43 +556,3 @@ def test_vecmat_needs_one_entry_per_row():
     for v in [(1, 0), (1, 0, -1, 2)]:
         with pytest.raises(ValueError, match=f"a vector of length {len(v)} against 3 rows"):
             vecmat(v, m)
-
-
-def test_w_is_built_only_for_script_L(monkeypatch, capsys):
-    # verify --all reads W for the kernel of each model's rows G.h, G.xi (2
-    # rows) and for the completion of xi's coordinates (1 row); classify,
-    # derive and the oracle's sampler read only the diagonal, U and V
-    from functools import cached_property
-
-    from degen_atlas import cli, ec_oracle, root_classifier
-    from degen_atlas.period_relations import derive, imposed_relations, relation_rows
-
-    replays = []
-    build = SmithForm.w.func
-
-    def counted(smith):
-        replays.append(len(smith.matrix))
-        return build(smith)
-
-    w = cached_property(counted)
-    w.__set_name__(SmithForm, "w")
-    monkeypatch.setattr(SmithForm, "w", w)
-    assert cli.run(["verify", "--all"]) == 0
-    assert "29/29 checks passed" in capsys.readouterr().out
-    assert sorted(replays) == [1] * 9 + [2] * 9
-
-    root_sets = [root_classifier.generalized_roots(root_classifier.script_L(m))
-                 for m in root_classifier.catalogue().values()]
-    replays.clear()
-    # no index test passes, so classify always takes the Smith form
-    monkeypatch.setattr(root_classifier, "discriminant_group_order", lambda g: 0)
-    for roots in root_sets:
-        root_classifier.classify(roots)
-    curve = ec_oracle.pinned_curves()[0]
-    ec_oracle._smith_form.cache_clear()
-    for row in relation_rows():
-        system = imposed_relations(row.prepare())
-        assert derive(system, row.target()).certified
-        ec_oracle.randomized_membership_test(system, row.target(), trials=2, curve=curve, seed=0)
-    ec_oracle._smith_form.cache_clear()
-    assert replays == []

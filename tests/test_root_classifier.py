@@ -47,6 +47,7 @@ from oracles import (
     det,
     filtered_generalized_roots,
     loop_matmul,
+    loop_pairing,
     loop_vecmat,
     matmul,
     minor_gcd_divisors,
@@ -55,7 +56,6 @@ from oracles import (
     planted_gram,
     random_negative_definite,
     rational_short_vectors,
-    reference_script_L,
     run_python_O,
     snf_reflective_basis,
     solve_integer,
@@ -113,13 +113,28 @@ def test_d17_discriminant_order(models):
 
 
 def test_script_L_matches_the_reference_route_on_every_reachable_state(reachable_states):
-    # xi's coordinates from the kernel's own Smith transform, the completion
-    # from W = V^-1 and the sparse products give the same reps and Gram
-    # matrix as a second Smith form, hnf(V) and the textbook products
+    # the kernel of G.h, G.xi and e_j* against h-perp in xi-perp from the
+    # textbook pairing rows: each rep lies in it with coordinate j = 0, xi and
+    # the reps are a basis of it, and the Gram matrix is the loop product
     assert len(reachable_states) == 28
     for label, m in reachable_states.items():
-        L = script_L(m)
-        assert (L.reps, L.gram.gram) == reference_script_L(m), label
+        L, gram, xi = script_L(m), m.lattice.gram_form.gram, m.xi
+        j = next(i for i, x in enumerate(xi) if x in (1, -1))
+        for v in L.reps:
+            assert (loop_pairing(gram, v, m.h), loop_pairing(gram, v, xi), v[j]) == (0, 0, 0), label
+        coords = solve_integer(orthogonal_complement(gram, [m.h, xi]), [xi, *L.reps])
+        assert None not in coords and abs(det(coords)) == 1, label
+        assert L.gram.gram == tuple(tuple(loop_pairing(gram, a, b) for b in L.reps)
+                                    for a in L.reps), label
+
+
+def test_script_L_takes_one_smith_form(models, monkeypatch):
+    # the three rows G.h, G.xi and e_j*, once per model
+    calls, snf = [], root_classifier.snf
+    monkeypatch.setattr(root_classifier, "snf", lambda m: calls.append(len(m)) or snf(m))
+    for m in models.values():
+        script_L(m)
+    assert calls == [3] * 9
 
 
 def test_md_gram_and_map_to_L_match_the_textbook_loops(models):
@@ -282,16 +297,17 @@ def test_bound_is_a_parameter(models):
 
 
 def test_classification_invariant_under_xi_negation(models):
-    # quotient by -xi instead of xi gives the same generalized type
-    from degen_atlas.exact_lattice import quotient_by_isotropic
-
+    # L by another route gives the same generalized type: a basis of
+    # h-perp in (-xi)-perp projected along xi onto {v_j = 0}, at the last
+    # coordinate j where xi is +-1, then reduced by hnf
     m = models["D8D8"]
-    g = m.lattice.gram_form
-    perp = orthogonal_complement(g.gram, [m.h, m.xi])
-    neg_xi = tuple(-x for x in m.xi)
-    (coords,) = solve_integer(perp, [neg_xi])
-    q = quotient_by_isotropic(g, mat(perp), coords)
-    L = ScriptL(gram=q.gram, reps=q.reps)
+    gram, neg_xi = m.lattice.gram_form.gram, tuple(-x for x in m.xi)
+    j = max(i for i, x in enumerate(neg_xi) if x in (1, -1))
+    perp = orthogonal_complement(gram, [m.h, neg_xi])
+    projected = [tuple(a - v[j] * neg_xi[j] * b for a, b in zip(v, neg_xi)) for v in perp]
+    reps = tuple(row for row in hnf(mat(projected))[0] if any(row))
+    assert len(reps) == 17 and all(v[j] == 0 for v in reps)
+    L = ScriptL(gram=GramForm(loop_matmul(loop_matmul(reps, gram), transpose(reps))), reps=reps)
     t = classify(generalized_roots(L))
     assert type_string(t) == "D8+D8+<-4>"
 
@@ -381,12 +397,11 @@ def test_classify_rejection_messages(roots, seed, message):
 
 def test_gram_and_script_L_checks_raise_under_python_O():
     # each check is broken on purpose: a non-symmetric and a non-square Gram
-    # matrix, then script_L with one vector dropped from h-perp in xi-perp
-    # and with one coordinate dropped from L
+    # matrix, then script_L with one vector dropped from L's kernel basis
+    # and with xi doubled, so that no coordinate of it is +-1
     code = (
         "from degen_atlas import catalogue_model, root_classifier as rc\n"
-        "from degen_atlas.exact_lattice import (GramForm, InvariantError, QuotientLattice,\n"
-        "                                      SmithForm)\n"
+        "from degen_atlas.exact_lattice import GramForm, InvariantError, SmithForm\n"
         "def attempt(fn):\n"
         "    try:\n"
         "        print('accepted:', fn())\n"
@@ -395,52 +410,22 @@ def test_gram_and_script_L_checks_raise_under_python_O():
         "attempt(lambda: GramForm(((-2, 1), (0, -2))))\n"
         "attempt(lambda: GramForm(((-2, 1),)))\n"
         "m = catalogue_model('D17')\n"
-        "kernel, quotient = SmithForm.kernel, rc.quotient_by_isotropic\n"
-        "SmithForm.kernel = lambda smith: tuple(x[1:] for x in kernel(smith))\n"
+        "kernel = SmithForm.kernel\n"
+        "SmithForm.kernel = lambda smith: kernel(smith)[1:]\n"
         "attempt(lambda: rc.script_L(m))\n"
         "SmithForm.kernel = kernel\n"
-        "def shrunk(*args):\n"
-        "    L = quotient(*args)\n"
-        "    gram = GramForm(tuple(row[1:] for row in L.gram.gram[1:]))\n"
-        "    return QuotientLattice(reps=L.reps[1:], gram=gram)\n"
-        "rc.quotient_by_isotropic = shrunk\n"
-        "attempt(lambda: rc.script_L(m))\n"
+        "doubled = catalogue_model.__wrapped__('D17')\n"
+        "doubled.__dict__['xi'] = tuple(2 * x for x in m.xi)  # xi's cached value\n"
+        "attempt(lambda: rc.script_L(doubled))\n"
     )
+    doubled = tuple(2 * x for x in catalogue_model("D17").xi)
     done = run_python_O(["-c", code], timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
         "ValueError: gram must be symmetric",
         "ValueError: gram must be square",
-        "UnclassifiableError: h-perp in xi-perp has rank 17, expected 18",
         "UnclassifiableError: L has rank 16, expected 17",
-    ]
-
-
-CORRUPT_KERNEL_INVERSE = """
-from degen_atlas import catalogue_model, exact_lattice, root_classifier
-snf = root_classifier.snf
-def doubled_last_inverse_row(m):
-    smith = snf(m)
-    if len(m) == 2:  # the rows G.h and G.xi whose kernel is h-perp in xi-perp
-        w = smith.w
-        smith.__dict__["w"] = w[:-1] + (tuple(2 * x for x in w[-1]),)  # W's cache
-    return smith
-root_classifier.snf = doubled_last_inverse_row
-try:
-    print("accepted:", root_classifier.script_L(catalogue_model("D17")).rank)
-except exact_lattice.InvariantError as exc:
-    print("rejected:", type(exc).__name__, exc)
-"""
-
-
-def test_script_L_checks_that_xi_re_expands_under_python_O():
-    # a W that is not V^-1 gives xi coordinates that do not re-expand to
-    # xi: script_L must refuse them with a raise that -O keeps
-    done = run_python_O(["-c", CORRUPT_KERNEL_INVERSE], timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == [
-        "rejected: UnclassifiableError xi's coordinates (" + "1, " * 17 + "2) "
-        "in h-perp in xi-perp do not re-expand to xi",
+        f"UnclassifiableError: xi {doubled} has no coordinate +-1",
     ]
 
 

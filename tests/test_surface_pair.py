@@ -116,6 +116,14 @@ def test_build_model_takes_h_or_h_terms_not_both():
         build_model("P2", "P2", 18, h=m.h, h_terms={"l": 3, "e1": -3, "l'": 2})
 
 
+def test_build_model_rejects_an_incomplete_dictionary():
+    # psi would otherwise fail later on the first class without an image
+    missing = ", ".join([f"e{i}" for i in range(1, 10)] + ["l'"] + [f"e'{i}" for i in range(1, 10)])
+    with pytest.raises(ValueError) as exc:
+        build_model("P2", "P2", 9, dictionary={"l": {"q": 3}})
+    assert str(exc.value) == f"the dictionary misses the basis classes {missing}"
+
+
 def test_catalogue_d_matches_construction(models):
     expected = {
         "A15": 8, "A11E6": 3, "D12D5": 4, "D8D8": 0, "D16": 8,
@@ -306,6 +314,21 @@ def test_catalogue_models_are_built_once_and_read_only():
         for terms in (row.h, row.relation):
             with pytest.raises(TypeError):
                 terms["q"] = 1
+
+
+def test_catalogue_row_fibers_and_overrides_are_read_only():
+    # catalogue_model rebuilds D16 from its row, so a write would change it
+    row = catalogue_row("D16")
+    images, (aux,) = row.overrides
+    with pytest.raises(TypeError):
+        images["s'"]["q'"] = 5
+    with pytest.raises(TypeError):
+        images["s'"] = {"q'": 5}
+    with pytest.raises(TypeError):
+        aux["q'"] = 0
+    with pytest.raises(TypeError):
+        row.fibers[0]["l"] = 2
+    assert catalogue_row("D16").overrides[0]["s'"] == {"q'": 3, "pf": -1}
 
 
 def test_xi_matches_the_tags_on_every_reachable_state(reachable_states):
