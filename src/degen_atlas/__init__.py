@@ -33,7 +33,6 @@ from .surface_pair import (
     intersect,
     parse_class,
     surface_name,
-    swap_components,
 )
 from .root_classifier import (
     classify,
@@ -86,7 +85,6 @@ __all__ = [
     "intersect",
     "parse_class",
     "surface_name",
-    "swap_components",
     "classify",
     "generalized_roots",
     "script_L",

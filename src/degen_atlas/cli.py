@@ -150,9 +150,9 @@ def _emit(report: dict, as_json: bool, text: str | None = None) -> None:
 
 
 def _row_for(model_id: str):
-    """The model's relation row in its catalogue state: no flops, no swap."""
+    """The model's relation row in its catalogue state, with no flops."""
     for row in relation_rows():
-        if row.model_id == model_id and not row.flops and not row.swap:
+        if row.model_id == model_id and not row.flops:
             return row
     raise KeyError(model_id)
 

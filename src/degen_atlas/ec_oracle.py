@@ -340,6 +340,17 @@ def _solution_sampler(generators: Sequence[Divisor], symbols: Sequence[str], n_m
     return sample
 
 
+def _sampling_setup(system: RelationSystem, n_mod: int):
+    """(generators, symbols, sampler): the system's generators, the symbols
+    they constrain in sorted order, and `_solution_sampler` over those mod
+    n_mod.  A generator of nonzero degree is a ValueError."""
+    generators = system.generators()
+    if any(g.degree() != 0 for g in generators):
+        raise ValueError("relation generators must have degree 0")
+    symbols = sorted({s for g in generators for s in g.symbols()})
+    return generators, symbols, _solution_sampler(generators, symbols, n_mod)
+
+
 def _compiled(curve: Curve, divisors: Sequence[Divisor], symbols: Sequence[str]):
     """The divisors compiled once by `_program`: the returned function takes
     the discrete logs of the symbols, in that order, and returns each
@@ -381,14 +392,10 @@ def sample_config(
     part is drawn uniformly from the seeded generator.  Every generator is
     then re-verified on the curve (real group law, not just dlogs).
     """
-    generators = system.generators()
-    if any(g.degree() != 0 for g in generators):
-        raise ValueError("relation generators must have degree 0")
-    symbols = sorted({s for g in generators for s in g.symbols()})
+    generators, symbols, sampler = _sampling_setup(system, curve.exponent)
     if not symbols:
         return PointAssignment(curve, ())
-    rng = random.Random(seed)
-    values = _solution_sampler(generators, symbols, curve.exponent)(rng)
+    values = sampler(random.Random(seed))
     _checked_draw(_compiled(curve, generators, symbols), generators, values)
     return PointAssignment(curve, tuple(zip(symbols, values)))
 
@@ -433,13 +440,10 @@ def randomized_membership_test(
         raise ValueError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
     if target.degree() != 0:
         raise ValueError("targets must have degree 0")
-    generators = system.generators()
-    constrained = {s for g in generators for s in g.symbols()}
-    sys_symbols = sorted(constrained)
-    extra = [s for s in target.symbols() if s not in constrained]
-    symbols = sys_symbols + extra
     n = curve.exponent
-    sampler = _solution_sampler(generators, sys_symbols, n)
+    generators, sys_symbols, sampler = _sampling_setup(system, n)
+    extra = [s for s in target.symbols() if s not in sys_symbols]
+    symbols = sys_symbols + extra
     free = [(n, n.bit_length())] * len(extra)
     # the last sum is the target's; the program sums a target equal to a
     # generator only once

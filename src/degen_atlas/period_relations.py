@@ -16,10 +16,15 @@ to the polarization h and to the double-curve class xi yields the two
 imposed relations; the extra relation of each model, in its row of the
 catalogue table, is then an integer combination of those (plus, for D16,
 its declared 4-torsion auxiliary), certified by exact span membership.
+
+This module owns the point symbols: their order, and the tick toggle that
+names each point from the other component.  A stable-model state with
+d < 0 is read in the paper's orientation by that renaming alone.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
@@ -32,8 +37,6 @@ from .surface_pair import (
     flop_all,
     intersect,
     surface_name,
-    swap_components,
-    toggle_terms,
 )
 
 
@@ -49,6 +52,22 @@ def _symbol_key(sym: str) -> tuple:
     if sym.startswith("p") and sym[1:].isdigit():
         return (1, int(sym[1:]))
     raise ValueError(f"unknown point symbol {sym!r}")
+
+
+_COMPONENT_NAME = re.compile(r"([a-z])(')?(\d*)")
+
+
+def _toggle_tick(sym: str) -> str:
+    """The same point named from the other component.
+
+    q <-> q', p3 <-> p'3.  A symbol of more than one letter, like the
+    4-torsion point pf, belongs to no component and is returned unchanged.
+    """
+    match = _COMPONENT_NAME.fullmatch(sym)
+    if match is None:
+        return sym
+    letter, tick, index = match.groups()
+    return letter + ("" if tick else "'") + index
 
 
 @dataclass(frozen=True)
@@ -101,6 +120,11 @@ class Divisor:
 
 
 ZERO = Divisor.of({})
+
+
+def _toggled(d: Divisor) -> Divisor:
+    """d with every point named from the other component."""
+    return Divisor.of({_toggle_tick(s): c for s, c in d.coeffs})
 
 
 def _linear_combination(terms: Iterable[tuple[int, Iterable[tuple[str, int]]]]) -> Divisor:
@@ -166,6 +190,19 @@ class RelationSystem:
 
     def generators(self) -> tuple[Divisor, ...]:
         return (self.r_h, self.r_xi) + self.aux
+
+    def toggled(self) -> "RelationSystem":
+        """The system with every point named from the other component.
+
+        This is exactly the system of the pair with V0 and V1 exchanged:
+        there, with names toggled, tags flipped and images toggled,
+        psi'(c') = -toggle(psi(c)) and xi' is -xi renamed, so R_h' and
+        R_xi' are +-toggle(R_h) and +-toggle(R_xi), which _sign_normalized
+        makes unique, and aux' = toggle(aux).
+        """
+        return RelationSystem(_sign_normalized(_toggled(self.r_h)),
+                              _sign_normalized(_toggled(self.r_xi)),
+                              tuple(map(_toggled, self.aux)))
 
 
 def imposed_relations(m: SurfaceModel) -> RelationSystem:
@@ -250,57 +287,52 @@ def hirzebruch_relation(n: int) -> Divisor:
 @dataclass(frozen=True)
 class RelationRow:
     """A stable-model state of a catalogue model and the relation the paper
-    prints for it.  The paper prints every row with d >= 0, so a row whose
-    model has d < 0 lists our (V1, V0) as its (V0, V1) and names our q',
-    p'_i as q, p_i."""
+    prints for it.  The paper prints every row with d >= 0; a state with
+    d < 0 lists our (V1, V0) as its (V0, V1) and names our q', p'_i as
+    q, p_i, which verify_relations reads through RelationSystem.toggled."""
 
     key: str
     model_id: str
     flops: tuple[str, ...]
-    swap: bool
     row_d: int
     row_shapes: tuple[str, str]  # the paper's (V0, V1)
     display: str
 
     def prepare(self) -> SurfaceModel:
-        m = flop_all(catalogue_model(self.model_id), self.flops)
-        if self.swap:
-            m = swap_components(m)
-        return m
+        return flop_all(catalogue_model(self.model_id), self.flops)
 
     def target(self) -> Divisor:
-        """The model's relation from the catalogue table, in the symbols of
-        this state: a flop keeps point symbols, a swap toggles their ticks."""
-        terms = catalogue_row(self.model_id).relation
-        return Divisor.of(toggle_terms(terms) if self.swap else terms)
+        """The model's relation from the catalogue table; a flop keeps
+        point symbols, so every state of the model reads it as it is."""
+        return Divisor.of(catalogue_row(self.model_id).relation)
 
 
 def relation_rows() -> tuple[RelationRow, ...]:
     """The eleven catalogued point relations, one per stable-model state:
-    key, model id, flops, swap, the paper's d and (V0, V1), and the
-    relation as the paper prints it."""
+    key, model id, flops, the paper's d and (V0, V1), and the relation as
+    the paper prints it."""
     return (
-        RelationRow("E8E8-d0", "E8E8", ("e'10",), False, 0, ("Bl9P2", "Bl9P2"),
+        RelationRow("E8E8-d0", "E8E8", ("e'10",), 0, ("Bl9P2", "Bl9P2"),
                     "27q = 3(p1+..+p8) + 2p9 + p9'"),
-        RelationRow("E8E8-d1", "E8E8", (), False, 1, ("Bl10P2", "Bl8P2 (dP1)"),
+        RelationRow("E8E8-d1", "E8E8", (), 1, ("Bl10P2", "Bl8P2 (dP1)"),
                     "27q = 3(p1+..+p8) + 2p9 + p10"),
-        RelationRow("E8D9", "E8D9", (), False, 1, ("Bl10P2", "Bl8P2 (dP1)"),
+        RelationRow("E8D9", "E8D9", (), 1, ("Bl10P2", "Bl8P2 (dP1)"),
                     "21q = 3p1 + 2(p2+..+p10)"),
-        RelationRow("E7E7A3", "E7E7A3", (), False, 2, ("Bl11P2", "Bl7P2 (dP2)"),
+        RelationRow("E7E7A3", "E7E7A3", (), 2, ("Bl11P2", "Bl7P2 (dP2)"),
                     "18q = 2(p1+..+p7) + p8+..+p11"),
-        RelationRow("A11E6-d3", "A11E6", (), False, 3, ("Bl12P2", "Bl6P2 (dP3)"),
+        RelationRow("A11E6-d3", "A11E6", (), 3, ("Bl12P2", "Bl6P2 (dP3)"),
                     "12q = p1+..+p12"),
-        RelationRow("A11E6-d9", "A11E6", tuple(f"e{i}" for i in range(1, 13)), True, 9,
+        RelationRow("A11E6-d9", "A11E6", tuple(f"e{i}" for i in range(1, 13)), 9,
                     ("Bl18P2", "P2"), "12q = p1+..+p12"),
-        RelationRow("D17", "D17", (), False, 9, ("Bl18P2", "P2"),
+        RelationRow("D17", "D17", (), 9, ("Bl18P2", "P2"),
                     "45q = 11p1 + 2(p2+..+p18)"),
-        RelationRow("D16", "D16", (), False, 8, ("Bl17P2", "P1xP1"),
+        RelationRow("D16", "D16", (), 8, ("Bl17P2", "P1xP1"),
                     "63q = 15p1 + 3(p2+..+p17)"),
-        RelationRow("D12D5", "D12D5", (), False, 4, ("Bl13P2", "Bl5P2 (dP4)"),
+        RelationRow("D12D5", "D12D5", (), 4, ("Bl13P2", "Bl5P2 (dP4)"),
                     "15q = 3p1 + p2+..+p13"),
-        RelationRow("D8D8", "D8D8", (), False, 0, ("Bl9P2", "Bl9P2"),
+        RelationRow("D8D8", "D8D8", (), 0, ("Bl9P2", "Bl9P2"),
                     "12q' + p1 = 3q + 2p1' + p2'+..+p9'"),
-        RelationRow("A15", "A15", (), False, 8, ("Bl16(P1xP1)", "P1xP1"),
+        RelationRow("A15", "A15", (), 8, ("Bl16(P1xP1)", "P1xP1"),
                     "16q = p1+..+p16"),
     )
 
@@ -308,29 +340,33 @@ def relation_rows() -> tuple[RelationRow, ...]:
 def verify_relations() -> dict:
     """Derive all eleven catalogued relations; report certificates.
 
-    Each row is checked in the stated surface configuration (flopping and
-    swapping components where the row requires it), with the paper's shapes
-    and d read in its orientation (d >= 0); the target must be an
-    exact integer combination of {R_h, R_xi} plus the model's auxiliaries,
-    and derive() re-expands each certificate, raising InvariantError unless
-    it gives the target.
+    Each row is checked in its stable-model state (its flops applied) and
+    reported in the paper's orientation, d >= 0: a state with d < 0 has its
+    shapes reversed, reports |d|, and has its system and target renamed by
+    the tick toggle.  The target must be an exact integer combination of
+    {R_h, R_xi} plus the model's auxiliaries, and derive() re-expands each
+    certificate, raising InvariantError unless it gives the target.
     """
     results = {}
     all_pass = True
     for row in relation_rows():
         m = row.prepare()
         shapes = (surface_name(m, 0), surface_name(m, 1))
-        printed = shapes if m.d >= 0 else shapes[::-1]
-        shape_ok = printed == row.row_shapes and abs(m.d) == row.row_d
-        system = imposed_relations(m)
-        res = derive(system, row.target())
+        system, target = imposed_relations(m), row.target()
+        if m.d < 0:
+            # read as the pair with V0 and V1 exchanged, whose system is the
+            # toggled one and whose target is the table relation renamed
+            shapes = shapes[::-1]
+            system, target = system.toggled(), _toggled(target)
+        shape_ok = shapes == row.row_shapes and abs(m.d) == row.row_d
+        res = derive(system, target)
         ok = shape_ok and res.certified
         all_pass &= ok
         results[row.key] = {
             "ok": ok,
             "relation": row.display,
             "shapes": list(shapes),
-            "d": m.d,
+            "d": abs(m.d),
             "certificate": list(res.coefficients) if res.coefficients else None,
             "generators": [str(g) for g in system.generators()],
             "status": res.status,

@@ -10,9 +10,9 @@ The nine catalogue entries carry the polarization h (h^2 = 4) and have
 xi = (-E0, E1) recomputed from the tags, where Ei is the class of the
 double curve on component i.  Each also carries the divisor image of every
 basis class on the double curve and any auxiliary point relations; both are
-data of the catalogue table, renamed with the basis by swap_components.
-The table also gives each model's expected lattice type, fan and point
-relation; catalogue_row reads it.
+data of the catalogue table; period_relations alone orders and renames
+point symbols.  The table also gives each model's expected lattice type,
+fan and point relation; catalogue_row reads it.
 """
 
 from __future__ import annotations
@@ -47,28 +47,6 @@ def _base_names(base: str, primed: bool) -> list[str]:
 def _exc_names(count: int, primed: bool) -> list[str]:
     tick = "'" if primed else ""
     return [f"e{tick}{i}" for i in range(1, count + 1)]
-
-
-_COMPONENT_NAME = re.compile(r"([a-z])(')?(\d*)")
-
-
-def _toggle_tick(name: str) -> str:
-    """The same class or point named from the other component.
-
-    e1 <-> e'1, l <-> l', s <-> s', q <-> q', p3 <-> p'3.  A name of more
-    than one letter, like the 4-torsion point pf, belongs to no component
-    and is returned unchanged.
-    """
-    match = _COMPONENT_NAME.fullmatch(name)
-    if match is None:
-        return name
-    letter, tick, index = match.groups()
-    return letter + ("" if tick else "'") + index
-
-
-def toggle_terms(terms: Terms) -> dict[str, int]:
-    """Terms renamed from the other component, by _toggle_tick on every name."""
-    return {_toggle_tick(s): c for s, c in terms.items()}
 
 
 def point_symbol(basis_name: str) -> str:
@@ -495,44 +473,6 @@ def flop_all(m: SurfaceModel, names: Sequence[str]) -> SurfaceModel:
     for n in names:
         m = flop(m, n)
     return m
-
-
-def swap_components(m: SurfaceModel) -> SurfaceModel:
-    """Exchange the roles of V0 and V1.
-
-    The lattice is rebuilt with primed and unprimed names exchanged, so the
-    swapped model again satisfies the convention that unprimed classes live
-    on V0.  The restriction images and auxiliary relations are renamed by
-    the same tick toggle, in their keys and in their point symbols.  xi and
-    the period morphism change sign; every derived result (roots, relation
-    spans, fans) is invariant.
-    """
-    new_names = tuple(_toggle_tick(n) for n in m.lattice.names)
-    lat2 = make_pair_lattice(
-        m.lattice.base1,
-        sum(1 for n in new_names if is_exceptional(n) and "'" not in n),
-        m.lattice.base0,
-        sum(1 for n in new_names if is_exceptional(n) and "'" in n),
-    )
-    # Reorder coordinates into the fresh lattice's name order.
-    perm = [new_names.index(n) for n in lat2.names]
-
-    def reorder(v: Vector) -> Vector:
-        return tuple(v[perm[i]] for i in range(len(perm)))
-
-    tags = tuple(1 - m.tags[perm[i]] for i in range(len(perm)))
-    out = SurfaceModel(
-        id=m.id, lattice=lat2, tags=tags, h=reorder(m.h),
-        fiber_classes=tuple(map(reorder, m.fiber_classes)),
-        flop_history=m.flop_history,
-        annotation=m.annotation,
-        restrictions=None if m.restrictions is None else {
-            _toggle_tick(n): toggle_terms(t) for n, t in m.restrictions.items()
-        },
-        aux_relations=tuple(toggle_terms(t) for t in m.aux_relations),
-    )
-    check_model_invariants(out)
-    return out
 
 
 def curve_catalogue(m: SurfaceModel) -> tuple[CurveEntry, ...]:

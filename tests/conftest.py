@@ -11,7 +11,8 @@ def reachable_states():
     """The nine catalogue models, the state of every chamber of their fans,
     and the component swap of each, keyed by a readable label."""
     from degen_atlas.chamber_walk import lift_fan
-    from degen_atlas.surface_pair import catalogue_ids, catalogue_model, flop_all, swap_components
+    from degen_atlas.surface_pair import catalogue_ids, catalogue_model, flop_all
+    from oracles import swap_components
 
     states = {}
     for mid in catalogue_ids():

@@ -10,7 +10,9 @@ term by term.  The oracle's congruence sampler keeps its dense form here,
 and the d-semistability relation and xi are read straight off the basis
 names and tags; psi adds its images one class at a time.  The span
 solvers that the Smith form's own readers replaced, the plain matrix
-product and the curve's group law as a function are kept here too.
+product and the curve's group law as a function are kept here too, and so
+is the component swap, the reference for reading a state in the other
+orientation.
 """
 
 import os
@@ -431,6 +433,50 @@ def d_semistability_relation(m):
         if name.startswith("e"):
             terms["p" + name[1:]] = -1
     return Divisor.of(terms)
+
+
+def toggle_tick(name):
+    """The same class or point named from the other component: e1 <-> e'1,
+    l <-> l', q <-> q', p3 <-> p'3.  pf, the distinguished point of D16,
+    lies on no single component and keeps its name."""
+    if name == "pf":
+        return name
+    return name.replace("'", "") if "'" in name else name[0] + "'" + name[1:]
+
+
+def swap_components(m):
+    """The pair with V0 and V1 exchanged.
+
+    The lattice is rebuilt with primed and unprimed names exchanged, so
+    unprimed classes again live on V0, and every tag is flipped.  The
+    restriction images and auxiliary relations are renamed by the same tick
+    toggle, in their keys and in their point symbols.  xi and psi change
+    sign; the type, the relation spans and the mirrored fan do not change.
+    """
+    from degen_atlas.surface_pair import SurfaceModel, check_model_invariants, make_pair_lattice
+
+    names = [toggle_tick(n) for n in m.lattice.names]
+    exceptional = [n for n in names if n.startswith("e")]
+    n1 = sum("'" in n for n in exceptional)
+    lat = make_pair_lattice(m.lattice.base1, len(exceptional) - n1, m.lattice.base0, n1)
+    perm = [names.index(n) for n in lat.names]
+
+    def reorder(v):
+        return tuple(v[i] for i in perm)
+
+    def rename(terms):
+        return {toggle_tick(s): c for s, c in terms.items()}
+
+    out = SurfaceModel(
+        id=m.id, lattice=lat, tags=tuple(1 - m.tags[i] for i in perm), h=reorder(m.h),
+        fiber_classes=tuple(map(reorder, m.fiber_classes)), flop_history=m.flop_history,
+        annotation=m.annotation,
+        restrictions=None if m.restrictions is None else {
+            toggle_tick(n): rename(t) for n, t in m.restrictions.items()},
+        aux_relations=tuple(map(rename, m.aux_relations)),
+    )
+    check_model_invariants(out)
+    return out
 
 
 def tag_xi(m):

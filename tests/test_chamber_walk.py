@@ -20,9 +20,8 @@ from degen_atlas.surface_pair import (
     flop,
     flop_all,
     intersect,
-    swap_components,
 )
-from oracles import EXPECTED_FANS, curve_class, run_python_O
+from oracles import EXPECTED_FANS, curve_class, run_python_O, swap_components, toggle_tick
 
 
 @pytest.fixture(scope="module")
@@ -36,14 +35,23 @@ def fans(models):
 
 
 def test_relation_rows_are_chambers_of_their_fans(models, fans):
-    # each row's state, flopped and before any swap, has the tags of exactly
-    # one chamber's state, and the table relation certifies in every chamber
+    # each row's flopped state has the tags of exactly one chamber's state,
+    # every other chamber mirrors a rowed chamber of its fan (the two shapes
+    # reversed), and the table relation certifies in every chamber
     states = {mid: [flop_all(models[mid], c.flops) for c in fan.chambers]
               for mid, fan in fans.items()}
     assert sum(map(len, states.values())) == 14
+    rowed = set()
     for row in relation_rows():
-        tags = flop_all(models[row.model_id], row.flops).tags
-        assert [state.tags for state in states[row.model_id]].count(tags) == 1, row.key
+        tags = [state.tags for state in states[row.model_id]]
+        row_tags = flop_all(models[row.model_id], row.flops).tags
+        assert tags.count(row_tags) == 1, row.key
+        rowed.add((row.model_id, tags.index(row_tags)))
+    unrowed = {(mid, i) for mid, fan in fans.items() for i in range(len(fan.chambers))} - rowed
+    assert unrowed == {("A15", 0), ("E7E7A3", 1), ("E8E8", 2)}
+    for mid, i in unrowed:
+        mirrored = fans[mid].chambers[i].labels[::-1]
+        assert any(fans[mid].chambers[j].labels == mirrored for m, j in rowed if m == mid), mid
     for mid, chamber_states in states.items():
         target = Divisor.of(catalogue_row(mid).relation)
         for state in chamber_states:
@@ -263,10 +271,6 @@ def test_lift_fan_rejects_a_start_that_is_not_nef_under_python_O():
     assert done.stdout.startswith("rejected: polarization of E8E8 is not nef")
 
 
-def _untick(name):
-    return name.replace("'", "") if "'" in name else name.replace("e", "e'", 1)
-
-
 def test_fan_of_the_swapped_pair_is_the_mirror_image(models, fans):
     # swapping V0 and V1 negates xi: (m, n) -> (m, -n) reverses the fan
     def mirror(ray):
@@ -280,7 +284,7 @@ def test_fan_of_the_swapped_pair_is_the_mirror_image(models, fans):
             (c.labels[1], c.labels[0]) for c in reversed(fan.chambers)
         ]
         assert [c.flops for c in swapped.chambers] == [
-            tuple(_untick(f) for f in c.flops) for c in reversed(fan.chambers)
+            tuple(map(toggle_tick, c.flops)) for c in reversed(fan.chambers)
         ]
 
 

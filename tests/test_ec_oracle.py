@@ -600,10 +600,15 @@ def test_membership_rejects_a_target_of_nonzero_degree(models, curves):
 
 
 def test_sampling_rejects_generators_of_nonzero_degree(models, curves):
+    # both entry points share one set-up and its degree check
     system = imposed_relations(models["D17"])
     bad = RelationSystem(system.r_h, system.r_xi, system.aux + (Divisor.of({"q": 1}),))
     with pytest.raises(ValueError, match="degree 0"):
         sample_config(bad, curves[0])
+    p2_p3 = Divisor.of({"p2": 1, "p3": -1})
+    with pytest.raises(ValueError, match="relation generators must have degree 0"):
+        randomized_membership_test(RelationSystem(Divisor.of({"p1": 1}), p2_p3, ()), p2_p3,
+                                   trials=10, curve=curves[0])
 
 
 def test_degree_checks_hold_under_python_O():
@@ -616,9 +621,12 @@ def test_degree_checks_hold_under_python_O():
         "system = imposed_relations(catalogue_model('D17'))\n"
         "q = Divisor.of({'q': 1})\n"
         "bad = RelationSystem(system.r_h, system.r_xi, system.aux + (q,))\n"
+        "p2_p3 = Divisor.of({'p2': 1, 'p3': -1})\n"
+        "degree_1 = RelationSystem(Divisor.of({'p1': 1}), p2_p3, ())\n"
         "curve = pinned_curves()[0]\n"
         "for call in (lambda: randomized_membership_test(system, q, trials=10, curve=curve),\n"
-        "             lambda: sample_config(bad, curve)):\n"
+        "             lambda: sample_config(bad, curve),\n"
+        "             lambda: randomized_membership_test(degree_1, p2_p3, trials=10, curve=curve)):\n"
         "    try:\n"
         "        print('accepted:', type(call()).__name__)\n"
         "    except ValueError as exc:\n"
@@ -628,6 +636,7 @@ def test_degree_checks_hold_under_python_O():
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
         "rejected: targets must have degree 0",
+        "rejected: relation generators must have degree 0",
         "rejected: relation generators must have degree 0",
     ]
 
@@ -710,8 +719,9 @@ def test_verdicts_match_the_reference_arithmetic(curves, monkeypatch):
 
 def test_one_smith_form_per_relation_system(curves, monkeypatch):
     # the 66 calls of an oracle pass (11 rows x 3 curves x target and
-    # perturbation) take one Smith form per relation system: 10, since
-    # E8E8-d0 and E8E8-d1 are two targets of one system
+    # perturbation) take one Smith form per relation system: 9, since
+    # E8E8-d0 and E8E8-d1 are two targets of one system, and so are
+    # A11E6-d3 and A11E6-d9 (flops do not change the relations psi imposes)
     systems = {imposed_relations(row.prepare()).generators() for row in relation_rows()}
     ec_oracle._smith_form.cache_clear()
     calls = Counter()
@@ -719,4 +729,4 @@ def test_one_smith_form_per_relation_system(curves, monkeypatch):
     verdicts = _criterion_6_verdicts(curves)
     ec_oracle._smith_form.cache_clear()
     assert len(verdicts) == 66
-    assert calls["snf"] == len(systems) == 10
+    assert calls["snf"] == len(systems) == 9

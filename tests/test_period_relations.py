@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -23,9 +24,15 @@ from degen_atlas.surface_pair import (
     catalogue_model,
     class_vector,
     flop_all,
-    swap_components,
 )
-from oracles import d_semistability_relation, orthogonal_complement, run_python_O, textbook_psi
+from oracles import (
+    d_semistability_relation,
+    orthogonal_complement,
+    run_python_O,
+    swap_components,
+    textbook_psi,
+    toggle_tick,
+)
 
 
 @pytest.fixture(scope="module")
@@ -260,11 +267,78 @@ def test_custom_requires_dictionary():
 def test_verify_relations_all_eleven():
     rep = verify_relations()
     assert rep["pass"]
-    assert len(rep["rows"]) == 11
-    assert rep["rows"]["D17"]["certificate"] == [3, 2]
-    assert rep["rows"]["A15"]["certificate"] == [2, 1]
-    assert rep["rows"]["E7E7A3"]["certificate"] == [1, 0]
-    assert rep["rows"]["D16"]["certificate"] == [4, 3, 1]
+    got = {key: (entry["certificate"], entry["status"]) for key, entry in rep["rows"].items()}
+    assert got == {
+        "E8E8-d0": ([1, 0], "certified"),
+        "E8E8-d1": ([1, 0], "certified"),
+        "E8D9": ([1, 0], "certified"),
+        "E7E7A3": ([1, 0], "certified"),
+        "A11E6-d3": ([1, 1], "certified"),
+        "A11E6-d9": ([-1, 1], "certified"),
+        "D17": ([3, 2], "certified"),
+        "D16": ([4, 3, 1], "certified"),
+        "D12D5": ([1, 1], "certified"),
+        "D8D8": ([-1, 0], "certified"),
+        "A15": ([2, 1], "certified"),
+    }
+
+
+def _swap_symbols(d: Divisor) -> Divisor:
+    """Name each point from the other component: q <-> q', p3 <-> p'3."""
+    return Divisor.of({toggle_tick(s): c for s, c in d.coeffs})
+
+
+_PAPER_SYMBOL = re.compile(r"([pq])(\d*)('?)")
+
+
+def _paper_divisor(display: str) -> Divisor:
+    """Left side minus right side of a relation as the paper prints it.
+
+    The paper ticks after the index, so p1' is our p'1; a term k(a+..+b)
+    or a+..+b sums k times every point of the range."""
+    total: dict[str, int] = {}
+    for sign, side in zip((1, -1), display.split(" = ")):
+        for part in side.split(" + "):
+            k, inner = re.fullmatch(r"(\d*)\(?([^()]+)\)?", part).groups()
+            ends = [_PAPER_SYMBOL.fullmatch(x).groups() for x in inner.split("+..+")]
+            (letter, lo, tick), hi = ends[0], ends[-1][1]
+            for i in range(int(lo), int(hi) + 1) if lo else [""]:
+                sym = f"{letter}{tick}{i}"
+                total[sym] = total.get(sym, 0) + sign * int(k or 1)
+    return Divisor.of(total)
+
+
+# The two rows that print the paper's own labels, as maps from the label
+# to our symbol in the row's orientation.  E8E8-d0 names the points of V1
+# unticked and prints the flopped p'10 as p9'; A11E6-d9 keeps the q and p_i
+# of the d3 row, which the d9 orientation names q', p'_i.
+_PAPER_LABELS = {
+    "E8E8-d0": {"q": "q'", **{f"p{i}": f"p'{i}" for i in range(1, 10)}, "p'9": "p'10"},
+    "A11E6-d9": {s: toggle_tick(s) for s in ["q", *(f"p{i}" for i in range(1, 13))]},
+}
+
+
+def test_every_row_reads_in_the_paper_orientation():
+    rep = verify_relations()["rows"]
+    for row in relation_rows():
+        entry, m = rep[row.key], row.prepare()
+        assert entry["d"] == row.row_d >= 0, row.key
+        assert tuple(entry["shapes"]) == row.row_shapes, row.key
+        oriented = _swap_symbols(row.target()) if m.d < 0 else row.target()
+        labels = _PAPER_LABELS.get(row.key, {})
+        printed = Divisor.of({labels.get(s, s): c for s, c in _paper_divisor(row.display).coeffs})
+        assert printed == oriented, (row.key, str(printed), str(oriented))
+    # the orientation rule renames exactly the d < 0 states, three of them
+    # catalogue models and one flopped
+    assert {r.key for r in relation_rows() if r.prepare().d < 0} == {
+        "E8E8-d1", "E8D9", "E7E7A3", "A11E6-d9"}
+
+
+def test_toggled_system_is_the_swapped_pairs_system(reachable_states):
+    # renaming points is exact: the swapped pair imposes the toggled system,
+    # signs included, on every reachable state
+    for label, m in reachable_states.items():
+        assert imposed_relations(m).toggled() == imposed_relations(swap_components(m)), label
 
 
 def test_table2_row_fixture_shapes():
@@ -272,19 +346,6 @@ def test_table2_row_fixture_shapes():
     assert len(keys) == 11 and len(set(keys)) == 11
     flopped = [r for r in relation_rows() if r.flops]
     assert {r.key for r in flopped} == {"E8E8-d0", "A11E6-d9"}
-
-
-def _swap_symbols(d: Divisor) -> Divisor:
-    """Name each point from the other component: q <-> q', p3 <-> p'3.
-
-    pf, the distinguished point of D16, lies on no single component."""
-
-    def swap(sym: str) -> str:
-        if sym == "pf":
-            return sym
-        return sym.replace("'", "") if "'" in sym else sym[0] + "'" + sym[1:]
-
-    return Divisor.of({swap(s): c for s, c in d.coeffs})
 
 
 _ROWS = {r.key: r for r in relation_rows()}

@@ -38,7 +38,6 @@ from degen_atlas.surface_pair import (
     catalogue_model,
     catalogue_row,
     class_vector,
-    swap_components,
 )
 from oracles import (
     _is_neg_def,
@@ -59,6 +58,7 @@ from oracles import (
     run_python_O,
     snf_reflective_basis,
     solve_integer,
+    swap_components,
 )
 
 

@@ -25,9 +25,8 @@ from degen_atlas.surface_pair import (
     parse_class,
     reflect,
     surface_name,
-    swap_components,
 )
-from oracles import curve_class, tag_xi
+from oracles import curve_class, swap_components, tag_xi
 
 
 @pytest.fixture(scope="module")
