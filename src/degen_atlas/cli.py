@@ -19,7 +19,6 @@ from .ec_oracle import pinned_curves, randomized_membership_test
 from .exact_lattice import InvariantError
 from .period_relations import (
     derive,
-    imposed_relations,
     relation_rows,
     verify_relations,
 )
@@ -196,9 +195,8 @@ def cmd_roots(args) -> int:
 
 def cmd_relation(args) -> int:
     row = _row_for(args.model)
-    m = row.prepare()
-    system = imposed_relations(m)
-    res = derive(system, row.target())
+    _, _, system, target = row.oriented()
+    res = derive(system, target)
     report = {
         "schema": SCHEMA,
         "command": f"relation {args.model}",
@@ -209,7 +207,7 @@ def cmd_relation(args) -> int:
             "aux": [str(a) for a in system.aux],
         },
         "relation": row.display,
-        "target": {s: c for s, c in row.target().coeffs},
+        "target": {s: c for s, c in target.coeffs},
         "status": res.status,
         "certificate": list(res.coefficients) if res.coefficients else None,
     }
@@ -246,9 +244,7 @@ def cmd_oracle(args) -> int:
         except ValueError:
             raise ValueError(f"DEGEN_ATLAS_SEED must be an integer, got {raw!r}") from None
     row = _row_for(args.model)
-    m = row.prepare()
-    system = imposed_relations(m)
-    target = row.target()
+    _, _, system, target = row.oriented()
     verdicts = []
     ok = True
     for curve in pinned_curves():

@@ -7,8 +7,9 @@ ints, vectors are tuples of ints.  The three workhorses are
 * row Hermite / Smith normal forms with unimodular transforms,
 * saturated kernels and integer span membership, and
 * complete short-vector enumeration in a negative definite Gram form
-  (Fincke-Pohst style over an integer Bareiss elimination, whose leading
-  minors also decide definiteness), returning each vector with its norm.
+  (Fincke-Pohst style over an integer Bareiss elimination with symmetric
+  pivoting, whose pivots also decide definiteness), returning each vector
+  with its norm.
 """
 
 from __future__ import annotations
@@ -355,10 +356,10 @@ class GramForm:
         return sparse_rows(self.gram)
 
     @cached_property
-    def bareiss(self) -> tuple[list[int], list[list[int]]]:
-        """`_bareiss(gram)`, computed once per form and only read: its rows
-        drive `enumerate_short`, and on a negative definite form its last
-        minor is |det|."""
+    def bareiss(self) -> tuple[list[int], list[list[int]], list[int]]:
+        """`_bareiss(gram)`, (d, b, order), computed once per form and only
+        read: its rows and order drive `enumerate_short`, and on a negative
+        definite form its last minor is |det|, which no permutation changes."""
         return _bareiss(self.gram)
 
     def times(self, v: Vector) -> Vector:
@@ -404,25 +405,40 @@ class QuotientLattice:
         return vecmat(coords, self.reps)
 
 
-def _bareiss(gram: Matrix) -> tuple[list[int], list[list[int]]]:
-    """Fraction-free (Bareiss) elimination of -gram, without pivoting.
+def _bareiss(gram: Matrix) -> tuple[list[int], list[list[int]], list[int]]:
+    """Fraction-free (Bareiss) elimination of -gram with symmetric pivoting.
 
-    Returns (d, b): d[k] is the leading principal minor of order k of -gram
-    (d[0] = 1), and row k of b holds the integers b[k][j] for j >= k, with
-    b[k][k] = d[k+1], such that
+    Step k takes the remaining coordinate whose current diagonal is least
+    (the lowest position on a tie) and swaps it to position k in rows and
+    columns.  Returns (d, b, order): order[k] is the coordinate of -gram at
+    position k, so the elimination runs on P = -gram[order][order]; d[k] is
+    the leading principal minor of order k of P (d[0] = 1), and row k of b
+    holds the integers b[k][j] for j >= k, with b[k][k] = d[k+1], such that
 
-        -gram(x) = sum_k (d[k+1] x_k + sum_{j>k} b[k][j] x_j)^2 / (d[k] d[k+1]).
+        -gram(x) = sum_k (d[k+1] y_k + sum_{j>k} b[k][j] y_j)^2 / (d[k] d[k+1])
 
-    The elimination stops at the first minor that is not positive, which is
+    where y_k = x[order[k]].  A current diagonal is d[k] times the Schur
+    complement's, so small pivots go first and the large complements last,
+    where `enumerate_short` starts its walk.  The elimination stops at the first pivot that is not positive, which is
     then the last entry of d, so -gram is positive definite exactly when
-    d[-1] > 0 (Sylvester's criterion).  Every division is exact.  The
-    eliminated matrices stay symmetric, so only entries j >= i are updated
-    and those below the diagonal are left stale.
+    d[-1] > 0 (Sylvester's criterion on P).  Every division is exact.  The
+    eliminated matrices stay symmetric, so only entries j >= i are updated,
+    those below the diagonal are left stale, and a swap touches O(n) entries.
     """
     n = len(gram)
     b = [[-x for x in row] for row in gram]
     d = [1]
+    order = list(range(n))
     for k in range(n):
+        m = min(range(k, n), key=lambda i: b[i][i])
+        if m != k:
+            order[k], order[m] = order[m], order[k]
+            for row in b[:k]:
+                row[k], row[m] = row[m], row[k]
+            for j in range(k + 1, m):
+                b[k][j], b[j][m] = b[j][m], b[k][j]
+            b[k][k], b[m][m] = b[m][m], b[k][k]
+            b[k][m + 1:], b[m][m + 1:] = b[m][m + 1:], b[k][m + 1:]
         pivot = b[k][k]
         d.append(pivot)
         if pivot <= 0:
@@ -431,22 +447,24 @@ def _bareiss(gram: Matrix) -> tuple[list[int], list[list[int]]]:
         for i in range(k + 1, n):
             f = row[i]  # b[i][k], by symmetry
             b[i][i:] = [(pivot * x - f * y) // prev for x, y in zip(b[i][i:], row[i:])]
-    return d, b
+    return d, b, order
 
 
 def enumerate_short(g: GramForm, bound: int) -> dict[Vector, int]:
     """All v (one per antipodal pair) with -bound <= (v, v) < 0, as {v: (v, v)}.
 
-    g must be negative definite: every leading minor of -gram is positive
-    (ValueError otherwise).  The search is a depth-first Fincke-Pohst walk
-    over the integer Bareiss rows of -gram, brought once to common integer
-    coefficients, so the enumeration is exact and complete and the budget
-    left at a leaf is the norm.  Vectors are canonicalized so their first
-    nonzero coordinate is positive; the keys come sorted.
+    g must be negative definite: every pivot of the pivoted Bareiss
+    elimination of -gram is positive (ValueError otherwise).  The search is
+    a depth-first Fincke-Pohst walk over its integer rows, brought once to
+    common integer coefficients, so the enumeration is exact and complete
+    and the budget left at a leaf is the norm.  Level k fixes coordinate
+    order[k], so the walk starts where the last Schur complement keeps the
+    range narrow.  Vectors are canonicalized so their first nonzero
+    coordinate is positive; the keys come sorted.
     """
     if bound < 1:
         raise ValueError("bound must be a positive integer")
-    d, b = g.bareiss
+    d, b, order = g.bareiss
     if d[-1] <= 0:
         raise ValueError("form is not negative definite")
     n = g.dim
@@ -468,7 +486,7 @@ def enumerate_short(g: GramForm, bound: int) -> dict[Vector, int]:
     kcoef = [m_scale * gk[k] * gk[k] // (d[k] * d[k + 1]) for k in range(n)]
 
     found: list[tuple[Vector, int]] = []
-    x = [0] * n
+    x = [0] * n  # in the original coordinates
     u = [[0] * n for _ in range(n + 1)]  # u[level][i]: center accumulators
 
     def dfs(level: int, budget: int, all_zero_above: bool) -> None:
@@ -486,16 +504,17 @@ def enumerate_short(g: GramForm, bound: int) -> dict[Vector, int]:
             lo = 0  # one vector per antipodal pair
         row = u[level + 1]
         dst = u[level]
+        at = order[level]
         for xi in range(lo, hi + 1):
             t = li * xi + ui
             used = kcoef[level] * t * t
             if used > budget:
                 continue
-            x[level] = xi
+            x[at] = xi
             for i in range(level):
                 dst[i] = row[i] + cint[i][level] * xi
             dfs(level - 1, budget - used, all_zero_above and xi == 0)
-        x[level] = 0
+        x[at] = 0
 
     dfs(n - 1, m_scale * bound, True)
     return dict(sorted((canonical_sign(v), norm) for v, norm in found))

@@ -306,6 +306,18 @@ class RelationRow:
         point symbols, so every state of the model reads it as it is."""
         return Divisor.of(catalogue_row(self.model_id).relation)
 
+    def oriented(self) -> tuple[tuple[str, str], int, RelationSystem, Divisor]:
+        """The state's shapes (V0, V1), d, system and target in the paper's
+        orientation, d >= 0: a state with d < 0 is read as the pair with V0
+        and V1 exchanged, so its shapes reverse and its d, system and target
+        are -d, the toggled system and the table relation renamed."""
+        m = self.prepare()
+        shapes = (surface_name(m, 0), surface_name(m, 1))
+        system, target = imposed_relations(m), self.target()
+        if m.d < 0:
+            return shapes[::-1], -m.d, system.toggled(), _toggled(target)
+        return shapes, m.d, system, target
+
 
 def relation_rows() -> tuple[RelationRow, ...]:
     """The eleven catalogued point relations, one per stable-model state:
@@ -341,24 +353,15 @@ def verify_relations() -> dict:
     """Derive all eleven catalogued relations; report certificates.
 
     Each row is checked in its stable-model state (its flops applied) and
-    reported in the paper's orientation, d >= 0: a state with d < 0 has its
-    shapes reversed, reports |d|, and has its system and target renamed by
-    the tick toggle.  The target must be an exact integer combination of
-    {R_h, R_xi} plus the model's auxiliaries, and derive() re-expands each
+    reported in the paper's orientation, d >= 0, as `RelationRow.oriented`
+    reads it.  The target must be an exact integer combination of {R_h, R_xi} plus the model's auxiliaries, and derive() re-expands each
     certificate, raising InvariantError unless it gives the target.
     """
     results = {}
     all_pass = True
     for row in relation_rows():
-        m = row.prepare()
-        shapes = (surface_name(m, 0), surface_name(m, 1))
-        system, target = imposed_relations(m), row.target()
-        if m.d < 0:
-            # read as the pair with V0 and V1 exchanged, whose system is the
-            # toggled one and whose target is the table relation renamed
-            shapes = shapes[::-1]
-            system, target = system.toggled(), _toggled(target)
-        shape_ok = shapes == row.row_shapes and abs(m.d) == row.row_d
+        shapes, d, system, target = row.oriented()
+        shape_ok = shapes == row.row_shapes and d == row.row_d
         res = derive(system, target)
         ok = shape_ok and res.certified
         all_pass &= ok
@@ -366,7 +369,7 @@ def verify_relations() -> dict:
             "ok": ok,
             "relation": row.display,
             "shapes": list(shapes),
-            "d": abs(m.d),
+            "d": d,
             "certificate": list(res.coefficients) if res.coefficients else None,
             "generators": [str(g) for g in system.generators()],
             "status": res.status,

@@ -62,9 +62,10 @@ def script_L(m: SurfaceModel) -> QuotientLattice:
 
 def discriminant_group_order(g: GramForm) -> int:
     """|L^v / L| = |det G| for a negative definite G (ValueError otherwise):
-    the last leading minor of -G in the Bareiss elimination that
-    `enumerate_short` runs on the same form."""
-    d, _ = g.bareiss
+    the last pivot of -G in the pivoted Bareiss elimination that
+    `enumerate_short` runs on the same form, which is det(-G) since a
+    symmetric permutation does not change the determinant."""
+    d, _, _ = g.bareiss
     if len(d) <= g.dim or d[-1] <= 0:
         raise ValueError("form is not negative definite")
     return d[-1]

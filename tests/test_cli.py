@@ -12,8 +12,9 @@ from degen_atlas.period_relations import verify_relations
 from degen_atlas.cli import run
 from degen_atlas.root_classifier import UnclassifiableError, verify_classification
 from degen_atlas.surface_pair import catalogue_ids, catalogue_model, catalogue_row
-from oracles import loop_pairing, run_python, run_python_O
+from oracles import loop_pairing, run_python, run_python_O, toggle_tick
 from test_ec_oracle import _relation_blind_sampler
+from test_period_relations import _paper_divisor
 
 
 def run_json(capsys, argv):
@@ -96,6 +97,17 @@ def test_relation_certificates(capsys):
     assert code == 0
     assert rep["status"] == "certified"
     assert rep["certificate"] == [3, 2]
+
+
+@pytest.mark.parametrize("mid", ["E8E8", "E8D9", "E7E7A3"])
+def test_relation_of_a_d_below_0_model_reads_in_one_orientation(capsys, mid):
+    # these catalogue states have d < 0; the report names the points as the
+    # printed relation does, with no ticked symbol, as verify does
+    code, rep = run_json(capsys, ["relation", mid])
+    assert code == 0 and rep["status"] == "certified"
+    table = {toggle_tick(s): c for s, c in catalogue_row(mid).relation.items()}
+    assert rep["target"] == table == dict(_paper_divisor(rep["relation"]).coeffs)
+    assert not any("'" in s for s in rep["target"]) and "'" not in rep["imposed"]["R_h"]
 
 
 def test_build_roundtrip(capsys):

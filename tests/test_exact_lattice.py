@@ -11,12 +11,14 @@ from degen_atlas.exact_lattice import (
     SmithForm,
     _bareiss,
     add_vec,
+    canonical_sign,
     enumerate_short,
     hnf,
     identity,
     in_span,
     mat,
     matvec,
+    reflective_basis,
     scale_vec,
     snf,
     span_matrix,
@@ -37,6 +39,7 @@ from oracles import (
     minor_gcd_divisors,
     minus_gram_of_nonsingular,
     perm_det,
+    planted_gram,
     random_negative_definite,
     random_symmetric,
     rational_short_vectors,
@@ -429,29 +432,109 @@ def _leading_minors(gram):
     return [perm_det([[-x for x in row[:k]] for row in gram[:k]]) for k in range(len(gram) + 1)]
 
 
+def _schur_diagonals(gram, prefix, rest):
+    """The diagonal, over rest, of the Schur complement of -gram's prefix
+    block, by Fraction Gaussian elimination of -gram[prefix + rest]."""
+    idx = list(prefix) + list(rest)
+    a = [[Fraction(-gram[i][j]) for j in idx] for i in idx]
+    for k in range(len(prefix)):
+        for i in range(k + 1, len(idx)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return [a[i][i] for i in range(len(prefix), len(idx))]
+
+
 def test_bareiss_minors_and_rows():
-    # d holds the leading minors of -gram up to the first one that is not
-    # positive; on definite forms the rows rebuild -gram(x) exactly
+    # d holds the leading minors of -gram permuted by order, up to the first
+    # one that is not positive; each pivot is the least diagonal of the
+    # remaining Schur complement (the lowest position on a tie); on definite
+    # forms the rows rebuild -gram(x) exactly in the permuted coordinates.
+    # -[[3, 0], [0, -1]] stops at its first pivot, where the unpivoted
+    # elimination (minors 1, 3, -3) would stop at its second.
+    stops_first = [[-3, 0], [0, 1]]
+    assert _leading_minors(stops_first) == [1, 3, -3]
+    assert _bareiss(stops_first)[0::2] == ([1, -1], [1, 0])
     rng = random.Random(20261020)
-    definite = 0
+    forms = [stops_first, [[-4, -1], [-1, -2]]]
     for i in range(60):
         n = rng.randint(1, 5)
-        gram = random_negative_definite(rng, n) if i % 2 else random_symmetric(rng, n, (-4, 4))
-        d, b = _bareiss(gram)
-        minors = _leading_minors(gram)
+        forms.append(random_negative_definite(rng, n) if i % 2 else
+                     random_symmetric(rng, n, (-4, 4)))
+    definite = permuted = 0
+    for gram in forms:
+        n = len(gram)
+        d, b, order = _bareiss(gram)
+        assert sorted(order) == list(range(n))
+        permuted += order != list(range(n))
+        minors = _leading_minors([[gram[i][j] for j in order] for i in order])
         assert d == minors[:len(d)]
         assert all(x > 0 for x in d[:-1])
+        arrangement = list(range(n))
+        for k in range(len(d) - 1):
+            diagonals = _schur_diagonals(gram, arrangement[:k], arrangement[k:])
+            m = k + diagonals.index(min(diagonals))
+            arrangement[k], arrangement[m] = arrangement[m], arrangement[k]
+            assert Fraction(d[k + 1], d[k]) == min(diagonals), (gram, k)
+        assert arrangement == order
+        assert (d[-1] > 0) == _is_neg_def([list(r) for r in gram])
         if d[-1] <= 0:
             continue
         definite += 1
         assert len(d) == n + 1 and b[0][0] == d[1]
         for _ in range(5):
             x = [rng.randint(-3, 3) for _ in range(n)]
-            rows = [d[k + 1] * x[k] + sum(b[k][j] * x[j] for j in range(k + 1, n))
+            y = [x[order[k]] for k in range(n)]
+            rows = [d[k + 1] * y[k] + sum(b[k][j] * y[j] for j in range(k + 1, n))
                     for k in range(n)]
             terms = sum(Fraction(rows[k] ** 2, d[k] * d[k + 1]) for k in range(n))
             assert terms == -sum(x[i] * gram[i][j] * x[j] for i in range(n) for j in range(n))
-    assert 30 <= definite < 60
+    assert 30 <= definite < 62 and permuted >= 20
+
+
+def _skewed_planted_grams():
+    """Three planted ADE + <-4> lattices of each rank 6..12, each in a basis
+    skewed by 3 * rank elementary moves, with M_2 = {v : G.v = 0 mod 2}."""
+    rng = random.Random(20261021)
+    menu = [("A", 1), ("A", 2), ("A", 3), ("D", 4), ("D", 5), ("E", 6), ("E", 7), ("E", 8)]
+    for rank in [r for r in range(6, 13) for _ in range(3)]:
+        minus4 = rng.randint(0, 2)
+        blocks, left = [], rank - minus4
+        while left:
+            blocks.append(rng.choice([b for b in menu if b[1] <= left]))
+            left -= blocks[-1][1]
+        gram = mat(planted_gram(rng, blocks, minus4, moves=3 * rank))
+        yield gram, GramForm(gram).sublattice_gram(reflective_basis(gram, 2))
+
+
+def test_enumerate_short_matches_the_rational_walk_on_skewed_planted_lattices():
+    # the pivoted walk against the unpivoted rational one, at the two
+    # searches of generalized_roots: bound 2 in L and bound 4 in M_2
+    permuted = 0
+    for gram, m2 in _skewed_planted_grams():
+        for form, bound in ((gram, 2), (m2, 4)):
+            g = GramForm(form)
+            assert enumerate_short(g, bound) == rational_short_vectors(form, bound), form
+            permuted += g.bareiss[2] != list(range(len(form)))
+    assert permuted >= 30
+
+
+def test_enumerate_short_is_equivariant_under_coordinate_permutations():
+    # the form gram[p][p] has the vectors v[p]: mapped back, the same sorted dict
+    rng = random.Random(20261022)
+    for gram, m2 in _skewed_planted_grams():
+        for form, bound in ((gram, 2), (m2, 4)):
+            n = len(form)
+            want = list(enumerate_short(GramForm(form), bound).items())
+            for _ in range(3):
+                p = rng.sample(range(n), n)
+                moved = GramForm(mat([[form[i][j] for j in p] for i in p]))
+                back = []
+                for w, norm in enumerate_short(moved, bound).items():
+                    v = [0] * n
+                    for i, x in zip(p, w):
+                        v[i] = x
+                    back.append((canonical_sign(tuple(v)), norm))
+                assert sorted(back) == want, (form, p)
 
 
 @st.composite

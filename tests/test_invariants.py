@@ -111,6 +111,55 @@ def test_the_import_scan_sees_lazy_and_guarded_imports():
     assert _package_imports(ast.parse(code)) == want
 
 
+_FLOAT_MATH = {"sqrt", "log", "exp"}
+
+
+def _floating_point(tree):
+    """Line and text of each true division, float literal, float() call and
+    math.sqrt, math.log or math.exp in `tree`, imported by name or not."""
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            hits.append(node)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            hits.append(node)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            hits.append(node)
+        elif (isinstance(node, ast.Attribute) and node.attr in _FLOAT_MATH
+              and isinstance(node.value, ast.Name) and node.value.id == "math"):
+            hits.append(node)
+        elif (isinstance(node, ast.ImportFrom) and node.module == "math"
+              and {a.name for a in node.names} & _FLOAT_MATH):
+            hits.append(node)
+    return sorted((node.lineno, ast.unparse(node)) for node in hits)
+
+
+def test_src_has_no_floating_point():
+    # the core promises exact arithmetic: integers and exact rationals only
+    modules = sorted(SRC.glob("*.py"))
+    assert "exact_lattice.py" in {path.name for path in modules}
+    found = {
+        path.name: hits
+        for path in modules
+        if (hits := _floating_point(ast.parse(path.read_text(), str(path))))
+    }
+    assert found == {}
+
+
+def test_the_float_scan_sees_each_kind():
+    code = (
+        "import math\n"
+        "from math import isqrt, log\n"
+        "a = 7 // 2\n"
+        "b = 7 / 2\n"
+        "b /= 2\n"
+        "c = 0.5\n"
+        "d = float('1')\n"
+        "e = math.sqrt(2) + math.exp(1) + math.isqrt(4)\n"
+    )
+    assert [line for line, _ in _floating_point(ast.parse(code))] == [2, 4, 5, 6, 7, 8, 8]
+
+
 def test_bad_arguments_raise_value_error_under_python_O():
     # bad arguments raise ValueError also under -O, which strips asserts
     code = (
