@@ -6,8 +6,7 @@ law of the curve).  Every model's catalogued extra relation is an exact
 integer combination of those; this script derives a few certificates.
 """
 
-from degen_atlas import catalogue_model, derive, imposed_relations, psi
-from degen_atlas.period_relations import hirzebruch_relation, relation_rows
+from degen_atlas import Divisor, catalogue_model, derive, imposed_relations, psi, relation_rows
 
 d17 = catalogue_model("D17")
 system = imposed_relations(d17)
@@ -33,7 +32,9 @@ print()
 print("Double covers of Hirzebruch surfaces impose a one-parameter family")
 print("of relations; n = 1, 2, 6 give:")
 for n in (1, 2, 6):
-    print(f"  n={n}:", hirzebruch_relation(n))
+    # the cover from F_n: (3n+9) q = (n+1) p1 + p2 + ... + p(2n+9)
+    terms = {"q": 3 * n + 9, "p1": -(n + 1), **{f"p{i}": -1 for i in range(2, 2 * n + 10)}}
+    print(f"  n={n}:", Divisor.of(terms))
 
 print()
 print("psi is additive and lands in degree 0:")

@@ -17,7 +17,6 @@ the formal point relations numerically.
 from .exact_lattice import (
     GramForm,
     enumerate_short,
-    hnf,
     in_span,
     snf,
 )
@@ -45,7 +44,6 @@ from .period_relations import (
     Divisor,
     RelationSystem,
     derive,
-    hirzebruch_relation,
     imposed_relations,
     psi,
     restriction_dictionary,
@@ -63,49 +61,6 @@ from .ec_oracle import (
     pinned_curves,
     randomized_membership_test,
     sample_config,
-    scalar_mul,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "GramForm",
-    "enumerate_short",
-    "hnf",
-    "in_span",
-    "snf",
-    "SurfaceModel",
-    "build_model",
-    "catalogue",
-    "catalogue_ids",
-    "catalogue_model",
-    "curve_catalogue",
-    "flop",
-    "flop_all",
-    "intersect",
-    "parse_class",
-    "surface_name",
-    "classify",
-    "generalized_roots",
-    "script_L",
-    "type_string",
-    "verify_classification",
-    "Divisor",
-    "RelationSystem",
-    "derive",
-    "hirzebruch_relation",
-    "imposed_relations",
-    "psi",
-    "restriction_dictionary",
-    "relation_rows",
-    "verify_relations",
-    "fan_diagram",
-    "lift_fan",
-    "next_wall",
-    "stable_model_at",
-    "verify_fans",
-    "pinned_curves",
-    "randomized_membership_test",
-    "sample_config",
-    "scalar_mul",
-]

@@ -396,10 +396,6 @@ class QuotientLattice:
     reps: Matrix
     gram: GramForm
 
-    @property
-    def rank(self) -> int:
-        return len(self.reps)
-
     def lift(self, coords: Vector) -> Vector:
         """A coset representative in ambient coordinates."""
         return vecmat(coords, self.reps)
@@ -419,11 +415,12 @@ def _bareiss(gram: Matrix) -> tuple[list[int], list[list[int]], list[int]]:
 
     where y_k = x[order[k]].  A current diagonal is d[k] times the Schur
     complement's, so small pivots go first and the large complements last,
-    where `enumerate_short` starts its walk.  The elimination stops at the first pivot that is not positive, which is
-    then the last entry of d, so -gram is positive definite exactly when
-    d[-1] > 0 (Sylvester's criterion on P).  Every division is exact.  The
-    eliminated matrices stay symmetric, so only entries j >= i are updated,
-    those below the diagonal are left stale, and a swap touches O(n) entries.
+    where `enumerate_short` starts its walk.  The elimination stops at the
+    first pivot that is not positive, which is then the last entry of d, so
+    -gram is positive definite exactly when d[-1] > 0 (Sylvester's criterion
+    on P).  Every division is exact.  The eliminated matrices stay
+    symmetric, so only entries j >= i are updated, those below the diagonal
+    are left stale, and a swap touches O(n) entries.
     """
     n = len(gram)
     b = [[-x for x in row] for row in gram]

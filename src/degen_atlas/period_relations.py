@@ -119,9 +119,6 @@ class Divisor:
         return " ".join(parts)
 
 
-ZERO = Divisor.of({})
-
-
 def _toggled(d: Divisor) -> Divisor:
     """d with every point named from the other component."""
     return Divisor.of({_toggle_tick(s): c for s, c in d.coeffs})
@@ -267,23 +264,6 @@ def derive(system: RelationSystem, target: Divisor) -> DeriveResult:
     return DeriveResult("not_in_span", None, gens, target)
 
 
-def hirzebruch_relation(n: int) -> Divisor:
-    """Point relation of a double plane cover coming from F_n.
-
-    (3n+9) q = (n+1) p_1 + p_2 + ... + p_{2n+9}, returned as a degree-0
-    divisor.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    terms = {"q": 3 * n + 9, "p1": -(n + 1)}
-    for i in range(2, 2 * n + 10):
-        terms[f"p{i}"] = -1
-    d = Divisor.of(terms)
-    if d.degree() != 0:
-        raise InvariantError(f"F_{n} relation has degree {d.degree()}, not 0")
-    return d
-
-
 @dataclass(frozen=True)
 class RelationRow:
     """A stable-model state of a catalogue model and the relation the paper
@@ -354,7 +334,8 @@ def verify_relations() -> dict:
 
     Each row is checked in its stable-model state (its flops applied) and
     reported in the paper's orientation, d >= 0, as `RelationRow.oriented`
-    reads it.  The target must be an exact integer combination of {R_h, R_xi} plus the model's auxiliaries, and derive() re-expands each
+    reads it.  The target must be an exact integer combination of {R_h,
+    R_xi} plus the model's auxiliaries, and derive() re-expands each
     certificate, raising InvariantError unless it gives the target.
     """
     results = {}

@@ -386,27 +386,21 @@ def build_model(
     base1: str,
     n: int,
     h: Optional[Vector] = None,
-    h_terms: Optional[Mapping[str, int]] = None,
     dictionary: Optional[Mapping[str, Terms]] = None,
 ) -> SurfaceModel:
     """Blow up n double-curve points on V0 and k - n on V1.
 
     k = k0 + k1 with ki = (-K)^2 of the base; the d-semistability shadow
-    E0^2 + E1^2 = 0 holds automatically.  A supplied polarization must have
-    h^2 = 4 and h.xi = 0; it is given as a vector h or as terms h_terms,
-    not both.  The dictionary, {basis name: {symbol: coeff}}, becomes the
-    model's restriction images.
+    E0^2 + E1^2 = 0 holds automatically.  A supplied polarization h must
+    have h^2 = 4 and h.xi = 0.  The dictionary, {basis name: {symbol:
+    coeff}}, becomes the model's restriction images.
     """
-    if h is not None and h_terms is not None:
-        raise ValueError("give the polarization as h or as h_terms, not both")
     k0, k1 = BASE_DEGREE[base0], BASE_DEGREE[base1]
     k = k0 + k1
     if not 0 <= n <= k:
         raise ValueError(f"point count n={n} out of range 0..{k}")
     lat = make_pair_lattice(base0, n, base1, k - n)
     tags = tuple(home_component(nm) for nm in lat.names)
-    if h_terms is not None:
-        h = class_vector(lat, h_terms)
     model = SurfaceModel(
         id="CUSTOM", lattice=lat, tags=tags,
         h=h if h is not None else (0,) * lat.rank,

@@ -11,10 +11,10 @@ outputs when the captures are byte-identical:
 
 A full capture takes about 16 s on a 2-vCPU machine.
 
-`tests/golden_outputs.json` pins the CLI commands' outputs in tier-1: for
-each command its argv, exit code, and the SHA-256 and byte length of its
-stdout and stderr, run in one process through `cli.run`.  A change that
-means to change an output rewrites it with
+`tests/golden_outputs.json` pins these outputs in tier-1: for each CLI
+command its argv, exit code, and the SHA-256 and byte length of its stdout
+and stderr, run in one process through `cli.run`; for each demo the digest
+of its stdout.  A change that means to change an output rewrites it with
 
     python3 tests/capture_outputs.py --golden
 """
@@ -68,12 +68,21 @@ def cli_commands() -> list[list[str]]:
     return commands
 
 
-def capture(title: str, args: list[str]) -> str:
-    """`python *args` with this checkout's package importable, as text."""
+def demos() -> list[Path]:
+    return sorted((ROOT / "demos").glob("*.py"))
+
+
+def run_script(args: list[str]) -> subprocess.CompletedProcess:
+    """`python *args` with this checkout's package importable."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, cwd=ROOT
     )
+
+
+def capture(title: str, args: list[str]) -> str:
+    """`python *args`, its exit code and both streams, as text."""
+    done = run_script(args)
     return (
         f"$ {title}\nexit {done.returncode}\n"
         f"--- stdout\n{done.stdout}--- stderr\n{done.stderr}"
@@ -92,7 +101,7 @@ def run_in_process(args: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def _digest(text: str) -> dict:
+def digest(text: str) -> dict:
     data = text.encode()
     return {"sha256": hashlib.sha256(data).hexdigest(), "length": len(data)}
 
@@ -100,16 +109,25 @@ def _digest(text: str) -> dict:
 def golden_entry(args: list[str]) -> dict:
     """The golden file's entry for one command, from an in-process run."""
     code, out, err = run_in_process(args)
-    return {"argv": args, "exit": code, "stdout": _digest(out), "stderr": _digest(err)}
+    return {"argv": args, "exit": code, "stdout": digest(out), "stderr": digest(err)}
+
+
+def demo_entry(demo: Path) -> dict:
+    """The golden file's entry for one demo: the digest of its stdout."""
+    done = run_script([str(demo)])
+    if done.returncode:
+        sys.exit(f"{demo.name} exited {done.returncode}:\n{done.stderr}")
+    return {"demo": demo.name, "stdout": digest(done.stdout)}
 
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--golden"]:
         entries = [json.dumps(golden_entry(args)) for args in cli_commands()]
+        entries += [json.dumps(demo_entry(demo)) for demo in demos()]
         GOLDEN.write_text("[\n" + ",\n".join(entries) + "\n]\n")
         sys.exit()
     for args in cli_commands():
         print(capture(" ".join(["degen-atlas", *args]), ["-m", "degen_atlas.cli", *args]))
-    for demo in sorted((ROOT / "demos").glob("*.py")):
+    for demo in demos():
         name = demo.relative_to(ROOT).as_posix()
         print(capture(f"python {name}", [str(demo)]))

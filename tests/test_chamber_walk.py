@@ -11,6 +11,7 @@ from degen_atlas.chamber_walk import (
     stable_model_at,
     verify_fans,
 )
+from degen_atlas.exact_lattice import InvariantError
 from degen_atlas.period_relations import Divisor, derive, imposed_relations, relation_rows
 from degen_atlas.surface_pair import (
     build_model,
@@ -70,6 +71,13 @@ def test_next_wall_examples(models):
     eps, zero = next_wall(curve_catalogue(models["D17"]), -1)
     assert eps == Fraction(2, 3)
     assert {e.name for e in zero} == {"l'"}
+
+
+def test_next_wall_rejects_a_start_past_a_threshold(models):
+    # e1 has h-degree 3 and xi-degree -1 on D17, so it turns negative at eps = 3
+    message = r"^curve e1 already negative before eps=100 \(threshold 3\); "
+    with pytest.raises(InvariantError, match=message):
+        next_wall(curve_catalogue(models["D17"]), 1, Fraction(100))
 
 
 def test_fans_match_expected(fans):
@@ -149,6 +157,13 @@ def test_stable_model_examples(models):
     e8e8 = flop_all(models["E8E8"], ["e'10"])
     desc = stable_model_at(e8e8, curve_catalogue(e8e8), (2, -3))
     assert all(c.verdict == "birational" and not c.contracted for c in desc.components)
+
+
+def test_stable_model_at_rejects_a_ray_that_is_not_nef(models):
+    d17 = models["D17"]
+    message = r"^class at ray \(1, 5\) is not nef: negative on \['e1', "
+    with pytest.raises(ValueError, match=message):
+        stable_model_at(d17, curve_catalogue(d17), (1, 5))
 
 
 def test_d16_boundary_maps_v1_to_a_curve(fans, models):

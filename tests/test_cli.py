@@ -128,6 +128,13 @@ def test_build_rejects_bad_h(capsys):
     assert "h.h" in err
 
 
+def test_build_rejects_an_h_that_meets_xi(capsys):
+    # (2l)^2 = 4, but 2l.xi = -6
+    code = run(["build", "--v0", "P2", "--v1", "P2", "--n", "9", "--h", "2l"])
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: h.xi must be 0 (numerically Cartier)\n")
+
+
 def test_build_rejects_unknown_symbol(capsys):
     code = run(["build", "--v0", "P1xP1", "--v1", "P2", "--n", "2", "--h", "3l-e1"])
     assert code == 2

@@ -335,8 +335,8 @@ def test_quotient_pairing_independent_of_representatives():
     q = script_L(m)
     rng = random.Random(5)
     for _ in range(20):
-        a = tuple(rng.randint(-3, 3) for _ in range(q.rank))
-        b = tuple(rng.randint(-3, 3) for _ in range(q.rank))
+        a = tuple(rng.randint(-3, 3) for _ in range(len(q.reps)))
+        b = tuple(rng.randint(-3, 3) for _ in range(len(q.reps)))
         # any lift, shifted by any multiple of xi, pairs as in the quotient
         v = add_vec(q.lift(a), scale_vec(rng.randint(-3, 3), xi))
         w = add_vec(q.lift(b), scale_vec(rng.randint(-3, 3), xi))

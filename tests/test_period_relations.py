@@ -6,11 +6,9 @@ import pytest
 from degen_atlas import period_relations
 from degen_atlas.exact_lattice import InvariantError, add_vec, scale_vec
 from degen_atlas.period_relations import (
-    ZERO,
     Divisor,
     RelationSystem,
     derive,
-    hirzebruch_relation,
     imposed_relations,
     psi,
     restriction_dictionary,
@@ -53,7 +51,7 @@ def test_dictionary_images(models):
     assert 2 * d16["s'"] + 2 * d16["f'"] == Divisor.of({"q'": 8})
 
     zero = class_vector(m.lattice, {})
-    assert psi(m, zero) == ZERO
+    assert psi(m, zero) == Divisor.of({})
 
 
 def test_psi_sums_the_read_only_images_into_one_divisor(models, monkeypatch):
@@ -229,20 +227,6 @@ def test_derive_reports_rational_only():
     assert res.status == "rational_only"
 
 
-def test_hirzebruch_relation():
-    assert hirzebruch_relation(2) == Divisor.of(
-        {"q": 15, "p1": -3, **{f"p{i}": -1 for i in range(2, 14)}}
-    )
-    assert hirzebruch_relation(1) == Divisor.of(
-        {"q": 12, "p1": -2, **{f"p{i}": -1 for i in range(2, 12)}}
-    )
-    assert hirzebruch_relation(6) == Divisor.of(
-        {"q": 27, "p1": -7, **{f"p{i}": -1 for i in range(2, 22)}}
-    )
-    with pytest.raises(ValueError):
-        hirzebruch_relation(0)
-
-
 def test_span_is_flop_invariant(models):
     a15 = models["A15"]
     target = Divisor.of({"q": 16, **{f"p{i}": -1 for i in range(1, 17)}})
@@ -370,8 +354,6 @@ def test_swapped_custom_model_renames_its_dictionary():
     dictionary = {"l": {"q": 3}, "l'": {"q'": 3}}
     for i in range(1, 19):
         dictionary[f"e{i}"] = {f"p{i}": 1}
-    m = build_model(
-        "P2", "P2", 18, h_terms={"l": 3, "e1": -3, "l'": 2}, dictionary=dictionary
-    )
+    m = build_model("P2", "P2", 18, h=catalogue_model("D17").h, dictionary=dictionary)
     s = swap_components(m)
     assert psi(s, s.h) == -_swap_symbols(psi(m, m.h))

@@ -38,6 +38,7 @@ from degen_atlas.surface_pair import (
     catalogue_model,
     catalogue_row,
     class_vector,
+    make_pair_lattice,
 )
 from oracles import (
     _is_neg_def,
@@ -87,7 +88,7 @@ def a15_roots(models):
 def test_script_L_rank_and_definiteness(models):
     for m in list(models.values()) + [swap_components(m) for m in models.values()]:
         L = script_L(m)
-        assert L.rank == 17
+        assert len(L.reps) == 17
         assert _is_neg_def(L.gram.gram)
         amb = m.lattice.gram_form
         assert L.gram.gram == tuple(
@@ -184,8 +185,8 @@ def test_roots_are_primitive_with_integral_reflection(a15_roots):
     for v in roots.all_roots():
         assert gcd(*v) == 1
         norm = L.gram.norm(v)
-        for i in range(L.rank):
-            basis = tuple(1 if j == i else 0 for j in range(L.rank))
+        for i in range(len(L.reps)):
+            basis = tuple(1 if j == i else 0 for j in range(len(L.reps)))
             assert (2 * L.gram.pairing(v, basis)) % norm == 0
 
 
@@ -275,11 +276,9 @@ def test_type_is_flop_and_swap_invariant_on_every_reachable_state(reachable_stat
 
 
 def test_custom_model_matches_d8d8(models):
-    custom = build_model(
-        "P2", "P2", 9,
-        h_terms={"l": 1, "e1": -1, "l'": 4, "e'1": -2,
-                 **{f"e'{i}": -1 for i in range(2, 10)}},
-    )
+    h = class_vector(make_pair_lattice("P2", 9, "P2", 9),
+                     {"l": 1, "e1": -1, "l'": 4, "e'1": -2, **{f"e'{i}": -1 for i in range(2, 10)}})
+    custom = build_model("P2", "P2", 9, h=h)
     L_custom = script_L(custom)
     L_cat = script_L(models["D8D8"])
     assert snf(L_custom.gram.gram).diagonal == snf(L_cat.gram.gram).diagonal

@@ -86,15 +86,12 @@ def test_build_model_d_values():
 
 
 def test_build_model_validates_h():
+    h = class_vector(make_pair_lattice("P2", 10, "P2", 8), {"l": 1})
     with pytest.raises(ValueError):
-        build_model("P2", "P2", 10, h_terms={"l": 1})  # h^2 = 1
+        build_model("P2", "P2", 10, h=h)  # h^2 = 1
     with pytest.raises(ValueError):
         build_model("P2", "P2", 19)
-    m = build_model(
-        "P2", "P2", 9,
-        h_terms={"l": 1, "e1": -1, "l'": 4, "e'1": -2,
-                 **{f"e'{i}": -1 for i in range(2, 10)}},
-    )
+    m = build_model("P2", "P2", 9, h=catalogue_model("D8D8").h)
     assert intersect(m, m.h, m.h) == 4
 
 
@@ -107,12 +104,6 @@ def test_build_model_rejects_a_polarization_of_the_wrong_length():
     assert build_model("P2", "P2", 18, h=h).h == h
     with pytest.raises(ValueError, match="^21 entries in h for a lattice of rank 20$"):
         build_model("P2", "P2", 18, h=h + (0,))
-
-
-def test_build_model_takes_h_or_h_terms_not_both():
-    m = catalogue_model("D17")
-    with pytest.raises(ValueError, match="^give the polarization as h or as h_terms, not both$"):
-        build_model("P2", "P2", 18, h=m.h, h_terms={"l": 3, "e1": -3, "l'": 2})
 
 
 def test_build_model_rejects_an_incomplete_dictionary():
@@ -286,6 +277,23 @@ def test_reflect_rejects_a_class_of_square_0(models):
     m = models["D17"]
     with pytest.raises(ValueError, match="cannot reflect in a class of square 0"):
         reflect(m, m.xi, m.h)
+
+
+def test_reflect_rejects_a_reflection_that_is_not_integral(models):
+    m = models["D17"]
+    e = class_vector(m.lattice, {"e1": 1, "e2": 1, "e3": 1})
+    message = r"^reflection in a class of square -3 is not integral on c\.e = -1$"
+    with pytest.raises(ValueError, match=message):
+        reflect(m, e, class_vector(m.lattice, {"e1": 1}))
+
+
+def test_surface_model_rejects_tags_of_the_wrong_length_or_a_moved_base_class(models):
+    m = models["D17"]
+    with pytest.raises(ValueError, match="^19 tags for a lattice of rank 20$"):
+        dataclasses.replace(m, tags=m.tags[:19])
+    assert m.lattice.names[0] == "l" and m.tags[0] == 0
+    with pytest.raises(ValueError, match="^base class l is tagged 1; base classes never move$"):
+        dataclasses.replace(m, tags=(1,) + m.tags[1:])
 
 
 def test_pair_lattices_are_unimodular_of_signature_2_18(models):
