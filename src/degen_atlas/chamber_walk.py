@@ -18,9 +18,8 @@ self-intersection 4 m^2 in every chamber.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exact_lattice import InvariantError, Vector, add_vec, scale_vec
 from .surface_pair import (
@@ -86,8 +85,7 @@ def next_wall(
     return best, tuple(hits)
 
 
-@dataclass(frozen=True)
-class ComponentFate:
+class ComponentFate(NamedTuple):
     verdict: str  # "birational" | "contracted_to_curve" | "contracted_to_point"
     restricted_square: int
     restricted_class: Vector
@@ -95,8 +93,7 @@ class ComponentFate:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class StableModelDescription:
+class StableModelDescription(NamedTuple):
     ray: tuple[int, int]
     components: tuple[ComponentFate, ComponentFate]
     annotation: Optional[str] = None
@@ -167,8 +164,7 @@ def stable_model_at(
     return StableModelDescription(ray, (fates[0], fates[1]), annotation)
 
 
-@dataclass(frozen=True)
-class WallEvent:
+class WallEvent(NamedTuple):
     ray: tuple[int, int]
     kind: str  # "interior_flop" | "boundary_component_trivial" | "boundary_moving_class"
     zero_classes: tuple[str, ...]
@@ -176,16 +172,14 @@ class WallEvent:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class Chamber:
+class Chamber(NamedTuple):
     upper: tuple[int, int]
     lower: tuple[int, int]
     labels: tuple[str, str]
     flops: tuple[str, ...]  # flops applied to reach this chamber from (1, 0)
 
 
-@dataclass(frozen=True)
-class LiftFan:
+class LiftFan(NamedTuple):
     model_id: str
     boundary: tuple[tuple[int, int], tuple[int, int]]
     walls: tuple[tuple[int, int], ...]

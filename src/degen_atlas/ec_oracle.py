@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
 from math import gcd
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .exact_lattice import InvariantError, Matrix, SmithForm, mat, snf
 from .period_relations import Divisor, RelationSystem
@@ -279,8 +279,7 @@ def _checked_curves(data: dict) -> tuple[Curve, ...]:
     return tuple(curves)
 
 
-@dataclass(frozen=True)
-class PointAssignment:
+class PointAssignment(NamedTuple):
     """Discrete logs per symbol plus the induced curve points."""
 
     curve: Curve
@@ -400,8 +399,7 @@ def sample_config(
     return PointAssignment(curve, tuple(zip(symbols, values)))
 
 
-@dataclass(frozen=True)
-class MembershipVerdict:
+class MembershipVerdict(NamedTuple):
     verdict: str  # "SUPPORTED" | "REFUTED"
     trials: int
     witness: Optional[PointAssignment] = None

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, isqrt, lcm
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 Vector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -155,8 +155,7 @@ def hnf(m: Matrix) -> tuple[Matrix, Matrix]:
     return _frozen(h), _frozen(u)
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(NamedTuple):
     """D = U @ matrix @ V in Smith normal form, U and V unimodular.
 
     D is kept as its diagonal, min(rows, cols) entries d1 | d2 | ... >= 0,
@@ -384,8 +383,7 @@ class GramForm:
         return self.pairing(v, v)
 
 
-@dataclass(frozen=True)
-class QuotientLattice:
+class QuotientLattice(NamedTuple):
     """S / Z*xi for an isotropic xi orthogonal to all of S.
 
     reps are coset representatives in ambient coordinates; the induced gram

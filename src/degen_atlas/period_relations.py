@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .exact_lattice import InvariantError, Vector, in_span, snf, span_matrix
 from .surface_pair import (
@@ -179,8 +179,7 @@ def _sign_normalized(d: Divisor) -> Divisor:
     return d
 
 
-@dataclass(frozen=True)
-class RelationSystem:
+class RelationSystem(NamedTuple):
     r_h: Divisor
     r_xi: Divisor
     aux: tuple[Divisor, ...]
@@ -215,8 +214,7 @@ def imposed_relations(m: SurfaceModel) -> RelationSystem:
     return RelationSystem(r_h=r_h, r_xi=r_xi, aux=aux)
 
 
-@dataclass(frozen=True)
-class DeriveResult:
+class DeriveResult(NamedTuple):
     status: str  # "certified" | "rational_only" | "not_in_span"
     coefficients: Optional[tuple[int, ...]]
     generators: tuple[Divisor, ...]
@@ -264,8 +262,7 @@ def derive(system: RelationSystem, target: Divisor) -> DeriveResult:
     return DeriveResult("not_in_span", None, gens, target)
 
 
-@dataclass(frozen=True)
-class RelationRow:
+class RelationRow(NamedTuple):
     """A stable-model state of a catalogue model and the relation the paper
     prints for it.  The paper prints every row with d >= 0; a state with
     d < 0 lists our (V1, V0) as its (V0, V1) and names our q', p'_i as

@@ -10,11 +10,10 @@ graph.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, prod
 from operator import mul, sub
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .exact_lattice import (
     GramForm,
@@ -71,8 +70,7 @@ def discriminant_group_order(g: GramForm) -> int:
     return d[-1]
 
 
-@dataclass(frozen=True)
-class GeneralizedRootSet:
+class GeneralizedRootSet(NamedTuple):
     roots2: tuple[Vector, ...]  # v^2 = -2 (one per antipodal pair)
     roots4: tuple[Vector, ...]  # v^2 = -4 with integral reflection
     other: tuple[Vector, ...]  # any v^2 in {-1, -3} with integral reflection
@@ -118,8 +116,7 @@ def generalized_roots(L: QuotientLattice, bound: int = 4) -> GeneralizedRootSet:
     return GeneralizedRootSet(tuple(roots2), tuple(sorted(roots4)), tuple(sorted(other)), L.gram)
 
 
-@dataclass(frozen=True)
-class LatticeType:
+class LatticeType(NamedTuple):
     """Isomorphism type of Span(Phi): ADE components plus <-4> summands."""
 
     components: tuple[tuple[str, int], ...]  # e.g. (("E", 8), ("D", 9))

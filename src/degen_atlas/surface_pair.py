@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .exact_lattice import GramForm, InvariantError, Vector, add_vec, mat, scale_vec
 
@@ -106,8 +106,7 @@ def _read_only(terms: Terms) -> Terms:
     return terms if isinstance(terms, MappingProxyType) else MappingProxyType(dict(terms))
 
 
-@dataclass(frozen=True)
-class CurveEntry:
+class CurveEntry(NamedTuple):
     name: str
     terms: tuple[tuple[int, int], ...]  # C's nonzero coordinates, as (index, coefficient)
     kind: str  # "floppable" | "moving"

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from degen_atlas import chamber_walk
 from degen_atlas.chamber_walk import (
     class_at,
     fan_diagram,
@@ -14,6 +15,7 @@ from degen_atlas.chamber_walk import (
 from degen_atlas.exact_lattice import InvariantError
 from degen_atlas.period_relations import Divisor, derive, imposed_relations, relation_rows
 from degen_atlas.surface_pair import (
+    SurfaceModel,
     build_model,
     catalogue,
     catalogue_row,
@@ -166,6 +168,17 @@ def test_stable_model_at_rejects_a_ray_that_is_not_nef(models):
         stable_model_at(d17, curve_catalogue(d17), (1, 5))
 
 
+def test_stable_model_at_checks_that_the_restricted_squares_sum_to_c_squared(models, monkeypatch):
+    # D17's h restricts to V0 and V1 with squares 0 and 4; reading V1's part
+    # for both components gives a sum of 8
+    real = SurfaceModel.component_part
+    monkeypatch.setattr(SurfaceModel, "component_part", lambda self, v, comp: real(self, v, 1))
+    d17 = models["D17"]
+    message = r"^restricted squares at \(1, 0\) sum to 8; c\.c = 4 and 4 m\^2 = 4$"
+    with pytest.raises(InvariantError, match=message):
+        stable_model_at(d17, curve_catalogue(d17), (1, 0))
+
+
 def test_d16_boundary_maps_v1_to_a_curve(fans, models):
     fan = fans["D16"]
     (event,) = [e for e in fan.events if e.ray == (2, -1)]
@@ -252,6 +265,29 @@ def test_lift_fan_rejects_a_start_that_is_not_nef(models):
 def test_lift_fan_rejects_a_model_without_polarization():
     with pytest.raises(ValueError, match="^polarization must have square 4$"):
         lift_fan(build_model("P2", "P2", 9))
+
+
+def test_lift_fan_rejects_a_walk_that_meets_no_wall(models, monkeypatch):
+    monkeypatch.setattr(chamber_walk, "next_wall", lambda curves, direction, start: None)
+    message = (r"^walk in direction \+1 is unbounded for D17; "
+               r"the curve catalogue must be missing an effective class$")
+    with pytest.raises(ValueError, match=message):
+        lift_fan(models["D17"])
+
+
+def test_lift_fan_rejects_an_interior_wall_of_curves_outside_the_basis(models, monkeypatch):
+    # E8E8's walk towards -xi first flops e'10; a whitelist that names it E'10
+    # offers a floppable curve that is not a basis class
+    real = chamber_walk.curve_catalogue
+
+    def renamed(m):
+        return tuple(e._replace(name=e.name.upper()) if e.kind == "floppable" else e
+                     for e in real(m))
+
+    monkeypatch.setattr(chamber_walk, "curve_catalogue", renamed)
+    message = r"^interior wall at \(1, -1\) flops \(\"E'10\",\), not basis classes$"
+    with pytest.raises(InvariantError, match=message):
+        lift_fan(models["E8E8"])
 
 
 def test_a_model_without_polarization_is_rejected_under_python_O():

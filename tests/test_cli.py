@@ -298,8 +298,8 @@ def test_verify_checks_each_relation_rows_shapes_and_d(capsys, monkeypatch):
     # whose model has d < 0, so the paper lists its components in our
     # opposite order) must fail those rows only, though both certify
     rows = {row.key: row for row in period_relations.relation_rows()}
-    rows["D17"] = replace(rows["D17"], row_d=8)
-    rows["E8D9"] = replace(rows["E8D9"], row_shapes=rows["E8D9"].row_shapes[::-1])
+    rows["D17"] = rows["D17"]._replace(row_d=8)
+    rows["E8D9"] = rows["E8D9"]._replace(row_shapes=rows["E8D9"].row_shapes[::-1])
     monkeypatch.setattr(period_relations, "relation_rows", lambda: tuple(rows.values()))
 
     relations = verify_relations()

@@ -6,9 +6,42 @@ may be an `assert`, which `python -O` strips.
 """
 
 import ast
+import copy
 from pathlib import Path
 
+import pytest
+
 import degen_atlas
+from degen_atlas.chamber_walk import (
+    Chamber,
+    ComponentFate,
+    LiftFan,
+    StableModelDescription,
+    WallEvent,
+    lift_fan,
+)
+from degen_atlas.ec_oracle import (
+    MembershipVerdict,
+    PointAssignment,
+    pinned_curves,
+    randomized_membership_test,
+)
+from degen_atlas.exact_lattice import QuotientLattice, SmithForm, mat, snf
+from degen_atlas.period_relations import (
+    DeriveResult,
+    Divisor,
+    RelationRow,
+    RelationSystem,
+    derive,
+    relation_rows,
+)
+from degen_atlas.root_classifier import (
+    GeneralizedRootSet,
+    LatticeType,
+    model_type,
+    script_L,
+)
+from degen_atlas.surface_pair import CurveEntry, catalogue_model, curve_catalogue
 from oracles import run_python_O
 
 SRC = Path(degen_atlas.__file__).resolve().parent
@@ -188,4 +221,145 @@ def test_bad_arguments_raise_value_error_under_python_O():
         "ValueError: dimension mismatch",
         "ValueError: unknown point symbol 'x5'",
         "ValueError: l is not an exceptional class",
+    ]
+
+
+# Plain records are NamedTuples: immutable, equal and hashed by their
+# fields, and printed as Name(field=value, ...), like the frozen dataclasses
+# they replace.  A class stays a frozen dataclass only for what a tuple
+# cannot do: state validated in __post_init__, a cached_property, or
+# arithmetic, which a tuple base would turn into concatenation and repetition.
+RECORDS = (
+    ComponentFate, StableModelDescription, WallEvent, Chamber, LiftFan,
+    PointAssignment, MembershipVerdict, SmithForm, QuotientLattice,
+    RelationSystem, DeriveResult, RelationRow, GeneralizedRootSet, LatticeType,
+    CurveEntry,
+)
+
+
+@pytest.fixture(scope="module")
+def records():
+    """One instance of each plain record, as the program makes it."""
+    fan = lift_fan(catalogue_model("E8E8"))
+    event = fan.events[0]
+    row = next(r for r in relation_rows() if r.key == "D17")
+    _, _, system, target = row.oriented()
+    refuted = randomized_membership_test(
+        system, target + Divisor.of({"p2": 1, "p3": -1}), curve=pinned_curves()[0]
+    )
+    d17 = catalogue_model("D17")
+    lattice_type, roots = model_type(d17)
+    made = (
+        fan, fan.chambers[1], event, event.stable_model, event.stable_model.components[0],
+        refuted, refuted.witness, snf(mat([[2, 4], [6, 8]])), script_L(d17),
+        system, derive(system, target), row, roots, lattice_type, curve_catalogue(d17)[0],
+    )
+    return {type(r): r for r in made}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_plain_records_are_frozen_values(records, cls):
+    assert set(records) == set(RECORDS)
+    record = records[cls]
+    first = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, first, getattr(record, first))
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    twin = cls(**{k: copy.deepcopy(v) for k, v in record._asdict().items()})
+    assert twin is not record
+    assert twin == record and hash(twin) == hash(record)
+    fields = ", ".join(f"{k}={v!r}" for k, v in record._asdict().items())
+    assert repr(record) == f"{cls.__name__}({fields})"
+
+
+def test_record_reprs_are_unchanged(records):
+    row = records[RelationRow]
+    _, _, system, target = row.oriented()
+    verdict = randomized_membership_test(system, target, curve=pinned_curves()[0])
+    assert repr(verdict) == "MembershipVerdict(verdict='SUPPORTED', trials=100, witness=None)"
+    assert repr(records[Chamber]) == (
+        "Chamber(upper=(1, -1), lower=(1, -2), labels=('Bl9P2', 'Bl9P2'), flops=(\"e'10\",))"
+    )
+
+
+def test_divisor_times_an_integer_is_not_repetition():
+    q = Divisor.of({"q": 1})
+    assert 3 * q == Divisor.of({"q": 3})
+    with pytest.raises(TypeError):
+        q * 3
+
+
+_ARITHMETIC = {"__add__", "__sub__", "__mul__", "__rmul__", "__neg__"}
+
+
+def _referenced_name(node):
+    """The name a decorator or base refers to: `x`, `x(...)` or `m.x` give x."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _record_breaches(tree):
+    """Line, class and breach of each class in `tree` that breaks the record
+    rule: a @dataclass with no __post_init__, cached_property or arithmetic
+    dunder, or a NamedTuple that defines an arithmetic dunder."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        defs = [n for n in node.body if isinstance(n, ast.FunctionDef)]
+        names = {n.name for n in defs} | {
+            t.id for n in node.body if isinstance(n, ast.Assign)
+            for t in n.targets if isinstance(t, ast.Name)
+        }
+        cached = any(_referenced_name(d) == "cached_property" for n in defs for d in n.decorator_list)
+        if any(_referenced_name(d) == "dataclass" for d in node.decorator_list):
+            if not (cached or "__post_init__" in names or names & _ARITHMETIC):
+                found.append((node.lineno, node.name, "plain dataclass"))
+        if any(_referenced_name(b) == "NamedTuple" for b in node.bases) and names & _ARITHMETIC:
+            found.append((node.lineno, node.name, "NamedTuple with arithmetic"))
+    return found
+
+
+def test_src_dataclasses_hold_cached_or_validated_state_or_arithmetic():
+    modules = sorted(SRC.glob("*.py"))
+    assert "exact_lattice.py" in {path.name for path in modules}
+    found = {
+        path.name: hits
+        for path in modules
+        if (hits := _record_breaches(ast.parse(path.read_text(), str(path))))
+    }
+    assert found == {}
+
+
+def test_the_record_scan_sees_each_breach():
+    code = (
+        "@dataclass(frozen=True)\n"
+        "class Plain:\n"
+        "    x: int\n"
+        "@dataclasses.dataclass\n"
+        "class Cached:\n"
+        "    @functools.cached_property\n"
+        "    def y(self): return 1\n"
+        "@dataclass\n"
+        "class Checked:\n"
+        "    def __post_init__(self): pass\n"
+        "@dataclass(frozen=True)\n"
+        "class Sum:\n"
+        "    def __add__(self, other): return self\n"
+        "class Tuple(NamedTuple):\n"
+        "    def __neg__(self): return self\n"
+        "class Scaled(typing.NamedTuple):\n"
+        "    def __rmul__(self, k): return self\n"
+        "    __mul__ = __rmul__\n"
+        "class Record(NamedTuple):\n"
+        "    def total(self): return 0\n"
+    )
+    assert _record_breaches(ast.parse(code)) == [
+        (2, "Plain", "plain dataclass"),
+        (14, "Tuple", "NamedTuple with arithmetic"),
+        (16, "Scaled", "NamedTuple with arithmetic"),
     ]

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from degen_atlas import surface_pair
 from degen_atlas.exact_lattice import GramForm, InvariantError, add_vec, mat, scale_vec
 from degen_atlas.surface_pair import (
     P2,
@@ -112,6 +113,27 @@ def test_build_model_rejects_an_incomplete_dictionary():
     with pytest.raises(ValueError) as exc:
         build_model("P2", "P2", 9, dictionary={"l": {"q": 3}})
     assert str(exc.value) == f"the dictionary misses the basis classes {missing}"
+
+
+def test_build_model_checks_the_squares_of_xi_and_e0(monkeypatch):
+    # a pair lattice with e1 of square -2 makes xi^2 = E0^2 + E1^2 = -1; one
+    # that blows up 10 points on V0 and 8 on V1 for n = 9 keeps xi^2 = 0 but
+    # gives E0^2 = 9 - 10
+    real = surface_pair.make_pair_lattice
+
+    def with_e1_of_square_2(base0, n0, base1, n1):
+        lattice = real(base0, n0, base1, n1)
+        gram = [list(row) for row in lattice.gram_form.gram]
+        gram[lattice.index("e1")][lattice.index("e1")] = -2
+        return dataclasses.replace(lattice, gram_form=GramForm(mat(gram)))
+
+    monkeypatch.setattr(surface_pair, "make_pair_lattice", with_e1_of_square_2)
+    with pytest.raises(InvariantError, match="^xi has square -1, not 0$"):
+        build_model("P2", "P2", 9)
+    monkeypatch.setattr(surface_pair, "make_pair_lattice",
+                        lambda base0, n0, base1, n1: real(base0, n0 + 1, base1, n1 - 1))
+    with pytest.raises(InvariantError, match="^E0 has square -1, not 0$"):
+        build_model("P2", "P2", 9)
 
 
 def test_catalogue_d_matches_construction(models):
