@@ -228,7 +228,7 @@ def test_bad_arguments_raise_value_error_under_python_O():
 # fields, and printed as Name(field=value, ...), like the frozen dataclasses
 # they replace.  A class stays a frozen dataclass only for what a tuple
 # cannot do: state validated in __post_init__, a cached_property, or
-# arithmetic, which a tuple base would turn into concatenation and repetition.
+# arithmetic, where a tuple base would make `d * 3` a repetition.
 RECORDS = (
     ComponentFate, StableModelDescription, WallEvent, Chamber, LiftFan,
     PointAssignment, MembershipVerdict, SmithForm, QuotientLattice,
