@@ -6,10 +6,11 @@ ints, vectors are tuples of ints.  The three workhorses are
 
 * row Hermite / Smith normal forms with unimodular transforms,
 * saturated kernels and integer span membership, and
-* complete short-vector enumeration in a negative definite Gram form
-  (Fincke-Pohst style over an integer Bareiss elimination with symmetric
-  pivoting, whose pivots also decide definiteness), returning each vector
-  with its norm.
+* complete short-vector enumeration in a negative definite Gram form: a
+  Fincke-Pohst walk over an integer Bareiss elimination with symmetric
+  pivoting, whose pivots also decide definiteness.  It returns each vector
+  with its norm, and can keep only the v with G.v = 0 mod a prime p, a
+  congruence it imposes level by level instead of testing at the leaves.
 """
 
 from __future__ import annotations
@@ -272,33 +273,6 @@ def snf(m: Matrix) -> SmithForm:
     return SmithForm(m, diagonal, _frozen(u), _frozen(v))
 
 
-def reflective_basis(gram: Matrix, d: int) -> Matrix:
-    """Hermite basis rows of M_d = {v : G.v = 0 mod d}, for a prime d.
-
-    d.Z^n lies in M_d, the preimage of the kernel of G over F_d (Cohen,
-    GTM 138, 2.4.2).  Gauss-Jordan over F_d with pivots taken from the last
-    column to the first leaves each row ending at its pivot, so the kernel
-    vector of a free column c starts at c, with a 1.  Row c of the Hermite
-    form is that vector, or d.e_c for a pivot column c; entries are in [0, d].
-    """
-    if d < 2 or any(d % q == 0 for q in range(2, isqrt(d) + 1)):
-        raise ValueError(f"d = {d} is not a prime")
-    a = [[x % d for x in row] for row in gram]
-    pivots: dict[int, int] = {}  # pivot column -> its row of a
-    for c in reversed(range(len(a))):
-        r = len(pivots)
-        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if pr is not None:
-            inv = pow(a[pr][c], -1, d)
-            a[pr], a[r] = a[r], [x * inv % d for x in a[pr]]  # swap, then scale to pivot 1
-            a = [row if i == r or not row[c] else [(x - row[c] * y) % d for x, y in zip(row, a[r])]
-                 for i, row in enumerate(a)]
-            pivots[c] = r
-    return tuple(scale_vec(d, e) if c in pivots else
-                 tuple(-a[pivots[j]][c] % d if j in pivots else x for j, x in enumerate(e))
-                 for c, e in enumerate(identity(len(a))))
-
-
 def span_matrix(generators: Sequence[Vector], n: int) -> Matrix:
     """The n x k matrix whose columns are the k generators, of length n;
     n rows of no entries when there are none."""
@@ -445,8 +419,9 @@ def _bareiss(gram: Matrix) -> tuple[list[int], list[list[int]], list[int]]:
     return d, b, order
 
 
-def enumerate_short(g: GramForm, bound: int) -> dict[Vector, int]:
-    """All v (one per antipodal pair) with -bound <= (v, v) < 0, as {v: (v, v)}.
+def enumerate_short(g: GramForm, bound: int, p: int = 1) -> dict[Vector, int]:
+    """All v (one per antipodal pair) with -bound <= (v, v) < 0 and
+    G.v = 0 mod p, as {v: (v, v)}; p is 1 or a prime (ValueError otherwise).
 
     g must be negative definite: every pivot of the pivoted Bareiss
     elimination of -gram is positive (ValueError otherwise).  The search is
@@ -454,11 +429,18 @@ def enumerate_short(g: GramForm, bound: int) -> dict[Vector, int]:
     common integer coefficients, so the enumeration is exact and complete
     and the budget left at a leaf is the norm.  Level k fixes coordinate
     order[k], so the walk starts where the last Schur complement keeps the
-    range narrow.  Vectors are canonicalized so their first nonzero
-    coordinate is positive; the keys come sorted.
+    range narrow.  The congruence is an echelon form of G over F_p with its
+    columns in walk order and its pivots taken from level 0, the level
+    reached last, upward: the pivot row of level k fixes that coordinate
+    mod p from the levels above it, already set, and there the walk steps
+    by p.  With p = 1 every entry is 0 mod 1, so no level has a rule.
+    Vectors are canonicalized so their first nonzero coordinate is
+    positive; the keys come sorted.
     """
     if bound < 1:
         raise ValueError("bound must be a positive integer")
+    if p != 1 and (p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1))):
+        raise ValueError(f"p = {p} is neither 1 nor a prime")
     d, b, order = g.bareiss
     if d[-1] <= 0:
         raise ValueError("form is not negative definite")
@@ -480,6 +462,22 @@ def enumerate_short(g: GramForm, bound: int) -> dict[Vector, int]:
         m_scale = lcm(m_scale, d[k] // gcd(d[k], d[k + 1]) * lden[k] * lden[k])
     kcoef = [m_scale * gk[k] * gk[k] // (d[k] * d[k + 1]) for k in range(n)]
 
+    # Level k with a pivot steps by p; rule[k] holds the pairs (coordinate
+    # order[j], -a_kj mod p) for j > k, so x[order[k]] = sum c x[i] mod p.
+    step = [1] * n
+    rule: list[tuple[tuple[int, int], ...]] = [()] * n
+    rest = [[row[i] % p for i in order] for row in g.gram]
+    for k in range(n):
+        top = next((row for row in rest if row[k]), None)
+        if top is not None:
+            rest.remove(top)
+            inv = pow(top[k], -1, p)
+            top = [x * inv % p for x in top]
+            rest = [[(x - row[k] * y) % p for x, y in zip(row, top)] if row[k] else row
+                    for row in rest]
+            step[k] = p
+            rule[k] = tuple((order[j], -top[j] % p) for j in range(k + 1, n) if top[j])
+
     found: list[tuple[Vector, int]] = []
     x = [0] * n  # in the original coordinates
     u = [[0] * n for _ in range(n + 1)]  # u[level][i]: center accumulators
@@ -496,11 +494,14 @@ def enumerate_short(g: GramForm, bound: int) -> dict[Vector, int]:
         lo = -((r + ui) // li)  # ceil((-r - ui)/li)
         hi = (r - ui) // li  # floor((r - ui)/li)
         if all_zero_above and lo < 0:
-            lo = 0  # one vector per antipodal pair
+            lo = 0  # one vector per antipodal pair; every rule then gives 0
+        s = step[level]
+        if s > 1:  # the least xi >= lo in the class the rule gives
+            lo += (sum(c * x[i] for i, c in rule[level]) - lo) % s
         row = u[level + 1]
         dst = u[level]
         at = order[level]
-        for xi in range(lo, hi + 1):
+        for xi in range(lo, hi + 1, s):
             t = li * xi + ui
             used = kcoef[level] * t * t
             if used > budget:

@@ -20,16 +20,12 @@ from .exact_lattice import (
     InvariantError,
     QuotientLattice,
     Vector,
-    canonical_sign,
     enumerate_short,
     identity,
     mat,
     matvec,
-    reflective_basis,
     snf,
     span_matrix,
-    sparse_rows,
-    sparse_vecmat,
 )
 from .surface_pair import SurfaceModel, catalogue, catalogue_row, check_model_invariants
 
@@ -73,7 +69,7 @@ def discriminant_group_order(g: GramForm) -> int:
 class GeneralizedRootSet(NamedTuple):
     roots2: tuple[Vector, ...]  # v^2 = -2 (one per antipodal pair)
     roots4: tuple[Vector, ...]  # v^2 = -4 with integral reflection
-    other: tuple[Vector, ...]  # any v^2 in {-1, -3} with integral reflection
+    other: tuple[Vector, ...]  # any other v^2 with integral reflection
     gram: GramForm
 
     def all_roots(self) -> tuple[Vector, ...]:
@@ -84,36 +80,28 @@ def generalized_roots(L: QuotientLattice, bound: int = 4) -> GeneralizedRootSet:
     """All generalized roots with -bound <= v^2 < 0, one per +-pair.
 
     A primitive v of norm -k is a root (its reflection maps L into itself)
-    when k divides every 2(v, e_i), that is when G.v = 0 mod d with
-    d = k / gcd(k, 2) (Vinberg).  So the roots of norm -1 and -2 are all
-    vectors of that norm, and those of norm -k <= -3 are the primitive
-    vectors of norm -k in M_d = {v : G.v = 0 mod d}, found by a search in
-    M_d rather than by testing every short vector of L.  For k <= 7, d is
-    a prime, and `reflective_basis` reads the Hermite basis of M_d off the
-    kernel of G over F_d, with no Smith or Hermite form (bound 8 or more is
-    rejected).  The Fincke-Pohst cost follows the skew of the basis: in the
-    raw Smith basis a skewed rank-10 lattice took 43 s instead of 10 ms.
-    Other norms than -2 and -4 go to `other`.  When every diagonal entry of
-    G is even, L is even and the searches for odd k are skipped.
+    when k divides every 2(v, e_i), that is when G.v = 0 mod p with
+    p = k / gcd(k, 2) (Vinberg).  For each k, one `enumerate_short` walk
+    over L at bound k with that congruence finds the candidates, and the
+    primitive ones of norm exactly -k are kept.  Every walk reads the one
+    Bareiss elimination cached on L.gram.  For k <= 7, p is 1 or a prime;
+    bound 8 or more is rejected.  Norms other than -2 and -4 go to
+    `other`.  When every diagonal entry of G is even, L is even and the
+    searches for odd k are skipped.
     """
     if not 2 <= bound <= 7:
         raise ValueError("bound must be between 2 and 7")
-    short = enumerate_short(L.gram, 2)
-    roots2 = [v for v, norm in short.items() if norm == -2]
-    other = [v for v, norm in short.items() if norm == -1]
+    even = all(row[i] % 2 == 0 for i, row in enumerate(L.gram.gram))
+    roots2: list[Vector] = []
     roots4: list[Vector] = []
-    gram = L.gram.gram
-    even = all(row[i] % 2 == 0 for i, row in enumerate(gram))
-    for k in range(3, bound + 1):
+    other: list[Vector] = []
+    for k in range(1, bound + 1):
         if k % 2 and even:
             continue
-        basis = reflective_basis(gram, k if k % 2 else k // 2)
-        rows = sparse_rows(basis)  # most rows are d.e_c: one nonzero entry
-        for c, norm in enumerate_short(GramForm(L.gram.sublattice_gram(basis)), k).items():
-            v = canonical_sign(sparse_vecmat(c, rows, len(gram)))
-            if norm == -k and gcd(*v) == 1:
-                (roots4 if k == 4 else other).append(v)
-    return GeneralizedRootSet(tuple(roots2), tuple(sorted(roots4)), tuple(sorted(other)), L.gram)
+        kept = [v for v, norm in enumerate_short(L.gram, k, k // gcd(k, 2)).items()
+                if norm == -k and gcd(*v) == 1]
+        (roots2 if k == 2 else roots4 if k == 4 else other).extend(kept)
+    return GeneralizedRootSet(tuple(roots2), tuple(roots4), tuple(sorted(other)), L.gram)
 
 
 class LatticeType(NamedTuple):
@@ -332,7 +320,8 @@ def classify(roots: GeneralizedRootSet, seed: int = 0) -> LatticeType:
     )
 
 
-def model_type(m: SurfaceModel, bound: int = 4, seed: int = 0) -> tuple[LatticeType, GeneralizedRootSet]:
+def model_type(m: SurfaceModel, bound: int = 4,
+               seed: int = 0) -> tuple[LatticeType, GeneralizedRootSet]:
     roots = generalized_roots(script_L(m), bound)
     return classify(roots, seed), roots
 

@@ -21,6 +21,7 @@ import sys
 from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor, gcd, isqrt, lcm
+from operator import mul
 from pathlib import Path
 
 
@@ -166,6 +167,13 @@ def rational_short_vectors(gram, bound):
 
     walk(n - 1, m * bound, True)
     return dict(sorted(out.items()))
+
+
+def congruent_short_vectors(gram, bound, p):
+    """The vectors of `rational_short_vectors` with G.v = 0 mod p, each
+    entry of G.v a dot product of a row of G with v."""
+    return {v: norm for v, norm in rational_short_vectors(gram, bound).items()
+            if all(sum(map(mul, row, v)) % p == 0 for row in gram)}
 
 
 def filtered_generalized_roots(gram, bound):
@@ -530,8 +538,9 @@ def minus_gram_of_nonsingular(rng, n):
 def snf_reflective_basis(gram, d):
     """Hermite basis rows of M_d = {v : G.v = 0 mod d}, from a Smith form.
 
-    The reference for `exact_lattice.reflective_basis`, which works over
-    F_d instead.  With D = U.G.V and U unimodular, G.v = 0 mod d exactly
+    Most rows are d.e_c, so these bases test the sparse products
+    `GramForm.sublattice_gram` and `sparse_vecmat` on the lattices the root
+    search walks.  With D = U.G.V and U unimodular, G.v = 0 mod d exactly
     when D_ii (V^-1 v)_i = 0 mod d for every i, so the columns of V scaled
     by d / gcd(d, D_ii) are a basis of M_d.  Stacked on d.I, whose rows lie
     in M_d, their Hermite normal form is a basis with entries between 0 and

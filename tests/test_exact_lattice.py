@@ -18,7 +18,6 @@ from degen_atlas.exact_lattice import (
     in_span,
     mat,
     matvec,
-    reflective_basis,
     scale_vec,
     snf,
     span_matrix,
@@ -30,6 +29,7 @@ from degen_atlas.exact_lattice import (
 from oracles import (
     _is_neg_def,
     box_short_vectors,
+    congruent_short_vectors,
     det,
     loop_matmul,
     loop_matvec,
@@ -493,7 +493,7 @@ def test_bareiss_minors_and_rows():
 
 def _skewed_planted_grams():
     """Three planted ADE + <-4> lattices of each rank 6..12, each in a basis
-    skewed by 3 * rank elementary moves, with M_2 = {v : G.v = 0 mod 2}."""
+    skewed by 3 * rank elementary moves."""
     rng = random.Random(20261021)
     menu = [("A", 1), ("A", 2), ("A", 3), ("D", 4), ("D", 5), ("E", 6), ("E", 7), ("E", 8)]
     for rank in [r for r in range(6, 13) for _ in range(3)]:
@@ -502,34 +502,34 @@ def _skewed_planted_grams():
         while left:
             blocks.append(rng.choice([b for b in menu if b[1] <= left]))
             left -= blocks[-1][1]
-        gram = mat(planted_gram(rng, blocks, minus4, moves=3 * rank))
-        yield gram, GramForm(gram).sublattice_gram(reflective_basis(gram, 2))
+        yield mat(planted_gram(rng, blocks, minus4, moves=3 * rank))
 
 
 def test_enumerate_short_matches_the_rational_walk_on_skewed_planted_lattices():
     # the pivoted walk against the unpivoted rational one, at the two
-    # searches of generalized_roots: bound 2 in L and bound 4 in M_2
+    # searches of generalized_roots on an even lattice: bound 2, and bound 4
+    # with G.v = 0 mod 2; `permuted` counts the searches in a permuted order
     permuted = 0
-    for gram, m2 in _skewed_planted_grams():
-        for form, bound in ((gram, 2), (m2, 4)):
-            g = GramForm(form)
-            assert enumerate_short(g, bound) == rational_short_vectors(form, bound), form
-            permuted += g.bareiss[2] != list(range(len(form)))
+    for gram in _skewed_planted_grams():
+        g = GramForm(gram)
+        for bound, p in ((2, 1), (4, 2)):
+            assert enumerate_short(g, bound, p) == congruent_short_vectors(gram, bound, p), gram
+            permuted += g.bareiss[2] != list(range(len(gram)))
     assert permuted >= 30
 
 
 def test_enumerate_short_is_equivariant_under_coordinate_permutations():
     # the form gram[p][p] has the vectors v[p]: mapped back, the same sorted dict
     rng = random.Random(20261022)
-    for gram, m2 in _skewed_planted_grams():
-        for form, bound in ((gram, 2), (m2, 4)):
-            n = len(form)
-            want = list(enumerate_short(GramForm(form), bound).items())
+    for form in _skewed_planted_grams():
+        n = len(form)
+        for bound, modulus in ((2, 1), (4, 2)):
+            want = list(enumerate_short(GramForm(form), bound, modulus).items())
             for _ in range(3):
                 p = rng.sample(range(n), n)
                 moved = GramForm(mat([[form[i][j] for j in p] for i in p]))
                 back = []
-                for w, norm in enumerate_short(moved, bound).items():
+                for w, norm in enumerate_short(moved, bound, modulus).items():
                     v = [0] * n
                     for i, x in zip(p, w):
                         v[i] = x

@@ -7,6 +7,7 @@ may be an `assert`, which `python -O` strips.
 
 import ast
 import copy
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -362,4 +363,77 @@ def test_the_record_scan_sees_each_breach():
         (2, "Plain", "plain dataclass"),
         (14, "Tuple", "NamedTuple with arithmetic"),
         (16, "Scaled", "NamedTuple with arithmetic"),
+    ]
+
+
+# Where a name of src/ counts as used: the program, its demos and its
+# benchmark, which wraps functions by name, but not the tests.
+USERS = [SRC.parent.parent / "demos", SRC.parent.parent / "perfbench"]
+
+
+def _names_read(tree):
+    """How often `tree` reads each name: as an ast.Name or ast.Attribute not
+    assigned to, or as a string constant that is an identifier."""
+    counts = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)) and not isinstance(node.ctx, ast.Store):
+            counts[node.id if isinstance(node, ast.Name) else node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            counts[node.value] += 1
+    return counts
+
+
+def _definitions(tree):
+    """Line, name and own subtree of each top-level function, class and
+    assigned name in `tree` and of each method of its classes but dunders;
+    an assignment owns no subtree."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(node.lineno, t.id, None) for t in targets if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            found += [(n.lineno, n.name, n) for n in node.body if isinstance(n, ast.FunctionDef)
+                      and not (n.name.startswith("__") and n.name.endswith("__"))]
+    return found
+
+
+def _unused_definitions(trees, users):
+    """Module, line and name of each definition in `trees` (module ->
+    tree) that neither `trees` nor `users` read outside its own subtree."""
+    read = sum((_names_read(t) for t in [*trees.values(), *users]), Counter())
+    return [
+        (module, line, name)
+        for module, tree in trees.items()
+        for line, name, own in _definitions(tree)
+        if read[name] == (_names_read(own)[name] if own else 0)
+    ]
+
+
+def test_src_defines_nothing_that_nothing_uses():
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    users = [ast.parse(path.read_text(), str(path))
+             for folder in USERS for path in sorted(folder.glob("*.py"))
+             if not path.name.startswith("test_")]
+    assert "exact_lattice.py" in trees and len(users) >= 10
+    unused = [hit for hit in _unused_definitions(trees, users) if hit[2] != "__version__"]
+    assert unused == []  # __version__ is read by the package's users
+
+
+def test_the_unused_scan_sees_each_kind():
+    code = (
+        "LIMIT = 3\n"
+        "def helper(x): return x\n"
+        "def recursive(n): return recursive(n - 1) if n else 0\n"
+        "class Box:\n"
+        "    def __init__(self): self.opened = Box.opened\n"
+        "    def opened(self): return helper(self)\n"
+        "    def closed(self): return 'wrapped'\n"
+        "def by_name(): return LIMIT\n"
+    )
+    users = [ast.parse("import m\nm.by_name\nfind('wrapped')\n")]
+    assert _unused_definitions({"m": ast.parse(code)}, users) == [
+        ("m", 3, "recursive"), ("m", 4, "Box"), ("m", 7, "closed"),
     ]

@@ -14,7 +14,6 @@ from degen_atlas.exact_lattice import (
     hnf,
     identity,
     mat,
-    reflective_basis,
     snf,
     span_matrix,
     sparse_rows,
@@ -44,13 +43,12 @@ from oracles import (
     _is_neg_def,
     brute_generalized_roots,
     classical_root_count,
+    congruent_short_vectors,
     det,
     filtered_generalized_roots,
     loop_matmul,
     loop_pairing,
     loop_vecmat,
-    matmul,
-    minor_gcd_divisors,
     orthogonal_complement,
     perm_det,
     planted_gram,
@@ -139,13 +137,14 @@ def test_script_L_takes_one_smith_form(models, monkeypatch):
 
 
 def test_md_gram_and_map_to_L_match_the_textbook_loops(models):
-    # the M_d of bounds 3 to 7 on the nine L: a Gram matrix and a map read
-    # from the basis' nonzero entries, against the dense triple loops
+    # M_d = {v : G.v = 0 mod d} on the nine L, bases whose rows are mostly
+    # d.e_c: a Gram matrix and a map read from the basis' nonzero entries,
+    # against the dense triple loops
     for mid, m in models.items():
         L = script_L(m)
         gram = L.gram.gram
         for d in (2, 3, 5, 7):
-            basis = reflective_basis(gram, d)
+            basis = snf_reflective_basis(gram, d)
             want = loop_matmul(loop_matmul(basis, gram), transpose(basis))
             assert L.gram.sublattice_gram(basis) == want, (mid, d)
             rows = sparse_rows(basis)
@@ -492,29 +491,27 @@ def test_generalized_roots_match_filter_oracle_on_models(lattices, bound):
 
 
 def test_enumerate_short_matches_rational_oracle_on_models(models):
-    # the three searches of generalized_roots at bound 4: L, M_3 and M_2
+    # the searches of generalized_roots at norms -2, -3 and -4, each one
+    # walk over L with the congruence G.v = 0 mod p
     for m in list(models.values()) + [swap_components(m) for m in models.values()]:
-        gram = script_L(m).gram.gram
-        forms = [(gram, 2)]
-        for d, bound in ((3, 3), (2, 4)):
-            basis = reflective_basis(gram, d)
-            assert basis == snf_reflective_basis(gram, d)
-            forms.append((matmul(matmul(basis, gram), transpose(basis)), bound))
-        for form, bound in forms:
-            assert enumerate_short(GramForm(form), bound) == rational_short_vectors(form, bound)
+        g = script_L(m).gram
+        for p, bound in ((1, 2), (3, 3), (2, 4)):
+            want = congruent_short_vectors(g.gram, bound, p)
+            assert enumerate_short(g, bound, p) == want, (p, bound)
 
 
 @pytest.mark.parametrize(
     "gram,searches,other",
     [
-        ([[-2, 0], [0, -2]], 1, []),  # even: no search in M_3
-        ([[-2, 1], [1, -3]], 2, []),  # odd: M_3 is searched; (0, 1), (1, 1) are not roots
+        ([[-2, 0], [0, -2]], 1, []),  # even: norm -1 is not searched
+        ([[-2, 1], [1, -3]], 2, []),  # odd: norm -3 is searched; (0, 1), (1, 1) are not roots
         ([[-6, 3], [3, -3]], 2, [(0, 1), (1, 1)]),  # odd with an even first diagonal entry
     ],
 )
 def test_odd_norms_are_searched_only_on_odd_lattices(monkeypatch, gram, searches, other):
-    # `searches` counts the searches at bound 3; at no bound does the root
-    # search take a Smith or Hermite form
+    # `searches` counts the searches at bound 2, one walk per norm searched,
+    # so 1 (even) or 2 (odd), and at bound 3 1 or 3; `other` holds the roots
+    # at bound 3.  At no bound does the root search take a Smith or Hermite form
     calls = []
 
     def counted(name, fn):
@@ -529,18 +526,33 @@ def test_odd_norms_are_searched_only_on_odd_lattices(monkeypatch, gram, searches
         calls.clear()
         got = _roots_of(gram, bound)
         assert got == filtered_generalized_roots(gram, bound)
-        assert calls.count("search") == 1 + sum(odd or k % 2 == 0 for k in range(3, bound + 1))
+        assert calls.count("search") == sum(odd or k % 2 == 0 for k in range(1, bound + 1))
         assert calls.count("snf") == calls.count("hnf") == 0
+        if bound == 2:
+            assert calls.count("search") == searches
         if bound == 3:
+            assert calls.count("search") == (3 if odd else 1)
             assert got[2] == other
 
 
+@pytest.mark.parametrize("gram", [[[-2, 1], [1, -4]], [[-2, 1], [1, -3]]], ids=["even", "odd"])
+def test_generalized_roots_makes_one_elimination(monkeypatch, gram):
+    # every norm's walk reads the Bareiss elimination cached on L.gram
+    calls = []
+    bareiss = exact_lattice._bareiss
+    monkeypatch.setattr(exact_lattice, "_bareiss", lambda g: calls.append(g) or bareiss(g))
+    for bound in range(2, 8):
+        calls.clear()
+        assert _roots_of(gram, bound) == filtered_generalized_roots(gram, bound)
+        assert calls == [mat(gram)], bound
+
+
 def test_bound_8_is_rejected():
-    # M_4 is no F_p-kernel; bound 8 would need it for the norm -8 roots
+    # G.v = 0 mod 4 is no F_p-kernel; bound 8 would need it for the norm -8 roots
     with pytest.raises(ValueError, match="^bound must be between 2 and 7$"):
         _roots_of([[-2]], 8)
-    with pytest.raises(ValueError, match="^d = 4 is not a prime$"):
-        reflective_basis(((-2,),), 4)
+    with pytest.raises(ValueError, match="^p = 4 is neither 1 nor a prime$"):
+        enumerate_short(GramForm(((-2,),)), 8, 4)
 
 
 @pytest.mark.parametrize(
@@ -562,49 +574,13 @@ def test_norm_minus3_and_minus4_roots_are_the_primitive_vectors_of_M_d(gram, v, 
     assert _roots_of(gram, 3) == filtered_generalized_roots(gram, 3)
 
 
-def _basis_checks(gram, divisors):
-    """M_d bases over F_d for d = 2, 3, 5, 7: equal to the Smith-form
-    oracle's, rows in M_d, the right index, and entries between 0 and d
-    (the Hermite re-basing)."""
-    for d in (2, 3, 5, 7):
-        basis = reflective_basis(mat(gram), d)
-        assert basis == snf_reflective_basis(gram, d)
-        assert len(basis) == len(gram)
-        for row in basis:
-            assert all(sum(g * x for g, x in zip(grow, row)) % d == 0 for grow in gram)
-            assert all(0 <= x <= d for x in row)
-        index = 1
-        for di in divisors:
-            index *= d // gcd(d, di)
-        assert abs(det(basis)) == index
-
-
-def test_reflective_basis_on_models(lattices):
-    for L in lattices.values():
-        _basis_checks(L.gram.gram, list(snf(L.gram.gram).diagonal))
-
-
-def test_reflective_basis_on_random_forms():
-    # elementary divisors from gcds of minors, not from snf
-    rng = random.Random(20261019)
-    for _ in range(30):
-        gram = random_negative_definite(rng, rng.randint(1, 6))
-        _basis_checks(gram, minor_gcd_divisors(gram))
-
-
-@st.composite
-def integer_matrices(draw):
-    """Square integer matrices of size 1..6, symmetric or not, singular ones
-    included; M_d is defined for any of them."""
-    n = draw(st.integers(1, 6))
-    return mat(draw(st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
-                             min_size=n, max_size=n)))
-
-
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(integer_matrices(), st.sampled_from((2, 3, 5, 7)))
-def test_reflective_basis_matches_the_smith_oracle(gram, d):
-    assert reflective_basis(gram, d) == snf_reflective_basis(gram, d)
+@given(st.integers(1, 6), st.integers(0, 2 ** 32), st.sampled_from((2, 3, 5, 7)),
+       st.integers(1, 7))
+def test_congruence_walk_matches_the_filtered_rational_walk(rank, seed, p, bound):
+    gram = random_negative_definite(random.Random(seed), rank)
+    assert enumerate_short(GramForm(mat(gram)), bound, p) == (
+        congruent_short_vectors(gram, bound, p))
 
 
 @pytest.mark.parametrize(
