@@ -81,27 +81,27 @@ def generalized_roots(L: QuotientLattice, bound: int = 4) -> GeneralizedRootSet:
 
     A primitive v of norm -k is a root (its reflection maps L into itself)
     when k divides every 2(v, e_i), that is when G.v = 0 mod p with
-    p = k / gcd(k, 2) (Vinberg).  For each k, one `enumerate_short` walk
-    over L at bound k with that congruence finds the candidates, and the
-    primitive ones of norm exactly -k are kept.  Every walk reads the one
-    Bareiss elimination cached on L.gram.  For k <= 7, p is 1 or a prime;
-    bound 8 or more is rejected.  Norms other than -2 and -4 go to
-    `other`.  When every diagonal entry of G is even, L is even and the
-    searches for odd k are skipped.
+    p = k / gcd(k, 2) (Vinberg).  Norms that share p share one
+    `enumerate_short` walk over L with that congruence, at the largest such
+    k, and each primitive vector it finds is kept when its own norm has
+    modulus p: -1 and -2 come from the p = 1 walk, -3 and -6 from the
+    p = 3 walk.  Every walk reads the one Bareiss elimination cached on
+    L.gram.  For k <= 7, p is 1 or a prime; bound 8 or more is rejected.
+    Norms other than -2 and -4 go to `other`.  When every diagonal entry of
+    G is even, L is even and the odd norms are not searched.
     """
     if not 2 <= bound <= 7:
         raise ValueError("bound must be between 2 and 7")
     even = all(row[i] % 2 == 0 for i, row in enumerate(L.gram.gram))
-    roots2: list[Vector] = []
-    roots4: list[Vector] = []
-    other: list[Vector] = []
-    for k in range(1, bound + 1):
-        if k % 2 and even:
-            continue
-        kept = [v for v, norm in enumerate_short(L.gram, k, k // gcd(k, 2)).items()
-                if norm == -k and gcd(*v) == 1]
-        (roots2 if k == 2 else roots4 if k == 4 else other).extend(kept)
-    return GeneralizedRootSet(tuple(roots2), tuple(roots4), tuple(sorted(other)), L.gram)
+    modulus = {-k: k // gcd(k, 2) for k in range(1, bound + 1) if k % 2 == 0 or not even}
+    walks = {p: -norm for norm, p in modulus.items()}  # each p keys its largest k
+    roots: dict[int, list[Vector]] = {-2: [], -4: []}
+    for p, k in walks.items():
+        for v, norm in enumerate_short(L.gram, k, p).items():
+            if modulus.get(norm) == p and gcd(*v) == 1:
+                roots.setdefault(norm, []).append(v)
+    other = sorted(v for norm, vs in roots.items() if norm not in (-2, -4) for v in vs)
+    return GeneralizedRootSet(tuple(roots[-2]), tuple(roots[-4]), tuple(other), L.gram)
 
 
 class LatticeType(NamedTuple):

@@ -136,10 +136,10 @@ def test_script_L_takes_one_smith_form(models, monkeypatch):
     assert calls == [3] * 9
 
 
-def test_md_gram_and_map_to_L_match_the_textbook_loops(models):
-    # M_d = {v : G.v = 0 mod d} on the nine L, bases whose rows are mostly
-    # d.e_c: a Gram matrix and a map read from the basis' nonzero entries,
-    # against the dense triple loops
+def test_sublattice_gram_and_sparse_vecmat_match_the_textbook_loops(models):
+    # sublattice_gram and sparse_vecmat, which read a basis' nonzero entries,
+    # against the dense triple loops; the inputs are the nine L and bases of
+    # {v : G.v = 0 mod d} from the Smith-form oracle, rows mostly d.e_c
     for mid, m in models.items():
         L = script_L(m)
         gram = L.gram.gram
@@ -509,9 +509,10 @@ def test_enumerate_short_matches_rational_oracle_on_models(models):
     ],
 )
 def test_odd_norms_are_searched_only_on_odd_lattices(monkeypatch, gram, searches, other):
-    # `searches` counts the searches at bound 2, one walk per norm searched,
-    # so 1 (even) or 2 (odd), and at bound 3 1 or 3; `other` holds the roots
-    # at bound 3.  At no bound does the root search take a Smith or Hermite form
+    # one walk per modulus p = k / gcd(k, 2) of the norms -k searched, so 1
+    # at bound 2 and `searches` at bound 3, 1 (even) or 2 (odd); `other`
+    # holds the roots at bound 3.  At no bound does the root search take a
+    # Smith or Hermite form
     calls = []
 
     def counted(name, fn):
@@ -521,23 +522,43 @@ def test_odd_norms_are_searched_only_on_odd_lattices(monkeypatch, gram, searches
     monkeypatch.setattr(exact_lattice, "snf", counted("snf", snf))
     monkeypatch.setattr(root_classifier, "snf", counted("snf", snf))
     monkeypatch.setattr(exact_lattice, "hnf", counted("hnf", hnf))
-    odd = searches == 2
+    odd = any(row[i] % 2 for i, row in enumerate(gram))
     for bound in range(2, 8):
         calls.clear()
         got = _roots_of(gram, bound)
         assert got == filtered_generalized_roots(gram, bound)
-        assert calls.count("search") == sum(odd or k % 2 == 0 for k in range(1, bound + 1))
+        moduli = {k // gcd(k, 2) for k in range(1, bound + 1) if odd or k % 2 == 0}
+        assert calls.count("search") == len(moduli)
         assert calls.count("snf") == calls.count("hnf") == 0
         if bound == 2:
-            assert calls.count("search") == searches
+            assert calls.count("search") == 1
         if bound == 3:
-            assert calls.count("search") == (3 if odd else 1)
+            assert calls.count("search") == searches == (2 if odd else 1)
             assert got[2] == other
 
 
 @pytest.mark.parametrize("gram", [[[-2, 1], [1, -4]], [[-2, 1], [1, -3]]], ids=["even", "odd"])
+def test_norms_that_share_a_modulus_share_one_walk(monkeypatch, gram):
+    # -1 and -2 share p = 1, -3 and -6 share p = 3: one walk per p, at the
+    # largest norm searched with that p
+    walks = []
+    monkeypatch.setattr(root_classifier, "enumerate_short",
+                        lambda g, bound, p: walks.append((p, bound)) or enumerate_short(g, bound, p))
+    odd = any(row[i] % 2 for i, row in enumerate(gram))
+    for bound in range(2, 8):
+        walks.clear()
+        got = _roots_of(gram, bound)
+        searched = [k for k in range(1, bound + 1) if odd or k % 2 == 0]
+        largest = {p: max(k for k in searched if k // gcd(k, 2) == p)
+                   for p in {k // gcd(k, 2) for k in searched}}
+        assert len({p for p, _ in walks}) == len(walks), (bound, walks)
+        assert sorted(walks) == sorted(largest.items()), bound
+        assert got == filtered_generalized_roots(gram, bound)
+
+
+@pytest.mark.parametrize("gram", [[[-2, 1], [1, -4]], [[-2, 1], [1, -3]]], ids=["even", "odd"])
 def test_generalized_roots_makes_one_elimination(monkeypatch, gram):
-    # every norm's walk reads the Bareiss elimination cached on L.gram
+    # every modulus's walk reads the Bareiss elimination cached on L.gram
     calls = []
     bareiss = exact_lattice._bareiss
     monkeypatch.setattr(exact_lattice, "_bareiss", lambda g: calls.append(g) or bareiss(g))
@@ -561,12 +582,12 @@ def test_bound_8_is_rejected():
         ([[-4]], (1,), "roots4"),  # G.v = (-4) is even
         ([[-4, 1], [1, -2]], (1, 0), None),  # norm -4, but G.v = (-4, 1) is odd
         ([[-1]], (2,), None),  # norm -4 and G.v even, but content 2
-        ([[-3]], (1,), "other"),  # norm -3 and G.v = (-3) in M_3
+        ([[-3]], (1,), "other"),  # norm -3 and G.v = (-3) = 0 mod 3
         ([[-3, 1], [1, -2]], (1, 0), None),  # norm -3, but G.v = (-3, 1)
         ([[-3, 0], [0, -2]], (1, 0), "other"),  # norm -3 beside an A1
     ],
 )
-def test_norm_minus3_and_minus4_roots_are_the_primitive_vectors_of_M_d(gram, v, kind):
+def test_norm_minus3_and_minus4_roots_are_primitive_with_G_v_zero_mod_p(gram, v, kind):
     got = _roots_of(gram)
     assert got == filtered_generalized_roots(gram, 4)
     found = [name for name, roots in zip(("roots2", "roots4", "other"), got) if v in roots]
