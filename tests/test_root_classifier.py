@@ -587,7 +587,8 @@ def test_bound_8_is_rejected():
         ([[-3, 0], [0, -2]], (1, 0), "other"),  # norm -3 beside an A1
     ],
 )
-def test_norm_minus3_and_minus4_roots_are_primitive_with_G_v_zero_mod_p(gram, v, kind):
+def test_norm_minus3_and_minus4_roots_are_the_primitive_vectors_of_M_d(gram, v, kind):
+    # M_d is the set of v with G.v = 0 mod p, p = d / gcd(d, 2); the search never builds it.
     got = _roots_of(gram)
     assert got == filtered_generalized_roots(gram, 4)
     found = [name for name, roots in zip(("roots2", "roots4", "other"), got) if v in roots]
