@@ -2,7 +2,7 @@
 
 Lifted polarizations are the classes m*h + n*xi.  Starting from the nef ray
 (1, 0) the walk moves epsilon in h + eps*xi (direction +1) and h - eps*xi
-(direction -1), always in exact rational arithmetic.  At each event ray the
+(direction -1), always in exact integer arithmetic.  At each event ray the
 curves that are about to go negative decide what happens, with precedence
 
     component restriction trivial  >  a moving class hits zero  >  flop.
@@ -18,7 +18,7 @@ self-intersection 4 m^2 in every chamber.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 from typing import NamedTuple, Optional
 
 from .exact_lattice import InvariantError, Vector, add_vec, scale_vec
@@ -37,15 +37,24 @@ from .surface_pair import (
 
 MAX_WALK_STEPS = 64
 
+# An epsilon as (numerator, denominator) in lowest terms, denominator > 0.
+Threshold = tuple[int, int]
 
-def ray_of(eps: Fraction, direction: int) -> tuple[int, int]:
+
+def format_threshold(eps: Threshold) -> str:
+    """eps as 3 or 2/3."""
+    num, den = eps
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def ray_of(eps: Threshold, direction: int) -> tuple[int, int]:
     """Primitive (m, n) along h + direction*eps*xi.
 
-    A Fraction is stored in lowest terms with a positive denominator, so
-    (denominator, direction * numerator) is already primitive, and eps = 0
-    gives (1, 0).
+    eps is in lowest terms with a positive denominator, so (denominator,
+    direction * numerator) is already primitive, and eps = (0, 1) gives
+    (1, 0).
     """
-    return (eps.denominator, direction * eps.numerator)
+    return (eps[1], direction * eps[0])
 
 
 def class_at(m: SurfaceModel, ray: tuple[int, int]) -> Vector:
@@ -54,29 +63,31 @@ def class_at(m: SurfaceModel, ray: tuple[int, int]) -> Vector:
 
 
 def next_wall(
-    curves: tuple[CurveEntry, ...], direction: int, start: Fraction = Fraction(0)
-) -> Optional[tuple[Fraction, tuple[CurveEntry, ...]]]:
+    curves: tuple[CurveEntry, ...], direction: int, start: Threshold = (0, 1)
+) -> Optional[tuple[Threshold, tuple[CurveEntry, ...]]]:
     """First epsilon >= start where h + direction*eps*xi meets a curve.
 
     Only curves of the state's whitelist `curves` whose xi-degree decreases
     along the direction can stop the walk; the threshold of such a C is
-    (h.C) / |xi.C|.  Returns the minimal threshold and every curve attaining
-    it, or None when the direction is unobstructed (a data error for
-    catalogue models, whose cones are strictly convex).
+    (h.C) / |xi.C|, kept as that pair in lowest terms and compared by
+    cross-multiplication.  Returns the minimal threshold and every curve
+    attaining it, or None when the direction is unobstructed (a data error
+    for catalogue models, whose cones are strictly convex).
     """
-    best: Optional[Fraction] = None
+    best: Optional[Threshold] = None
     hits: list[CurveEntry] = []
     for entry in curves:
         slope = direction * entry.xi_degree
         if slope >= 0:
             continue
-        eps = Fraction(entry.h_degree, -slope)
-        if eps < start:
+        g = gcd(entry.h_degree, slope)
+        eps = (entry.h_degree // g, -slope // g)
+        if eps[0] * start[1] < start[0] * eps[1]:
             raise InvariantError(
-                f"curve {entry.name} already negative before eps={start} "
-                f"(threshold {eps}); walk state is inconsistent"
+                f"curve {entry.name} already negative before eps={format_threshold(start)} "
+                f"(threshold {format_threshold(eps)}); walk state is inconsistent"
             )
-        if best is None or eps < best:
+        if best is None or eps[0] * best[1] < best[0] * eps[1]:
             best, hits = eps, [entry]
         elif eps == best:
             hits.append(entry)
@@ -212,7 +223,7 @@ class LiftFan(NamedTuple):
 def _walk(model: SurfaceModel, curves: tuple[CurveEntry, ...], direction: int):
     """Walk one direction; returns (events ending at a boundary, states after each wall)."""
     m = model
-    eps = Fraction(0)
+    eps = (0, 1)
     events: list[WallEvent] = []
     states: list[SurfaceModel] = []
     for _ in range(MAX_WALK_STEPS):

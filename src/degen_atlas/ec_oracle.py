@@ -30,13 +30,12 @@ from __future__ import annotations
 import json
 import random
 from array import array
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
 from math import gcd
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .exact_lattice import InvariantError, Matrix, SmithForm, mat, snf
+from .exact_lattice import FrozenValue, InvariantError, Matrix, SmithForm, mat, snf
 from .period_relations import Divisor, RelationSystem
 
 Point = Optional[tuple[int, int]]  # None is the point at infinity
@@ -55,16 +54,15 @@ def _trial_factor(n: int) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(FrozenValue):
     """y^2 = x^3 + a x + b over F_p with its exactly counted group."""
 
-    p: int
-    a: int
-    b: int
-    order: int
-    exponent: int  # order of the largest cyclic subgroup
-    generator: tuple[int, int]
+    _fields = ("p", "a", "b", "order", "exponent", "generator")
+
+    def __init__(self, p: int, a: int, b: int, order: int,
+                 exponent: int,  # order of the largest cyclic subgroup
+                 generator: tuple[int, int]) -> None:
+        self._init(p, a, b, order, exponent, generator)
 
     def contains(self, pt: Point) -> bool:
         if pt is None:

@@ -15,7 +15,6 @@ ints, vectors are tuples of ints.  The three workhorses are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, isqrt, lcm
 from operator import mul
@@ -27,6 +26,49 @@ Matrix = tuple[tuple[int, ...], ...]
 
 class InvariantError(AssertionError):
     """A check the program makes on its own results failed."""
+
+
+class FrozenValue:
+    """An immutable value with the fields named, in order, by `_fields`.
+
+    Like a NamedTuple it is equal only to a value of its own class with
+    equal fields, hashed by its fields and printed as Name(field=value, ...);
+    unlike one it keeps an instance __dict__, where a cached_property stores
+    what it computes.  A constructor checks its arguments and stores them
+    with `_init`; after that, setting or deleting any attribute raises
+    AttributeError.  `_replace` copies through the constructor, so the copy
+    is checked again and carries over no cached value.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _init(self, *values: object) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def _replace(self, **changes: object):
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
 def mat(rows: Iterable[Iterable[int]]) -> Matrix:
@@ -303,22 +345,21 @@ def sparse_vecmat(v: Vector, rows: SparseRows, n: int) -> Vector:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class GramForm:
+class GramForm(FrozenValue):
     """A symmetric integer bilinear form.
 
     Products read the matrix through `rows`, its sparse-row view, built once
     per form: each row of a pair lattice's Gram matrix has one nonzero entry.
     """
 
-    gram: Matrix
+    _fields = ("gram",)
 
-    def __post_init__(self) -> None:
-        g = self.gram
-        if any(len(row) != len(g) for row in g):
+    def __init__(self, gram: Matrix) -> None:
+        if any(len(row) != len(gram) for row in gram):
             raise ValueError("gram must be square")
-        if g != transpose(g):
+        if gram != transpose(gram):
             raise ValueError("gram must be symmetric")
+        self._init(gram)
 
     @property
     def dim(self) -> int:

@@ -25,10 +25,9 @@ d < 0 is read in the paper's orientation by that renaming alone.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .exact_lattice import InvariantError, Vector, in_span, snf, span_matrix
+from .exact_lattice import FrozenValue, InvariantError, Vector, in_span, snf, span_matrix
 from .surface_pair import (
     SurfaceModel,
     Terms,
@@ -70,11 +69,13 @@ def _toggle_tick(sym: str) -> str:
     return letter + ("" if tick else "'") + index
 
 
-@dataclass(frozen=True)
-class Divisor:
+class Divisor(FrozenValue):
     """Formal integer combination of point symbols on the double curve."""
 
-    coeffs: tuple[tuple[str, int], ...]
+    _fields = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[tuple[str, int], ...]) -> None:
+        self._init(coeffs)
 
     @staticmethod
     def of(terms: Mapping[str, int]) -> "Divisor":

@@ -18,12 +18,11 @@ fan and point relation; catalogue_row reads it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .exact_lattice import GramForm, InvariantError, Vector, add_vec, mat, scale_vec
+from .exact_lattice import FrozenValue, GramForm, InvariantError, Vector, add_vec, mat, scale_vec
 
 P2 = "P2"
 P1XP1 = "P1xP1"
@@ -65,12 +64,12 @@ def home_component(name: str) -> int:
     return 1 if "'" in name else 0
 
 
-@dataclass(frozen=True)
-class PairLattice:
-    base0: str
-    base1: str
-    names: tuple[str, ...]
-    gram_form: GramForm
+class PairLattice(FrozenValue):
+    _fields = ("base0", "base1", "names", "gram_form")
+
+    def __init__(self, base0: str, base1: str, names: tuple[str, ...],
+                 gram_form: GramForm) -> None:
+        self._init(base0, base1, names, gram_form)
 
     @cached_property
     def _positions(self) -> dict[str, int]:
@@ -114,12 +113,11 @@ class CurveEntry(NamedTuple):
     xi_degree: int
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
+class SurfaceModel(FrozenValue):
     """A tagged pair lattice with its polarization and restriction data.
 
     A model is immutable: E0, E1 and xi are computed once, from its tags, on
-    first use; a flop or `replace` makes a new model.  `restrictions` maps
+    first use; a flop or `_replace` makes a new model.  `restrictions` maps
     every basis name to its divisor image on the double curve, as {point
     symbol: coefficient}, and one that misses a basis name is a ValueError;
     it is None for a CUSTOM model built without a dictionary.
@@ -132,35 +130,36 @@ class SurfaceModel:
     the quadric's rulings.
     """
 
-    id: str
-    lattice: PairLattice
-    tags: tuple[int, ...]
-    h: Vector
-    fiber_classes: tuple[Vector, ...] = ()
-    flop_history: tuple[str, ...] = ()
-    annotation: Optional[str] = None
-    # mappings are not hashable, so hashing a model skips these two fields
-    restrictions: Optional[Mapping[str, Terms]] = field(default=None, hash=False)
-    aux_relations: tuple[Terms, ...] = field(default=(), hash=False)
+    _fields = ("id", "lattice", "tags", "h", "fiber_classes", "flop_history", "annotation",
+               "restrictions", "aux_relations")
 
-    def __post_init__(self) -> None:
-        rank = self.lattice.rank
-        if len(self.tags) != rank:
-            raise ValueError(f"{len(self.tags)} tags for a lattice of rank {rank}")
-        if len(self.h) != rank:
-            raise ValueError(f"{len(self.h)} entries in h for a lattice of rank {rank}")
-        for i, name in enumerate(self.lattice.names):
-            if not is_exceptional(name) and self.tags[i] != home_component(name):
+    def __init__(self, id: str, lattice: PairLattice, tags: tuple[int, ...], h: Vector,
+                 fiber_classes: tuple[Vector, ...] = (), flop_history: tuple[str, ...] = (),
+                 annotation: Optional[str] = None,
+                 restrictions: Optional[Mapping[str, Terms]] = None,
+                 aux_relations: tuple[Terms, ...] = ()) -> None:
+        rank = lattice.rank
+        if len(tags) != rank:
+            raise ValueError(f"{len(tags)} tags for a lattice of rank {rank}")
+        if len(h) != rank:
+            raise ValueError(f"{len(h)} entries in h for a lattice of rank {rank}")
+        for i, name in enumerate(lattice.names):
+            if not is_exceptional(name) and tags[i] != home_component(name):
                 raise ValueError(
-                    f"base class {name} is tagged {self.tags[i]}; base classes never move"
+                    f"base class {name} is tagged {tags[i]}; base classes never move"
                 )
-        if self.restrictions is not None:
-            missing = [name for name in self.lattice.names if name not in self.restrictions]
+        if restrictions is not None:
+            missing = [name for name in lattice.names if name not in restrictions]
             if missing:
                 raise ValueError(f"the dictionary misses the basis classes {', '.join(missing)}")
-            object.__setattr__(self, "restrictions", MappingProxyType(
-                {name: _read_only(terms) for name, terms in self.restrictions.items()}))
-        object.__setattr__(self, "aux_relations", tuple(map(_read_only, self.aux_relations)))
+            restrictions = MappingProxyType(
+                {name: _read_only(terms) for name, terms in restrictions.items()})
+        self._init(id, lattice, tags, h, fiber_classes, flop_history, annotation,
+                   restrictions, tuple(map(_read_only, aux_relations)))
+
+    def __hash__(self) -> int:
+        # mappings are not hashable, so the hash skips restrictions and aux_relations
+        return hash(self._values()[:-2])
 
     @cached_property
     def xi(self) -> Vector:
@@ -230,33 +229,28 @@ def _default_restrictions(lattice: PairLattice) -> dict[str, Terms]:
     return out
 
 
-@dataclass(frozen=True)
-class CatalogueRow:
+class CatalogueRow(FrozenValue):
     """One catalogue model as the paper gives it, in its own basis names and
     point symbols; its h, relation, fibers and overrides are read-only."""
 
-    base0: str
-    n0: int
-    base1: str
-    n1: int
-    h: Terms
-    type: str  # expected lattice type, in type_string spelling
-    fan: tuple[tuple[Ray, Ray], tuple[Ray, ...]]  # expected (boundary rays, interior walls)
-    relation: Terms  # the extra point relation, a degree-0 divisor
-    fibers: tuple[Terms, ...] = ()  # fiber classes of the Hirzebruch-cover models
-    annotation: Optional[str] = None
-    # restriction images that replace the defaults, and auxiliary relations
-    overrides: Optional[tuple[Mapping[str, Terms], tuple[Terms, ...]]] = None
+    _fields = ("base0", "n0", "base1", "n1", "h", "type", "fan", "relation", "fibers",
+               "annotation", "overrides")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "h", _read_only(self.h))
-        object.__setattr__(self, "relation", _read_only(self.relation))
-        object.__setattr__(self, "fibers", tuple(map(_read_only, self.fibers)))
-        if self.overrides is not None:
-            images, aux = self.overrides
-            object.__setattr__(self, "overrides", (
-                MappingProxyType({name: _read_only(t) for name, t in images.items()}),
-                tuple(map(_read_only, aux))))
+    def __init__(self, base0: str, n0: int, base1: str, n1: int, h: Terms,
+                 type: str,  # expected lattice type, in type_string spelling
+                 fan: tuple[tuple[Ray, Ray], tuple[Ray, ...]],  # expected (boundary rays, walls)
+                 relation: Terms,  # the extra point relation, a degree-0 divisor
+                 fibers: tuple[Terms, ...] = (),  # fiber classes of Hirzebruch-cover models
+                 annotation: Optional[str] = None,
+                 # restriction images that replace the defaults, and auxiliary relations
+                 overrides: Optional[tuple[Mapping[str, Terms], tuple[Terms, ...]]] = None,
+                 ) -> None:
+        if overrides is not None:
+            images, aux = overrides
+            overrides = (MappingProxyType({name: _read_only(t) for name, t in images.items()}),
+                         tuple(map(_read_only, aux)))
+        self._init(base0, n0, base1, n1, _read_only(h), type, fan, _read_only(relation),
+                   tuple(map(_read_only, fibers)), annotation, overrides)
 
 
 _CATALOGUE_TABLE = {
@@ -453,9 +447,7 @@ def flop(m: SurfaceModel, name: str) -> SurfaceModel:
         (1 - t) if i == idx else t for i, t in enumerate(m.tags)
     )
     new_h = reflect(m, e, m.h)
-    out = replace(
-        m, tags=new_tags, h=new_h, flop_history=m.flop_history + (name,)
-    )
+    out = m._replace(tags=new_tags, h=new_h, flop_history=m.flop_history + (name,))
     if out.xi != reflect(m, e, xi_before):
         raise InvariantError(f"flop of {name}: tag-recomputed xi must match transport")
     check_model_invariants(out)

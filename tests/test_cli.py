@@ -1,6 +1,5 @@
 import json
 import os
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -271,10 +270,10 @@ def test_verify_reads_the_catalogue_table(capsys, monkeypatch):
     table = surface_pair._CATALOGUE_TABLE
     boundary, walls = catalogue_row("E8E8").fan
     a11e6 = table["A11E6"]
-    monkeypatch.setitem(table, "D17", replace(table["D17"], type="D16+A1"))
-    monkeypatch.setitem(table, "E8E8", replace(table["E8E8"], fan=(boundary, walls[:1])))
+    monkeypatch.setitem(table, "D17", table["D17"]._replace(type="D16+A1"))
+    monkeypatch.setitem(table, "E8E8", table["E8E8"]._replace(fan=(boundary, walls[:1])))
     monkeypatch.setitem(table, "A11E6",
-                        replace(a11e6, relation={**a11e6.relation, "p1": -2, "p2": 0}))
+                        a11e6._replace(relation={**a11e6.relation, "p1": -2, "p2": 0}))
 
     types, fans, relations = verify_classification(), verify_fans(), verify_relations()
     assert not types["pass"] and not fans["pass"] and not relations["pass"]

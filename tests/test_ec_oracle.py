@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 import sys
@@ -263,7 +262,7 @@ def test_generator_table_draws_match_double_and_add(curves):
 def test_generator_table_checks_the_exponent(exponent, message):
     c = curve_setup(5, 0, 1)
     assert c.exponent == 6
-    wrong = dataclasses.replace(c, exponent=exponent)
+    wrong = c._replace(exponent=exponent)
     with pytest.raises(ValueError) as exc:
         wrong.multiple_of_generator(1)
     assert str(exc.value) == message

@@ -8,6 +8,7 @@ may be an `assert`, which `python -O` strips.
 import ast
 import copy
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -22,12 +23,13 @@ from degen_atlas.chamber_walk import (
     lift_fan,
 )
 from degen_atlas.ec_oracle import (
+    Curve,
     MembershipVerdict,
     PointAssignment,
     pinned_curves,
     randomized_membership_test,
 )
-from degen_atlas.exact_lattice import QuotientLattice, SmithForm, mat, snf
+from degen_atlas.exact_lattice import GramForm, QuotientLattice, SmithForm, mat, snf
 from degen_atlas.period_relations import (
     DeriveResult,
     Divisor,
@@ -42,8 +44,17 @@ from degen_atlas.root_classifier import (
     model_type,
     script_L,
 )
-from degen_atlas.surface_pair import CurveEntry, catalogue_model, curve_catalogue
-from oracles import run_python_O
+from degen_atlas.surface_pair import (
+    P2,
+    CatalogueRow,
+    CurveEntry,
+    PairLattice,
+    SurfaceModel,
+    catalogue_model,
+    curve_catalogue,
+    make_pair_lattice,
+)
+from oracles import run_python, run_python_O
 
 SRC = Path(degen_atlas.__file__).resolve().parent
 
@@ -226,10 +237,12 @@ def test_bad_arguments_raise_value_error_under_python_O():
 
 
 # Plain records are NamedTuples: immutable, equal and hashed by their
-# fields, and printed as Name(field=value, ...), like the frozen dataclasses
-# they replace.  A class stays a frozen dataclass only for what a tuple
-# cannot do: state validated in __post_init__, a cached_property, or
-# arithmetic, where a tuple base would make `d * 3` a repetition.
+# fields, and printed as Name(field=value, ...).  A class is an explicit
+# FrozenValue, with the same behaviour written out once in its base, only
+# for what a tuple cannot do: state its constructor checks or converts, a
+# cached_property, or arithmetic, where a tuple base would make `d * 3` a
+# repetition.  No class is a dataclass, whose methods are generated when
+# the package is imported.
 RECORDS = (
     ComponentFate, StableModelDescription, WallEvent, Chamber, LiftFan,
     PointAssignment, MembershipVerdict, SmithForm, QuotientLattice,
@@ -284,6 +297,101 @@ def test_record_reprs_are_unchanged(records):
     )
 
 
+# One instance of each value class, and its repr as a frozen dataclass.
+VALUES = {
+    GramForm: (lambda: GramForm(mat([[-2]])), "GramForm(gram=((-2,),))"),
+    PairLattice: (
+        lambda: make_pair_lattice(P2, 1, P2, 0),
+        "PairLattice(base0='P2', base1='P2', names=('l', 'e1', \"l'\"), "
+        "gram_form=GramForm(gram=((1, 0, 0), (0, -1, 0), (0, 0, 1))))",
+    ),
+    SurfaceModel: (
+        lambda: SurfaceModel(
+            "CUSTOM", make_pair_lattice(P2, 1, P2, 0), (0, 0, 1), (1, 0, 0),
+            restrictions={"l": {"q": 3}, "e1": {"p1": 1}, "l'": {"q'": 3}},
+            aux_relations=({"p1": 1, "q": -1},)),
+        "SurfaceModel(id='CUSTOM', lattice=PairLattice(base0='P2', base1='P2', "
+        "names=('l', 'e1', \"l'\"), gram_form=GramForm(gram=((1, 0, 0), (0, -1, 0), "
+        "(0, 0, 1)))), tags=(0, 0, 1), h=(1, 0, 0), fiber_classes=(), flop_history=(), "
+        "annotation=None, restrictions=mappingproxy({'l': mappingproxy({'q': 3}), "
+        "'e1': mappingproxy({'p1': 1}), \"l'\": mappingproxy({\"q'\": 3})}), "
+        "aux_relations=(mappingproxy({'p1': 1, 'q': -1}),))",
+    ),
+    CatalogueRow: (
+        lambda: CatalogueRow(
+            P2, 1, P2, 0, {"l": 1}, "A1", (((1, 0), (1, -1)), ()), {"q": 3, "p1": -3},
+            fibers=({"l": 1, "e1": -1},), overrides=({"l": {"q": 3}}, ({"p1": 1},))),
+        "CatalogueRow(base0='P2', n0=1, base1='P2', n1=0, h=mappingproxy({'l': 1}), "
+        "type='A1', fan=(((1, 0), (1, -1)), ()), relation=mappingproxy({'q': 3, 'p1': -3}), "
+        "fibers=(mappingproxy({'l': 1, 'e1': -1}),), annotation=None, "
+        "overrides=(mappingproxy({'l': mappingproxy({'q': 3})}), (mappingproxy({'p1': 1}),)))",
+    ),
+    Curve: (
+        lambda: pinned_curves()[0],
+        "Curve(p=10007, a=1, b=1, order=10065, exponent=10065, generator=(1, 8530))",
+    ),
+    Divisor: (lambda: Divisor.of({"q": 3, "p1": -3}), "Divisor(coeffs=(('q', 3), ('p1', -3)))"),
+}
+CACHED = {
+    GramForm: {"rows", "bareiss"},
+    PairLattice: {"_positions"},
+    SurfaceModel: {"xi", "_double_curve_classes"},
+    CatalogueRow: set(),
+    Curve: {"_inverses", "_arithmetic", "_multiples"},
+    Divisor: set(),
+}
+
+
+@pytest.mark.parametrize("cls", list(VALUES), ids=lambda cls: cls.__name__)
+def test_value_classes_are_frozen_values(cls):
+    make, want = VALUES[cls]
+    value = make()
+    assert repr(value) == want
+    for name in value._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    twin = cls(**{name: getattr(value, name) for name in value._fields})
+    assert twin is not value and twin == value and repr(twin) == want
+    if cls is CatalogueRow:  # its read-only mappings are unhashable
+        with pytest.raises(TypeError, match="unhashable type: 'mappingproxy'"):
+            hash(value)
+    else:
+        assert hash(twin) == hash(value)
+    # the caches stay cached properties, and a copy carries none of them over
+    cached = {name for name, attr in vars(cls).items() if isinstance(attr, cached_property)}
+    assert cached == CACHED[cls]
+    if cls is not Curve:  # a curve's caches are tables of size p
+        for name in cached:
+            getattr(value, name)
+        assert set(vars(value)) == set(value._fields) | cached
+    first = value._fields[0]
+    copied = value._replace(**{first: getattr(value, first)})
+    assert copied == value and set(vars(copied)) == set(value._fields)
+
+
+def test_a_model_hash_skips_its_mappings_and_a_copy_recomputes_xi():
+    make, _ = VALUES[SurfaceModel]
+    m = make()
+    bare = m._replace(restrictions=None, aux_relations=())
+    assert bare != m and hash(bare) == hash(m)
+    assert m.xi == (-3, 1, 3)
+    moved = m._replace(tags=(0, 1, 1))
+    assert moved.xi == (-3, -1, 3) and m.xi == (-3, 1, 3)
+
+
+def test_importing_the_package_loads_no_dataclasses_and_no_fractions():
+    # pytest itself imports dataclasses, so only a fresh interpreter shows this
+    code = ("import sys\nimport degen_atlas.cli\n"
+            "print(sorted({'dataclasses', 'fractions'} & set(sys.modules)))\n")
+    done = run_python(["-c", code], timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def test_divisor_times_an_integer_is_not_repetition():
     q = Divisor.of({"q": 1})
     assert 3 * q == Divisor.of({"q": 3})
@@ -305,27 +413,24 @@ def _referenced_name(node):
 
 def _record_breaches(tree):
     """Line, class and breach of each class in `tree` that breaks the record
-    rule: a @dataclass with no __post_init__, cached_property or arithmetic
-    dunder, or a NamedTuple that defines an arithmetic dunder."""
+    rule: a @dataclass of any kind, or a NamedTuple that defines an
+    arithmetic dunder."""
     found = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.ClassDef):
             continue
-        defs = [n for n in node.body if isinstance(n, ast.FunctionDef)]
-        names = {n.name for n in defs} | {
+        names = {n.name for n in node.body if isinstance(n, ast.FunctionDef)} | {
             t.id for n in node.body if isinstance(n, ast.Assign)
             for t in n.targets if isinstance(t, ast.Name)
         }
-        cached = any(_referenced_name(d) == "cached_property" for n in defs for d in n.decorator_list)
         if any(_referenced_name(d) == "dataclass" for d in node.decorator_list):
-            if not (cached or "__post_init__" in names or names & _ARITHMETIC):
-                found.append((node.lineno, node.name, "plain dataclass"))
+            found.append((node.lineno, node.name, "dataclass"))
         if any(_referenced_name(b) == "NamedTuple" for b in node.bases) and names & _ARITHMETIC:
             found.append((node.lineno, node.name, "NamedTuple with arithmetic"))
     return found
 
 
-def test_src_dataclasses_hold_cached_or_validated_state_or_arithmetic():
+def test_src_defines_no_dataclass_and_no_namedtuple_arithmetic():
     modules = sorted(SRC.glob("*.py"))
     assert "exact_lattice.py" in {path.name for path in modules}
     found = {
@@ -360,7 +465,10 @@ def test_the_record_scan_sees_each_breach():
         "    def total(self): return 0\n"
     )
     assert _record_breaches(ast.parse(code)) == [
-        (2, "Plain", "plain dataclass"),
+        (2, "Plain", "dataclass"),
+        (5, "Cached", "dataclass"),
+        (9, "Checked", "dataclass"),
+        (12, "Sum", "dataclass"),
         (14, "Tuple", "NamedTuple with arithmetic"),
         (16, "Scaled", "NamedTuple with arithmetic"),
     ]

@@ -55,7 +55,7 @@ def test_dictionary_images(models):
 
 
 def test_psi_sums_the_read_only_images_into_one_divisor(models, monkeypatch):
-    m = flop_all(models["A15"], ["e1"])  # a new model, made by dataclasses.replace
+    m = flop_all(models["A15"], ["e1"])  # a new model, made by the model's own _replace
     images = restriction_dictionary(m)
     assert images is m.restrictions and images == models["A15"].restrictions
     of, calls = Divisor.of, []

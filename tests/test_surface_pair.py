@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from types import SimpleNamespace
 
@@ -125,7 +124,7 @@ def test_build_model_checks_the_squares_of_xi_and_e0(monkeypatch):
         lattice = real(base0, n0, base1, n1)
         gram = [list(row) for row in lattice.gram_form.gram]
         gram[lattice.index("e1")][lattice.index("e1")] = -2
-        return dataclasses.replace(lattice, gram_form=GramForm(mat(gram)))
+        return lattice._replace(gram_form=GramForm(mat(gram)))
 
     monkeypatch.setattr(surface_pair, "make_pair_lattice", with_e1_of_square_2)
     with pytest.raises(InvariantError, match="^xi has square -1, not 0$"):
@@ -312,10 +311,10 @@ def test_reflect_rejects_a_reflection_that_is_not_integral(models):
 def test_surface_model_rejects_tags_of_the_wrong_length_or_a_moved_base_class(models):
     m = models["D17"]
     with pytest.raises(ValueError, match="^19 tags for a lattice of rank 20$"):
-        dataclasses.replace(m, tags=m.tags[:19])
+        m._replace(tags=m.tags[:19])
     assert m.lattice.names[0] == "l" and m.tags[0] == 0
     with pytest.raises(ValueError, match="^base class l is tagged 1; base classes never move$"):
-        dataclasses.replace(m, tags=(1,) + m.tags[1:])
+        m._replace(tags=(1,) + m.tags[1:])
 
 
 def test_pair_lattices_are_unimodular_of_signature_2_18(models):
@@ -371,7 +370,7 @@ def test_replaced_tags_give_a_fresh_xi():
     m = catalogue_model("E8E8")
     xi = m.xi
     i = m.lattice.index("e'10")
-    moved = dataclasses.replace(m, tags=tuple(1 - t if j == i else t for j, t in enumerate(m.tags)))
+    moved = m._replace(tags=tuple(1 - t if j == i else t for j, t in enumerate(m.tags)))
     assert moved.xi == tag_xi(moved) != xi
     assert moved.double_curve_class(0)[i] == -1 and moved.double_curve_class(1)[i] == 0
     assert m.xi == tag_xi(m) == xi
@@ -390,7 +389,7 @@ def _unbalanced_model() -> SurfaceModel:
 
 def test_model_invariants_reject_a_polarization_that_is_not_cartier():
     m = catalogue_model("D8D8")
-    bad = dataclasses.replace(m, h=class_vector(m.lattice, {"l": 2}))
+    bad = m._replace(h=class_vector(m.lattice, {"l": 2}))
     assert intersect(bad, bad.h, bad.h) == 4
     with pytest.raises(ValueError, match="^polarization must be numerically Cartier$"):
         check_model_invariants(bad)
@@ -418,9 +417,9 @@ def test_flop_checks_the_square_of_the_exceptional():
     i = m.lattice.index("e'10")
     gram = [list(row) for row in m.lattice.gram_form.gram]
     gram[i][i] = -2
-    lattice = dataclasses.replace(m.lattice, gram_form=GramForm(mat(gram)))
+    lattice = m.lattice._replace(gram_form=GramForm(mat(gram)))
     with pytest.raises(InvariantError, match="^exceptional e'10 has square -2, not -1$"):
-        flop(dataclasses.replace(m, lattice=lattice), "e'10")
+        flop(m._replace(lattice=lattice), "e'10")
 
 
 def test_flop_checks_that_the_exceptional_meets_the_double_curve(monkeypatch):
