@@ -1,9 +1,10 @@
 """Wall-and-chamber decomposition of the effective lifted-polarization cone.
 
 Lifted polarizations are the classes m*h + n*xi.  Starting from the nef ray
-(1, 0) the walk moves epsilon in h + eps*xi (direction +1) and h - eps*xi
-(direction -1), always in exact integer arithmetic.  At each event ray the
-curves that are about to go negative decide what happens, with precedence
+(1, 0) the walk turns towards +xi (direction +1) and towards -xi (direction
+-1) through primitive integer rays (m, n), the same rays it reports.  At
+each event ray the curves whose degree reaches 0 there and would go
+negative beyond it decide what happens, with precedence
 
     component restriction trivial  >  a moving class hits zero  >  flop.
 
@@ -37,25 +38,6 @@ from .surface_pair import (
 
 MAX_WALK_STEPS = 64
 
-# An epsilon as (numerator, denominator) in lowest terms, denominator > 0.
-Threshold = tuple[int, int]
-
-
-def format_threshold(eps: Threshold) -> str:
-    """eps as 3 or 2/3."""
-    num, den = eps
-    return str(num) if den == 1 else f"{num}/{den}"
-
-
-def ray_of(eps: Threshold, direction: int) -> tuple[int, int]:
-    """Primitive (m, n) along h + direction*eps*xi.
-
-    eps is in lowest terms with a positive denominator, so (denominator,
-    direction * numerator) is already primitive, and eps = (0, 1) gives
-    (1, 0).
-    """
-    return (eps[1], direction * eps[0])
-
 
 def class_at(m: SurfaceModel, ray: tuple[int, int]) -> Vector:
     """m*h_cur + n*xi_cur in the model's current (transported) frame."""
@@ -63,33 +45,35 @@ def class_at(m: SurfaceModel, ray: tuple[int, int]) -> Vector:
 
 
 def next_wall(
-    curves: tuple[CurveEntry, ...], direction: int, start: Threshold = (0, 1)
-) -> Optional[tuple[Threshold, tuple[CurveEntry, ...]]]:
-    """First epsilon >= start where h + direction*eps*xi meets a curve.
+    curves: tuple[CurveEntry, ...], direction: int, start: tuple[int, int] = (1, 0)
+) -> Optional[tuple[tuple[int, int], tuple[CurveEntry, ...]]]:
+    """First primitive ray at or past start, turning towards direction*xi,
+    where the degree of a curve reaches 0.
 
-    Only curves of the state's whitelist `curves` whose xi-degree decreases
-    along the direction can stop the walk; the threshold of such a C is
-    (h.C) / |xi.C|, kept as that pair in lowest terms and compared by
-    cross-multiplication.  Returns the minimal threshold and every curve
-    attaining it, or None when the direction is unobstructed (a data error
-    for catalogue models, whose cones are strictly convex).
+    Only curves of the state's whitelist `curves` whose xi-degree falls along
+    the direction can stop the walk; such a C has degree m*h.C + n*xi.C = 0
+    at the ray (|xi.C|, direction*h.C) / gcd, and rays are ordered along the
+    direction by cross-multiplication.  A curve of negative degree at start
+    means the walk went past its wall.  Returns the first ray and every curve
+    reaching 0 there, or None when the direction is unobstructed (a data
+    error for catalogue models, whose cones are strictly convex).
     """
-    best: Optional[Threshold] = None
+    best: Optional[tuple[int, int]] = None
     hits: list[CurveEntry] = []
     for entry in curves:
         slope = direction * entry.xi_degree
         if slope >= 0:
             continue
         g = gcd(entry.h_degree, slope)
-        eps = (entry.h_degree // g, -slope // g)
-        if eps[0] * start[1] < start[0] * eps[1]:
+        ray = (-slope // g, direction * entry.h_degree // g)
+        if start[0] * entry.h_degree + start[1] * entry.xi_degree < 0:
             raise InvariantError(
-                f"curve {entry.name} already negative before eps={format_threshold(start)} "
-                f"(threshold {format_threshold(eps)}); walk state is inconsistent"
+                f"curve {entry.name} already negative at {format_ray(start)} "
+                f"(degree 0 at {format_ray(ray)}); walk state is inconsistent"
             )
-        if best is None or eps[0] * best[1] < best[0] * eps[1]:
-            best, hits = eps, [entry]
-        elif eps == best:
+        if best is None or direction * (ray[1] * best[0] - best[1] * ray[0]) < 0:
+            best, hits = ray, [entry]
+        elif ray == best:
             hits.append(entry)
     if best is None:
         return None
@@ -223,18 +207,17 @@ class LiftFan(NamedTuple):
 def _walk(model: SurfaceModel, curves: tuple[CurveEntry, ...], direction: int):
     """Walk one direction; returns (events ending at a boundary, states after each wall)."""
     m = model
-    eps = (0, 1)
+    ray = (1, 0)
     events: list[WallEvent] = []
     states: list[SurfaceModel] = []
     for _ in range(MAX_WALK_STEPS):
-        hit = next_wall(curves, direction, eps)
+        hit = next_wall(curves, direction, ray)
         if hit is None:
             raise ValueError(
                 f"walk in direction {direction:+d} is unbounded for {model.id}; "
                 "the curve catalogue must be missing an effective class"
             )
-        eps, zero = hit
-        ray = ray_of(eps, direction)
+        ray, zero = hit
         names = tuple(e.name for e in zero)
         stable = stable_model_at(m, curves, ray)
         points = [i for i, f in enumerate(stable.components) if f.verdict == "contracted_to_point"]

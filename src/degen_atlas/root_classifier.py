@@ -320,9 +320,8 @@ def classify(roots: GeneralizedRootSet, seed: int = 0) -> LatticeType:
     )
 
 
-def model_type(m: SurfaceModel, bound: int = 4,
-               seed: int = 0) -> tuple[LatticeType, GeneralizedRootSet]:
-    roots = generalized_roots(script_L(m), bound)
+def model_type(m: SurfaceModel, seed: int = 0) -> tuple[LatticeType, GeneralizedRootSet]:
+    roots = generalized_roots(script_L(m))
     return classify(roots, seed), roots
 
 
@@ -349,7 +348,7 @@ def verify_classification(models: Optional[dict] = None, seed: int = 0) -> dict:
     all_pass = True
     for mid, m in models.items():
         want = catalogue_row(mid).type  # an unknown id fails before any classification
-        t, roots = model_type(m, 4, seed)
+        t, roots = model_type(m, seed)
         report = root_report(t, roots)
         ok = report["type"] == want and not roots.other
         all_pass &= ok

@@ -1,5 +1,6 @@
-"""Build a Curve from (p, a, b) by counting its group: the tests' small
-curves and `regenerate_curves.py`, which rewrites the pinned fixture.
+"""Build a Curve from (p, a, b) by counting its group and factoring its
+exponent: the tests' small curves and `regenerate_curves.py`, which
+rewrites the pinned fixture.
 
 The package itself only reads `curves.json` and re-checks it; nothing it
 runs counts a group, so this code lives with the tests.
@@ -7,7 +8,20 @@ runs counts a group, so this code lives with the tests.
 
 from math import gcd, isqrt
 
-from degen_atlas.ec_oracle import Curve, Point, _trial_factor, scalar_mul
+from degen_atlas.ec_oracle import Curve, Point, scalar_mul
+
+
+def _trial_factor(n: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 def _is_prime(n: int) -> bool:

@@ -12,7 +12,8 @@ names and tags; psi adds its images one class at a time.  The span
 solvers that the Smith form's own readers replaced, the plain matrix
 product and the curve's group law as a function are kept here too, and so
 is the component swap, the reference for reading a state in the other
-orientation.
+orientation.  The fan's walls are checked against the least threshold
+h.C / |xi.C| as a Fraction, the rule the walk's integer rays replaced.
 """
 
 import os
@@ -519,6 +520,22 @@ def curve_class(m, entry):
     for i, c in entry.terms:
         cls[i] = c
     return tuple(cls)
+
+
+def threshold_next_wall(curves, direction):
+    """The first wall along h + direction*eps*xi by the threshold rule, the
+    reference for `chamber_walk.next_wall`: a curve C whose xi-degree falls
+    along the direction turns negative past eps = h.C / |xi.C|, taken as a
+    Fraction.  Returns the ray (denominator, direction * numerator) of the
+    least eps with the set of names of the curves attaining it, or None
+    when no curve's xi-degree falls along the direction."""
+    eps = [(Fraction(e.h_degree, abs(e.xi_degree)), e.name)
+           for e in curves if direction * e.xi_degree < 0]
+    if not eps:
+        return None
+    least = min(t for t, _ in eps)
+    return ((least.denominator, direction * least.numerator),
+            {name for t, name in eps if t == least})
 
 
 def minus_gram_of_nonsingular(rng, n):

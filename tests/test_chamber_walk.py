@@ -22,7 +22,14 @@ from degen_atlas.surface_pair import (
     flop_all,
     intersect,
 )
-from oracles import EXPECTED_FANS, curve_class, run_python_O, swap_components, toggle_tick
+from oracles import (
+    EXPECTED_FANS,
+    curve_class,
+    run_python_O,
+    swap_components,
+    threshold_next_wall,
+    toggle_tick,
+)
 
 
 @pytest.fixture(scope="module")
@@ -60,24 +67,44 @@ def test_relation_rows_are_chambers_of_their_fans(models, fans):
 
 
 def test_next_wall_examples(models):
-    eps, zero = next_wall(curve_catalogue(models["A15"]), +1)
-    assert eps == (0, 1)
+    ray, zero = next_wall(curve_catalogue(models["A15"]), +1)
+    assert ray == (1, 0)
     assert {e.name for e in zero} == {f"e{i}" for i in range(1, 17)}
 
-    eps, zero = next_wall(curve_catalogue(models["E8E8"]), -1)
-    assert eps == (1, 1)
+    ray, zero = next_wall(curve_catalogue(models["E8E8"]), -1)
+    assert ray == (1, -1)
     assert {e.name for e in zero} == {"e'10"}
 
-    eps, zero = next_wall(curve_catalogue(models["D17"]), -1)
-    assert eps == (2, 3)
+    ray, zero = next_wall(curve_catalogue(models["D17"]), -1)
+    assert ray == (3, -2)
     assert {e.name for e in zero} == {"l'"}
 
 
 def test_next_wall_rejects_a_start_past_a_threshold(models):
-    # e1 has h-degree 3 and xi-degree -1 on D17, so it turns negative at eps = 3
-    message = r"^curve e1 already negative before eps=100 \(threshold 3\); "
+    # e1 has h-degree 3 and xi-degree -1 on D17, so its degree reaches 0 at h + 3xi
+    message = r"^curve e1 already negative at h\+100xi \(degree 0 at h\+3xi\); "
     with pytest.raises(InvariantError, match=message):
-        next_wall(curve_catalogue(models["D17"]), 1, (100, 1))
+        next_wall(curve_catalogue(models["D17"]), 1, (1, 100))
+
+
+def test_next_wall_matches_the_threshold_rule(models, monkeypatch):
+    # every call the walks make on the catalogue models and their swaps finds
+    # the ray and the curves of the least threshold h.C / |xi.C|
+    calls = []
+    real = chamber_walk.next_wall
+
+    def recorded(curves, direction, start):
+        hit = real(curves, direction, start)
+        calls.append((curves, direction, hit))
+        return hit
+
+    monkeypatch.setattr(chamber_walk, "next_wall", recorded)
+    for m in models.values():
+        lift_fan(m)
+        lift_fan(swap_components(m))
+    assert len(calls) == 2 * sum(len(f["walls"]) + 2 for f in EXPECTED_FANS.values())
+    for curves, direction, (ray, zero) in calls:
+        assert (ray, {e.name for e in zero}) == threshold_next_wall(curves, direction)
 
 
 def test_fans_match_expected(fans):

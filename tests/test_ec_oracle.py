@@ -69,9 +69,9 @@ def _fixture() -> dict:
     return json.loads(resources.files("degen_atlas").joinpath("curves.json").read_text())
 
 
-def _corrupt(field, value):
+def _corrupt(field, value, index=0):
     data = _fixture()
-    data["curves"][0][field] = value
+    data["curves"][index][field] = value
     return data
 
 
@@ -82,29 +82,53 @@ def _duplicated():
 
 
 def _corrupted_fixtures():
-    """(fixture, message) pairs, one per check on the pinned curves."""
-    first = _fixture()["curves"][0]
-    x, y = first["generator"]
-    n = first["exponent"]
+    """(fixture, message) pairs, one per check on the pinned curves.  A wrong
+    exponent passes the fixture check and is caught by the curve's table of
+    multiples, which its first oracle call builds: case 1 raises the
+    exponent of the second curve, since the first curve's n + 1 is the third
+    curve's exponent, and case 4 is the table's check that exponent*G is the
+    identity."""
+    curves = _fixture()["curves"]
+    x, y = curves[0]["generator"]
+    n, n1 = curves[0]["exponent"], curves[1]["exponent"]
     where = "pinned curve p=10007, a=1, b=1"
     return [
         (_corrupt("generator", [x, y + 1]),
          f"{where}: generator ({x}, {y + 1}) is not on the curve"),
-        (_corrupt("exponent", n + 1),
-         f"{where}: exponent*G is not the identity (exponent {n + 1})"),
+        (_corrupt("exponent", n1 + 1, index=1),
+         f"curve p=10009, a=1, b=1: {n1}*G is the identity, so G has order below the "
+         f"exponent {n1 + 1}"),
         (_corrupt("exponent", 2 * n),
-         f"{where}: (exponent/2)*G is the identity, so G has order below the "
+         f"curve p=10007, a=1, b=1: {n}*G is the identity, so G has order below the "
          f"exponent {2 * n}"),
         (_duplicated(), "pinned curves must have distinct exponents, got [10065, 10138, 10065]"),
+        (_corrupt("exponent", n - 1),
+         f"curve p=10007, a=1, b=1: exponent*G is not the identity (exponent {n - 1})"),
     ]
 
 
-@pytest.mark.parametrize("case", range(4))
+def _first_verdicts(data):
+    """The fixture's curves, each asked for one verdict on q - q' with
+    nothing imposed."""
+    empty = RelationSystem(r_h=Divisor.of({}), r_xi=Divisor.of({}), aux=())
+    target = Divisor.of({"q": 1, "q'": -1})
+    return [randomized_membership_test(empty, target, trials=1, curve=c).verdict
+            for c in ec_oracle._checked_curves(data)]
+
+
+@pytest.mark.parametrize("case", range(5))
 def test_corrupted_fixture_is_rejected(case):
     data, message = _corrupted_fixtures()[case]
     with pytest.raises(ValueError) as exc:
-        ec_oracle._checked_curves(data)
+        _first_verdicts(data)
     assert str(exc.value) == message
+
+
+def test_pinned_curves_build_no_arithmetic():
+    # the order of each generator is proven by its table of multiples, built
+    # at the first draw, so loading the fixture runs no group law
+    for c in pinned_curves():
+        assert not {"_arithmetic", "_inverses", "_multiples"} & set(c.__dict__)
 
 
 def _short_point_order(c, P, group_order):
@@ -137,9 +161,8 @@ def test_oracle_checks_hold_under_python_O():
         "import json, sys\n"
         f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
         "import curve_setup as setup\n"
-        "from degen_atlas import ec_oracle\n"
-        "calls = [lambda text=text: ec_oracle._checked_curves(json.loads(text))\n"
-        "         for text in sys.argv[1:]]\n"
+        "from test_ec_oracle import _first_verdicts\n"
+        "calls = [lambda text=text: _first_verdicts(json.loads(text)) for text in sys.argv[1:]]\n"
         "calls += [lambda: setup._sqrt_mod(3, 7), lambda: setup._sqrt_mod(2, 13)]\n"
         "setup._point_order = lambda c, P, group_order: group_order // 2\n"
         "calls.append(lambda: setup.curve_setup(5, 0, 1))\n"
