@@ -1,7 +1,7 @@
 """Wall-and-chamber decompositions of the lifted-polarization cones.
 
 Classes m*h + n*xi sweep out a two-dimensional cone of effective classes;
-walking the ray parameter in exact rationals finds the walls where an
+walking it in primitive integer rays (m, n) finds the walls where an
 exceptional curve must be flopped to the other component and the boundary
 rays where the class stops being ample on a whole component.
 """

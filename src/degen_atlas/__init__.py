@@ -1,7 +1,7 @@
 """Exact-arithmetic toolkit for two-component degenerations of quartic K3s.
 
 The library computes, from first principles and entirely in exact
-integer/rational arithmetic:
+integer arithmetic:
 
 * the generalized root lattice attached to each of the nine two-component
   central fibers of degree-4 Type II degenerations,

@@ -32,6 +32,7 @@ from .surface_pair import (
     check_model_invariants,
     curve_catalogue,
     flop_all,
+    format_terms,
     intersect,
     surface_name,
 )
@@ -265,14 +266,7 @@ def lift_fan(model: SurfaceModel) -> LiftFan:
 
 
 def format_ray(ray: tuple[int, int]) -> str:
-    m, n = ray
-    if n == 0:
-        return "h" if m == 1 else f"{m}h"
-    mh = "h" if m == 1 else f"{m}h"
-    sign = "+" if n > 0 else "-"
-    mag = abs(n)
-    nxi = "xi" if mag == 1 else f"{mag}xi"
-    return f"{mh}{sign}{nxi}"
+    return format_terms(zip(("h", "xi"), ray))
 
 
 def fan_diagram(fan: LiftFan) -> str:

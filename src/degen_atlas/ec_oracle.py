@@ -19,8 +19,9 @@ them, reads each point k*G from a per-curve table of every multiple of G
 (building it proves, once, that G has order exactly N) and runs the
 program with honest chord-tangent group-law code.  Each curve
 has one adder, with p, a and a table of inverses mod p bound in; the table
-of multiples, `scalar_mul` and every program go through it,
-`evaluate_divisor` included.
+of multiples and every program add through it, and `scalar_mul`, the one
+double-and-add over it, makes every multiplication of the programs,
+`evaluate_divisor`'s included.
 
 SUPPORTED verdicts are evidence modulo N-torsion artifacts; the formal
 certificate from the relation module is the authoritative proof.
@@ -65,9 +66,9 @@ class Curve(FrozenValue):
         return array("I", bytes(4 * self.p))
 
     @cached_property
-    def _arithmetic(self) -> tuple[Callable, Callable]:
-        """(add, mul): the curve's one chord-tangent adder and double-and-add
-        over it, with p, a and the inverse table bound in."""
+    def _arithmetic(self) -> Callable[[Point, Point], Point]:
+        """The curve's one chord-tangent adder, with p, a and the inverse
+        table bound in."""
         p, a, inv = self.p, self.a, self._inverses
 
         def add(P: Point, Q: Point) -> Point:
@@ -95,29 +96,14 @@ class Curve(FrozenValue):
             x3 = (slope * slope - x1 - x2) % p
             return (x3, (slope * (x1 - x3) - y1) % p)
 
-        def mul(k: int, P: Point) -> Point:
-            """k*P, with no doubling after the top bit and no addition to the
-            identity: the lowest set bit takes P itself.  Negative k
-            multiplies -P."""
-            if k < 0:
-                k, P = -k, None if P is None else (P[0], -P[1] % p)
-            acc: Point = None
-            while k:
-                if k & 1:
-                    acc = P if acc is None else add(acc, P)
-                k >>= 1
-                if k:
-                    P = add(P, P)
-            return acc
-
-        return add, mul
+        return add
 
     @cached_property
     def _multiples(self) -> tuple[array, array]:
         """The x and y of k*G for k = 1..exponent-1, at index k - 1, built by
         adding G with the curve's adder.  Raises ValueError unless G has order
         exactly the exponent."""
-        add = self._arithmetic[0]
+        add = self._arithmetic
         xs, ys = array("I"), array("I")
         point: Point = self.generator
         g = point
@@ -150,8 +136,19 @@ class Curve(FrozenValue):
 
 def scalar_mul(c: Curve, k: int, P: Point) -> Point:
     """k*P by double-and-add over the curve's adder, with no doubling after
-    the top bit; negative k multiplies -P."""
-    return c._arithmetic[1](k, P)
+    the top bit and no addition to the identity: the lowest set bit takes P
+    itself.  Negative k multiplies -P."""
+    add = c._arithmetic
+    if k < 0:
+        k, P = -k, None if P is None else (P[0], -P[1] % c.p)
+    acc: Point = None
+    while k:
+        if k & 1:
+            acc = P if acc is None else add(acc, P)
+        k >>= 1
+        if k:
+            P = add(P, P)
+    return acc
 
 
 def _program(
@@ -169,9 +166,9 @@ def _program(
     the divisors are summed smallest first, each from the largest buckets
     already summed that it contains, disjoint from one another, plus the
     points left.  A term of coefficient 1 is its bucket's slot, -1 negates
-    it and any other coefficient is one multiplication; a divisor's sum
+    it and any other coefficient is one `scalar_mul`; a divisor's sum
     starts from its first term."""
-    p, (add, mul) = curve.p, curve._arithmetic
+    p, add = curve.p, curve._arithmetic
     index = {s: i for i, s in enumerate(symbols)}
     plans = []  # per divisor: (coefficient, bucket) in the order each first occurs
     for d in divisors:
@@ -213,7 +210,7 @@ def _program(
             if coeff == -1:
                 acc = None if acc is None else (acc[0], -acc[1] % p)
             elif coeff != 1:
-                acc = mul(coeff, acc)
+                acc = scalar_mul(curve, coeff, acc)
             vals.append(acc)
         return [vals[i] for i in outputs]
 
@@ -299,7 +296,7 @@ def _solution_sampler(generators: Sequence[Divisor], symbols: Sequence[str], n_m
     and V's columns kept sparse mod N.  Every r_j is drawn by `_draws`, in
     order, even when g_j == 1: that draw still consumes the generator's
     state, so skipping it would shift every later draw and witness."""
-    rows = [[coeffs.get(s, 0) for s in symbols] for coeffs in map(Divisor.as_dict, generators)]
+    rows = [g.vector(symbols) for g in generators]
     smith = _smith_form(mat(rows or [[0] * len(symbols)]))
     diag, v = smith.diagonal, smith.v
     k = len(symbols)

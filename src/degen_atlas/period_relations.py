@@ -25,7 +25,7 @@ d < 0 is read in the paper's orientation by that renaming alone.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .exact_lattice import FrozenValue, InvariantError, Vector, in_span, snf, span_matrix
 from .surface_pair import (
@@ -34,26 +34,26 @@ from .surface_pair import (
     catalogue_model,
     catalogue_row,
     flop_all,
+    format_terms,
     intersect,
     surface_name,
 )
 
 
-def _symbol_key(sym: str) -> tuple:
-    if sym == "q":
-        return (0, 0)
-    if sym.startswith("p'") and sym[2:].isdigit():
-        return (3, int(sym[2:]))
-    if sym == "q'":
-        return (2, 0)
-    if sym == "pf":
-        return (4, 0)
-    if sym.startswith("p") and sym[1:].isdigit():
-        return (1, int(sym[1:]))
-    raise ValueError(f"unknown point symbol {sym!r}")
-
-
 _COMPONENT_NAME = re.compile(r"([a-z])(')?(\d*)")
+
+
+def _symbol_key(sym: str) -> tuple:
+    """The order q, p1, p2, ..., q', p'1, p'2, ..., pf of the point symbols;
+    any other symbol is a ValueError."""
+    match = _COMPONENT_NAME.fullmatch(sym)
+    if match:
+        letter, tick, index = match.groups()
+        if (letter == "q" and not index) or (letter == "p" and index):
+            return (2 * bool(tick) + (letter == "p"), int(index or 0))
+    elif sym == "pf":
+        return (4, 0)
+    raise ValueError(f"unknown point symbol {sym!r}")
 
 
 def _toggle_tick(sym: str) -> str:
@@ -84,17 +84,17 @@ class Divisor(FrozenValue):
         )
         return Divisor(cleaned)
 
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.coeffs)
+    def vector(self, symbols: Sequence[str]) -> Vector:
+        """The coefficients of the symbols, in their order; a symbol of the
+        divisor missing from symbols is dropped."""
+        coeffs = dict(self.coeffs)
+        return tuple(coeffs.get(s, 0) for s in symbols)
 
     def degree(self) -> int:
         return sum(c for _, c in self.coeffs)
 
     def __add__(self, other: "Divisor") -> "Divisor":
-        d = self.as_dict()
-        for s, c in other.coeffs:
-            d[s] = d.get(s, 0) + c
-        return Divisor.of(d)
+        return _linear_combination(((1, self.coeffs), (1, other.coeffs)))
 
     def __sub__(self, other: "Divisor") -> "Divisor":
         return self + (-1) * other
@@ -109,15 +109,7 @@ class Divisor(FrozenValue):
         return tuple(s for s, _ in self.coeffs)
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for s, c in self.coeffs:
-            sign = "-" if c < 0 else ("+" if parts else "")
-            mag = abs(c)
-            head = "" if mag == 1 else str(mag)
-            parts.append(f"{sign} {head}{s}" if parts else f"{sign}{head}{s}")
-        return " ".join(parts)
+        return format_terms(self.coeffs, " ")
 
 
 def _toggled(d: Divisor) -> Divisor:
@@ -242,16 +234,8 @@ def derive(system: RelationSystem, target: Divisor) -> DeriveResult:
         {s for g in gens for s in g.symbols()} | set(target.symbols()),
         key=_symbol_key,
     )
-    index = {s: i for i, s in enumerate(universe)}
-
-    def vec(d: Divisor) -> Vector:
-        v = [0] * len(universe)
-        for s, c in d.coeffs:
-            v[index[s]] = c
-        return tuple(v)
-
-    gen_vecs = [vec(g) for g in gens]
-    tvec = vec(target)
+    gen_vecs = [g.vector(universe) for g in gens]
+    tvec = target.vector(universe)
     coeffs = in_span(tvec, gen_vecs)
     if coeffs is not None:
         check = _linear_combination((k, g.coeffs) for k, g in zip(coeffs, gens))

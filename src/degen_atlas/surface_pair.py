@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from functools import cache, cached_property
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .exact_lattice import FrozenValue, GramForm, InvariantError, Vector, add_vec, mat, scale_vec
 
@@ -174,9 +174,7 @@ class SurfaceModel(FrozenValue):
         out = []
         for comp, base in enumerate((lat.base0, lat.base1)):
             terms = dict.fromkeys(_base_names(base, comp == 1), 3 if base == P2 else 2)
-            for i, name in enumerate(lat.names):
-                if is_exceptional(name) and self.tags[i] == comp:
-                    terms[name] = -1
+            terms.update(dict.fromkeys(self.exceptionals_on(comp), -1))
             out.append(class_vector(lat, terms))
         return out[0], out[1]
 
@@ -573,12 +571,18 @@ def parse_class(lattice: PairLattice, text: str) -> Vector:
     return class_vector(lattice, terms)
 
 
+def format_terms(terms: Iterable[tuple[str, int]], sep: str = "") -> str:
+    """The signed sum of (name, coefficient) pairs, as '3l-e1-e2', or with
+    sep=" " as '27q - 3p1'.  Zero terms are left out, a coefficient of
+    magnitude 1 is not printed, and the empty sum is '0'."""
+    parts: list[str] = []
+    for name, coeff in terms:
+        if coeff:
+            sign = "-" if coeff < 0 else ("+" if parts else "")
+            mag = abs(coeff)
+            parts.append(f"{sign}{sep if parts else ''}{'' if mag == 1 else mag}{name}")
+    return sep.join(parts) or "0"
+
+
 def format_class(lattice: PairLattice, v: Vector) -> str:
-    parts = []
-    for name, coeff in zip(lattice.names, v):
-        if coeff == 0:
-            continue
-        sign = "-" if coeff < 0 else ("+" if parts else "")
-        mag = abs(coeff)
-        parts.append(f"{sign}{'' if mag == 1 else mag}{name}")
-    return "".join(parts) if parts else "0"
+    return format_terms(zip(lattice.names, v))

@@ -707,7 +707,7 @@ def affine_group_law(c, P, Q):
 
 def group_law(c, P, Q):
     """P + Q by the curve's own chord-tangent adder."""
-    return c._arithmetic[0](P, Q)
+    return c._arithmetic(P, Q)
 
 
 def negate(c, P):

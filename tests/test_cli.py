@@ -201,6 +201,9 @@ def test_oracle_seed_env_override(capsys, monkeypatch):
     code, rep = run_json(capsys, ["oracle", "A15", "--trials", "5"])
     assert code == 0
     assert rep["seed"] == 123
+    # --seed wins over the variable
+    code, rep = run_json(capsys, ["oracle", "A15", "--trials", "5", "--seed", "9"])
+    assert rep["seed"] == 9
     monkeypatch.delenv("DEGEN_ATLAS_SEED")
     code, rep = run_json(capsys, ["oracle", "A15", "--trials", "5", "--seed", "9"])
     assert rep["seed"] == 9

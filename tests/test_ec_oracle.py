@@ -223,9 +223,9 @@ def test_scalar_mul_matches_double_and_add(curves):
 
 def _counted_scalar_mul(c, k, P):
     """scalar_mul(c, k, P) and the number of calls of the curve's
-    chord-tangent adder it made, counted with a profile hook because mul
-    holds the adder in a closure."""
-    add = c._arithmetic[0].__code__
+    chord-tangent adder it made, counted with a profile hook on the adder's
+    code, which leaves the shared curve untouched."""
+    add = c._arithmetic.__code__
     count = 0
 
     def hook(frame, event, arg):
@@ -524,6 +524,19 @@ def test_membership_supported_and_refuted(models, curves):
     assert evaluate_divisor(curves[0], perturbed, pts) is not None
     for g in system.generators():
         assert evaluate_divisor(curves[0], g, pts) is None
+
+
+def test_membership_multiplies_through_scalar_mul(curves, monkeypatch):
+    # a program makes each multiplication, here by 21, -3 and -2 among
+    # others, through the module's scalar_mul, so patching it sees them all
+    row = next(r for r in relation_rows() if r.key == "E8D9")
+    system, target = imposed_relations(row.prepare()), row.target()
+    plain = randomized_membership_test(system, target, trials=20, curve=curves[0])
+    calls = Counter()
+    monkeypatch.setattr(ec_oracle, "scalar_mul", _counted(calls, ec_oracle.scalar_mul))
+    counted = randomized_membership_test(system, target, trials=20, curve=curves[0])
+    assert calls["scalar_mul"] > 0
+    assert counted == plain == ec_oracle.MembershipVerdict("SUPPORTED", 20)
 
 
 def test_membership_sums_the_target_as_given(curves):

@@ -38,6 +38,17 @@ def models():
     return catalogue()
 
 
+def test_point_symbol_grammar():
+    # q, p<i>, their ticked forms and the 4-torsion point pf are the only
+    # point symbols, ordered q, p1, p2, ..., q', p'1, ..., pf
+    keys = {"q": (0, 0), "p1": (1, 1), "p10": (1, 10), "q'": (2, 0), "p'1": (3, 1),
+            "p'10": (3, 10), "pf": (4, 0)}
+    assert {sym: period_relations._symbol_key(sym) for sym in keys} == keys
+    for sym in ("q3", "p", "p'", "q'3", "p1'", "pf'", "P1", "x5"):
+        with pytest.raises(ValueError, match=re.escape(f"unknown point symbol {sym!r}")):
+            period_relations._symbol_key(sym)
+
+
 def test_dictionary_images(models):
     m = models["A11E6"]
     images = restriction_dictionary(m)

@@ -491,8 +491,9 @@ def test_generalized_roots_match_filter_oracle_on_models(lattices, bound):
 
 
 def test_enumerate_short_matches_rational_oracle_on_models(models):
-    # the searches of generalized_roots at norms -2, -3 and -4, each one
-    # walk over L with the congruence G.v = 0 mod p
+    # walks over L with the congruence G.v = 0 mod p: those generalized_roots
+    # makes on the nine L, at norms -2 and -4, and the walk at p = 3, which
+    # it makes only on odd lattices and never on these even ones
     for m in list(models.values()) + [swap_components(m) for m in models.values()]:
         g = script_L(m).gram
         for p, bound in ((1, 2), (3, 3), (2, 4)):
